@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: cyclotomic numbers, polynomials, rational functions."""
-from .cyclo import BigRational, CycloNum, CycloField, QQ, bounded_multiplicative_order
+from .cyclo import CycloNum, CycloField, QQ, bounded_multiplicative_order
 from .poly import Poly, RatFunc, RatFuncField
 from .ops import (
     poly_gcd,
@@ -11,7 +11,6 @@ from .ops import (
 )
 
 __all__ = [
-    "BigRational",
     "CycloNum",
     "CycloField",
     "QQ",

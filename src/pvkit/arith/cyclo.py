@@ -20,8 +20,6 @@ from math import gcd
 
 from ..errors import InternalInvariantError, ZeroInput
 
-BigRational = Fraction
-
 
 def euler_phi(n: int) -> int:
     result = n
@@ -402,9 +400,6 @@ class CycloField:
         if root is None:
             return None
         return self.coerce(root)
-
-    def is_constant_field(self) -> bool:
-        return True
 
 
 QQ = CycloField(1)

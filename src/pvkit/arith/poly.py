@@ -319,9 +319,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return self.den.degree() == 0
-
     def is_const(self) -> bool:
         return self.num.degree() <= 0 and self.den.degree() == 0
 
@@ -475,17 +472,8 @@ class RatFuncField:
             return None
         return RatFunc(nroot * Poly.const(self.inner, croot), droot)
 
-    def is_constant_field(self) -> bool:
-        return True
-
 
 # -- canonical display -------------------------------------------------------
-
-def format_coeff(field, c) -> str:
-    if isinstance(c, RatFunc):
-        return format_ratfunc(c, field.var if isinstance(field, RatFuncField) else "t")
-    return str(c)
-
 
 def _coeff_needs_parens(s: str) -> bool:
     return " + " in s or " - " in s

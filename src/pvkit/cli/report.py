@@ -17,6 +17,7 @@ from ..arith.cyclo import CycloField, CycloNum
 from ..arith.poly import RatFuncField, format_ratfunc
 from ..base import DiffField, SigmaSpec
 from ..engine import (
+    DEFAULT_SEARCH_BOUND,
     PVPresentation,
     build_pv_diagonal,
     build_pv_scalar,
@@ -45,7 +46,7 @@ from .exprparse import expression_conductor, parse_expression
 
 SCHEMA_VERSION = 1
 
-DEFAULT_M_MAX = 12
+DEFAULT_M_MAX = DEFAULT_SEARCH_BOUND
 DEFAULT_DEGREE_BOUND = 6
 
 COMMANDS = ("group", "pv", "invariants", "basechange", "check-connection",
@@ -272,7 +273,7 @@ def _run_basechange(req: Request, report: dict) -> int:
         "before": _invariants_section(p, before),
         "after": _invariants_section(q, after),
         "constants_conductor_after": q.field.constants_conductor,
-        "transport_ok": group_transport_check(p, ext),
+        "transport_ok": group_transport_check(p, ext, q),
         "group_unchanged": before == after,
     }
     return EXIT_OK

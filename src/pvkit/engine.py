@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .arith.poly import RatFunc, RatFuncField
 from .base import DiffField, apply_sigma, apply_sigma_power, is_constant
@@ -392,7 +392,7 @@ def _hermite_rows(k: DiffField, entries, rows) -> list:
     return out
 
 
-def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis, m_max: int):
+def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis):
     """Split the relation lattice into independent cyclic coordinates.
 
     Returns (factors, lattice); the lattice comes back extended when a
@@ -453,7 +453,10 @@ class PVPresentation:
     beyond their bounds (for example a presentation exponent that exceeds
     the invariant degree).  ``idempotents`` is the full orbit e_0..e_{ell-1}
     whenever it is explicit, [1] when ell = 1, and None when only partial
-    information is available.
+    information is available.  ``complete_radius`` is the sup-norm radius
+    up to which every relation vector is proven to lie in ``lattice``: the
+    builders decide the whole box of radius ``search_bound``, and any other
+    construction claims nothing (0).
     """
 
     field: DiffField
@@ -469,6 +472,7 @@ class PVPresentation:
     factors: tuple = ()
     caveats: tuple = ()
     unipotent_solution: Optional[RatFunc] = None
+    complete_radius: int = 0
 
 
 @dataclass(eq=False)
@@ -525,7 +529,7 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
     entries = system.entries
     n = len(entries)
     lattice0 = relation_lattice(k, list(entries), m_max)
-    factors, lattice = _cyclic_factors(k, entries, lattice0, m_max)
+    factors, lattice = _cyclic_factors(k, entries, lattice0)
     ideal = SigmaIdeal.from_lattice(k, entries, lattice.rows, system.var_names())
     ell = 1
     m_inv = 1
@@ -556,7 +560,7 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
         field=k, system=system, ideal=ideal, ell=ell, m_inv=m_inv,
         krull_dim=n - lattice.rank(), constants_ext_degree=constants_ext_degree,
         idempotents=idempotents, search_bound=m_max, lattice=lattice,
-        factors=factors, caveats=tuple(caveats))
+        factors=factors, caveats=tuple(caveats), complete_radius=m_max)
 
 
 def build_pv_scalar(k: DiffField, a, m_max: int = DEFAULT_SEARCH_BOUND) -> PVPresentation:
@@ -689,8 +693,14 @@ def check_simple(p: PVPresentation, degree_bound: int) -> bool:
 
     The quotient by a complete relation lattice is simple; a relation
     vector outside the lattice whose character product is a sigma-quotient
-    produces a proper stable subideal.  Scanning sup-norm shells up to
-    ``degree_bound`` makes the negative answer a bounded certificate.
+    produces a proper stable subideal.  Scanning sup-norm shells
+    ``complete_radius + 1 .. degree_bound`` makes the negative answer a
+    bounded certificate.  Shells up to ``complete_radius`` are skipped
+    because the builder already decided each of their vectors with the same
+    deterministic ``solve_mult`` (or with its balance and leading-coefficient
+    filters, which ``solve_mult`` applies first): a vector there is in the
+    lattice or is not a sigma-quotient, and the cyclic-factor step only adds
+    relations, so a rescan could only agree.
     """
     if degree_bound < 1:
         raise ZeroInput("degree bound must be at least 1")
@@ -701,7 +711,7 @@ def check_simple(p: PVPresentation, degree_bound: int) -> bool:
         return False
     k = p.field
     n = len(p.system.entries)
-    for s in range(1, degree_bound + 1):
+    for s in range(p.complete_radius + 1, degree_bound + 1):
         for vec in _sup_norm_shell(n, s):
             if p.lattice.contains(vec):
                 continue

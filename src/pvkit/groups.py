@@ -13,10 +13,11 @@ The group itself is read off the relation lattice: its Smith normal form
 gives the finite cyclic part, the corank gives the torus rank, and an
 unsolved triangular corner contributes one additive dimension.  Base change
 of the constants (a larger cyclotomic field, or adjoined transcendental
-constants) rebuilds the presentation from scratch and the transport check
-confirms the coordinate equations only change by coefficient extension.
-Connection matrices between two fundamental solutions of the same scalar
-system are computed in the residue ring and certified sigma-fixed.
+constants) rebuilds the presentation once; the transport check takes that
+rebuilt presentation and confirms the coordinate equations only change by
+coefficient extension.  Connection matrices between two fundamental
+solutions of the same scalar system are computed in the residue ring, with
+the inverse read off the ``Poly.xgcd`` cofactor, and certified sigma-fixed.
 """
 from __future__ import annotations
 
@@ -436,7 +437,9 @@ def base_change(p: PVPresentation, ext: ConstantsExtensionDesc) -> PVPresentatio
     Solvability of every search the build runs is stable under constants
     extension (gcds, dispersions, and linear ranks do not change), so the
     rebuilt generator set must be the coefficientwise lift of the old one;
-    that is asserted, and the completeness scan is re-verified.
+    that is asserted, and the simplicity scan is re-run up to
+    SIMPLICITY_RECHECK_BOUND (it covers only the shells beyond the rebuilt
+    lattice's ``complete_radius``).
     """
     new_k = extend_field(p.field, ext)
     inner = new_k.k_field.inner
@@ -467,18 +470,20 @@ def base_change(p: PVPresentation, ext: ConstantsExtensionDesc) -> PVPresentatio
 
 
 def group_transport_check(p: PVPresentation, ext: ConstantsExtensionDesc,
-                          changed: PVPresentation | None = None) -> bool:
+                          changed: PVPresentation) -> bool:
     """True iff the coordinate equations over the extended constants are the
     coefficientwise lift of the original ones, equation by equation.
 
-    ``changed`` may carry an already-computed ``base_change(p, ext)`` result
-    to avoid rebuilding; when omitted the rebuild happens here.
+    ``changed`` is required: it is ``base_change(p, ext)``, built once by
+    the caller, and the check never rebuilds it.  A ``changed`` over any
+    field other than ``p``'s field extended by ``ext`` is a ValueError.
     """
+    if changed.field != extend_field(p.field, ext):
+        raise ValueError("changed is not a base change of p by ext")
     old = functor_ideal(p)
-    new_p = base_change(p, ext) if changed is None else changed
-    new = functor_ideal(new_p)
+    new = functor_ideal(changed)
     names = coordinate_var_names(p)
-    lifted = sorted((_lift_laurent(g, new_p.field) for g in old),
+    lifted = sorted((_lift_laurent(g, changed.field) for g in old),
                     key=lambda g: g.format(names))
     fresh = sorted(new, key=lambda g: g.format(names))
     if len(lifted) != len(fresh):
@@ -489,71 +494,6 @@ def group_transport_check(p: PVPresentation, ext: ConstantsExtensionDesc,
 # ---------------------------------------------------------------------------
 # connection matrices and weak comparisons
 # ---------------------------------------------------------------------------
-
-def _dense_from_laurent(poly: LaurentPoly, length: int) -> list:
-    field = poly.field
-    cs = [field.zero] * length
-    for (e,), c in poly.terms.items():
-        if not 0 <= e < length:
-            raise InternalInvariantError("residue exponent out of range")
-        cs[e] = cs[e] + c
-    return cs
-
-
-def _dense_trim(cs: list) -> list:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _dense_divmod(field, a: list, b: list):
-    a = list(a)
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = field.one / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * inv_lead
-        if f.is_zero():
-            continue
-        q[i] = f
-        for j, bc in enumerate(b):
-            a[i + j] = a[i + j] - f * bc
-    return q, _dense_trim(a[:len(b) - 1])
-
-
-def _dense_mul(field, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ac in enumerate(a):
-        if ac.is_zero():
-            continue
-        for j, bc in enumerate(b):
-            out[i + j] = out[i + j] + ac * bc
-    return _dense_trim(out)
-
-
-def _dense_sub(field, a: list, b: list) -> list:
-    out = [field.zero] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return _dense_trim(out)
-
-
-def _modular_inverse(field, v: list, modulus: list):
-    """(inverse of v mod modulus) or the nontrivial common factor."""
-    r0, r1 = list(modulus), list(v)
-    s0, s1 = [], [field.one]
-    while r1:
-        q, r = _dense_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _dense_sub(field, s0, _dense_mul(field, q, s1))
-    if len(r0) != 1:
-        return None, r0
-    scale = field.one / r0[0]
-    return [c * scale for c in s0], None
-
 
 def connection_matrix_check(p: PVPresentation, u_exp: LaurentPoly,
                             v_exp: LaurentPoly) -> LaurentPoly:
@@ -584,20 +524,22 @@ def connection_matrix_check(p: PVPresentation, u_exp: LaurentPoly,
     else:
         m = rows[0][0]
         g = p.lattice.rows[0][1]
-        modulus = [field.zero] * (m + 1)
-        modulus[0] = -g
-        modulus[m] = modulus[m] + field.one
-        modulus = _dense_trim(modulus)
-        dense_v = _dense_trim(_dense_from_laurent(v, m))
-        inv, factor = _modular_inverse(field, dense_v, modulus)
-        if inv is None:
+        modulus = Poly(field, [-g] + [field.zero] * (m - 1) + [field.one])
+        coeffs = [field.zero] * m
+        for (e,), c in v.terms.items():
+            if not 0 <= e < m:
+                raise InternalInvariantError("residue exponent out of range")
+            coeffs[e] = c
+        common, inv, _ = Poly(field, coeffs).xgcd(modulus)
+        if common.degree() > 0:
             raise NotFundamental(
                 "shares a factor with the presentation modulus",
                 factor=LaurentPoly(
                     field, 1,
-                    {(i,): c for i, c in enumerate(factor)}).format(
+                    {(i,): c for i, c in enumerate(common.coeffs)}).format(
                         ideal.var_names))
-        v_inv = LaurentPoly(field, 1, {(i,): c for i, c in enumerate(inv)})
+        v_inv = LaurentPoly(field, 1,
+                            {(i,): c for i, c in enumerate(inv.coeffs)})
     ratio = ideal.normal_form(u * v_inv)
     moved = ideal.normal_form(ideal.sigma_image(ratio))
     if moved != ratio:

@@ -25,6 +25,7 @@ from pvkit.cli.exprparse import expression_conductor, parse_expression
 from pvkit.cli.main import main
 from pvkit.cli.report import Request, parse_adjoin, parse_system, run
 from pvkit.errors import DivisionByZeroExpression, ParseError
+from pvkit.groups import base_change
 
 
 def field(conductor=1):
@@ -228,6 +229,24 @@ class TestCommands:
         assert "transport_ok: true" in out
         assert "group_unchanged: true" in out
         assert "constants_conductor_after: 3" in out
+
+    def test_basechange_builds_the_base_change_once(self, capsys,
+                                                    monkeypatch):
+        calls = []
+
+        def counted(p, ext):
+            calls.append(ext)
+            return base_change(p, ext)
+
+        monkeypatch.setattr("pvkit.groups.base_change", counted)
+        monkeypatch.setattr("pvkit.cli.report.base_change", counted)
+        code, out, _ = run_cli(
+            ["basechange", "--sigma", "shift", "--system", "scalar(-1)",
+             "--adjoin", "zeta(3)"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        assert "transport_ok: true" in out
+        assert "group_unchanged: true" in out
 
     def test_basechange_transcendental(self, capsys):
         code, out, _ = run_cli(

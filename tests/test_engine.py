@@ -56,7 +56,7 @@ from pvkit.errors import (
 )
 from pvkit.laurent import BinomialNF, LaurentPoly
 from pvkit.snf import unimodular_inverse
-from pvkit.solve import LatticeBasis, solve_mult, torsion_order
+from pvkit.solve import LatticeBasis, _sup_norm_shell, solve_mult, torsion_order
 
 
 def shift_field(conductor=1):
@@ -684,6 +684,45 @@ class TestCheckSimple:
         k = shift_field()
         with pytest.raises(ZeroInput):
             check_simple(build_pv_scalar(k, -1), 0)
+
+    def test_builders_record_the_proven_radius(self):
+        k = shift_field()
+        assert build_pv_scalar(k, -1, m_max=5).complete_radius == 5
+        assert build_pv_diagonal(k, [-1, k.x()], m_max=3).complete_radius == 3
+
+    def test_no_rescan_inside_the_proven_radius(self, monkeypatch):
+        k = shift_field()
+        p = build_pv_diagonal(k, [-1, -(k.x() + 1) / k.x()])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_mult called inside the proven radius")
+
+        monkeypatch.setattr("pvkit.engine.solve_mult", refuse)
+        assert check_simple(p, 6) is True
+        assert check_simple(p, p.search_bound) is True
+
+    def test_scans_only_the_shells_beyond_the_proven_radius(self, monkeypatch):
+        k = shift_field()
+        x = k.x()
+        entries = [k.coerce(-1), -(x + 1) / x, x]
+        p = build_pv_diagonal(k, entries, m_max=2)
+        seen = []
+
+        def record(kk, r, step=1):
+            seen.append(r)
+            return solve_mult(kk, r, step=step)
+
+        monkeypatch.setattr("pvkit.engine.solve_mult", record)
+        assert check_simple(p, 3) is True
+        expected = []
+        for vec in _sup_norm_shell(3, 3):
+            if p.lattice.contains(vec):
+                continue
+            r = k.one()
+            for a, m in zip(entries, vec):
+                r = r * a ** m
+            expected.append(r)
+        assert expected and seen == expected
 
 
 # ---------------------------------------------------------------------------

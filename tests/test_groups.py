@@ -276,6 +276,12 @@ class TestBaseChange:
         assert identify_group(q) == identify_group(p)
         assert group_transport_check(p, ext, changed=q) is True
 
+    def test_transport_check_rejects_a_foreign_base_change(self):
+        p = example_a()
+        q = conftest.changed_presentation("scalar-order-two", "zeta3")
+        with pytest.raises(ValueError):
+            group_transport_check(p, conftest.EXTENSIONS["t1"], changed=q)
+
     def test_root_of_unity_merges_conductors(self):
         p = conftest.presentation("square-root-of-x")
         q = conftest.changed_presentation("square-root-of-x", "zeta3")
