@@ -2,9 +2,6 @@
 from .cyclo import CycloNum, CycloField, QQ, bounded_multiplicative_order
 from .poly import Poly, RatFunc, RatFuncField
 from .ops import (
-    poly_gcd,
-    substitute_shift,
-    substitute_scale,
     resultant,
     integer_roots,
     dispersion,
@@ -18,9 +15,6 @@ __all__ = [
     "Poly",
     "RatFunc",
     "RatFuncField",
-    "poly_gcd",
-    "substitute_shift",
-    "substitute_scale",
     "resultant",
     "integer_roots",
     "dispersion",

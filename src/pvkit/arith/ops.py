@@ -1,33 +1,15 @@
-"""Named polynomial operations: gcd, substitutions, resultant, integer roots,
-dispersion. These are the primitives the rational-solution machinery is
-assembled from; everything is exact.
+"""Named polynomial operations: resultant, integer roots, dispersion. These
+are the primitives the rational-solution machinery is assembled from, next
+to the gcd and substitutions of ``Poly``; everything is exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from ..errors import NonRationalCoefficients, ZeroInput, ZeroScale
+from ..errors import NonRationalCoefficients, ZeroInput
 from .cyclo import CycloNum
 from .poly import Poly, RatFunc, RatFuncField
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor (zero if both arguments are zero)."""
-    return a.gcd(b)
-
-
-def substitute_shift(p: Poly, c) -> Poly:
-    """p(x + c) for a constant c."""
-    return p.shift_arg(c)
-
-
-def substitute_scale(p: Poly, q) -> Poly:
-    """p(q*x) for a constant q != 0."""
-    q = p.field.coerce(q)
-    if _value_is_zero(q):
-        raise ZeroScale("scale factor must be nonzero")
-    return p.scale_arg(q)
 
 
 def resultant(a: Poly, b: Poly):

@@ -20,7 +20,6 @@ from ..engine import (
     DEFAULT_SEARCH_BOUND,
     PVPresentation,
     build_pv_diagonal,
-    build_pv_scalar,
     build_pv_unipotent,
     check_simple,
 )
@@ -163,11 +162,9 @@ def _build_presentation(req: Request, var: str = "x") -> PVPresentation:
     shape, args = parse_system(req.system)
     k = _build_field(req, args, var)
     entries = [parse_expression(a, k.k_field) for a in args]
-    if shape == "scalar":
-        return build_pv_scalar(k, entries[0], m_max=req.m_max)
-    if shape == "diag":
-        return build_pv_diagonal(k, entries, m_max=req.m_max)
-    return build_pv_unipotent(k, entries[0], m_max=req.m_max)
+    if shape == "unipotent":
+        return build_pv_unipotent(k, entries[0], m_max=req.m_max)
+    return build_pv_diagonal(k, entries, m_max=req.m_max)
 
 
 def _format_value(p: PVPresentation, f) -> str:
@@ -175,13 +172,13 @@ def _format_value(p: PVPresentation, f) -> str:
 
 
 def _presentation_section(p: PVPresentation, degree_bound: int) -> dict:
-    if p.system.shape in ("scalar", "diagonal"):
+    if p.system.shape == "diagonal":
         simple = {"bound": degree_bound, "simple": check_simple(p, degree_bound)}
     else:
         simple = None
     solution = p.unipotent_solution
     return {
-        "shape": p.system.shape,
+        "shape": "scalar" if p.system.nvars == 1 else p.system.shape,
         "generators": [g.format(p.ideal.var_names)
                        for g in p.ideal.generators],
         "ell": p.ell,

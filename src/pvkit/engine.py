@@ -1,8 +1,8 @@
 """Universal solution rings for linear difference systems and their
 invariants.
 
-For a scalar or diagonal system sigma(Y_i) = a_i Y_i the solution ring is
-the Laurent-monomial quotient
+For a diagonal system sigma(Y_i) = a_i Y_i (a scalar equation is the
+one-entry case) the solution ring is the Laurent-monomial quotient
 
     k[Y_1^{+-1}, ..., Y_n^{+-1}] / (Y^v - g_v : v a relation vector)
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .arith.poly import RatFunc, RatFuncField
+from .arith.poly import RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power, is_constant
 from .errors import (
     InternalInvariantError,
@@ -47,10 +47,12 @@ from .errors import (
     ZeroInput,
 )
 from .laurent import BinomialNF, LaurentPoly
-from .snf import hermite_normal_form, smith_normal_form, unimodular_inverse
+from .snf import smith_normal_form, unimodular_inverse
 from .solve import (
     LatticeBasis,
-    _monic_num,
+    _combine_witnesses,
+    _entry_power,
+    _hermite_rows,
     _sup_norm_shell,
     relation_lattice,
     solve_add,
@@ -105,15 +107,8 @@ class DiffSystem:
     """A linear difference system sigma(Y) = A Y in a supported shape."""
 
     field: DiffField
-    shape: str  # "scalar" | "diagonal" | "unipotent2"
+    shape: str  # "diagonal" (one entry: a scalar equation) | "unipotent2"
     entries: tuple  # diagonal entries, or the single corner entry
-
-    @classmethod
-    def scalar(cls, k: DiffField, a) -> "DiffSystem":
-        a = k.coerce(a)
-        if a.is_zero():
-            raise ZeroInput("scalar system entry must be invertible")
-        return cls(k, "scalar", (a,))
 
     @classmethod
     def diagonal(cls, k: DiffField, entries) -> "DiffSystem":
@@ -135,10 +130,10 @@ class DiffSystem:
         return len(self.entries)
 
     def var_names(self) -> tuple:
-        if self.shape == "scalar":
-            return ("Y",)
         if self.shape == "unipotent2":
             return ("Y11", "Y12", "Y22")
+        if len(self.entries) == 1:
+            return ("Y",)
         return tuple(f"Y{i + 1}" for i in range(len(self.entries)))
 
     def matrix(self) -> list:
@@ -181,7 +176,7 @@ def _iterated_step_matrix(k: DiffField, rows, count: int):
 class SigmaIdeal:
     """A sigma-stable ideal presenting the solution ring.
 
-    For scalar and diagonal shapes the data is an exponent lattice with
+    For the diagonal shape the data is an exponent lattice with
     witnesses and reduction is binomial rewriting; for the 2x2 unipotent
     shape reduction substitutes the pinned diagonal (and the solved corner
     when the telescoping sum has a rational solution).
@@ -209,8 +204,8 @@ class SigmaIdeal:
         for vec, witness in rows:
             gens.append(LaurentPoly.monomial(field, nvars, vec)
                         - LaurentPoly.const(field, nvars, witness))
-        ideal = cls(k, "diagonal" if nvars > 1 else "scalar", tuple(var_names),
-                    tuple(gens), characters, nf, None)
+        ideal = cls(k, "diagonal", tuple(var_names), tuple(gens), characters,
+                    nf, None)
         nf.assert_sigma_stable(k, characters, gens)
         return ideal
 
@@ -306,14 +301,6 @@ class CyclicFactor:
     m_factor: int
 
 
-def _entry_power(entries, coords) -> RatFunc:
-    acc = None
-    for a, c in zip(entries, coords):
-        part = a ** c
-        acc = part if acc is None else acc * part
-    return acc
-
-
 def _stride_product(k: DiffField, b: RatFunc, s: int, step: int) -> RatFunc:
     """prod_{i<s} sigma^{i*step}(b)."""
     acc = b
@@ -369,29 +356,6 @@ def _split_witness(k: DiffField, char: RatFunc, order: int, witness: RatFunc):
     raise InternalInvariantError("witness splitting fell through d = 1")
 
 
-def _combine_witnesses(field: RatFuncField, rows, coeffs) -> RatFunc:
-    acc = field.one
-    for c, (_, w) in zip(coeffs, rows):
-        if c:
-            acc = acc * w ** c
-    return _monic_num(acc)
-
-
-def _hermite_rows(k: DiffField, entries, rows) -> list:
-    """Hermite-canonicalize vector/witness pairs, recombining witnesses."""
-    field = k.k_field
-    vecs = [list(v) for v, _ in rows]
-    h, u = hermite_normal_form(vecs)
-    out = []
-    for i, hrow in enumerate(h):
-        g = _combine_witnesses(field, rows, u[i])
-        if apply_sigma(k, g) / g != _entry_power(entries, hrow):
-            raise InternalInvariantError(
-                "recombined witness does not witness its relation")
-        out.append((tuple(hrow), g))
-    return out
-
-
 def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis):
     """Split the relation lattice into independent cyclic coordinates.
 
@@ -414,7 +378,7 @@ def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis):
         for u in range(len(vecs)):
             order = d_mat[u][u]
             coord = tuple(coord_mat[u])
-            char = _entry_power(entries, coord)
+            char = _entry_power(field, entries, coord)
             witness = _combine_witnesses(field, rows, u_mat[u])
             if apply_sigma(k, witness) / witness != char ** order:
                 raise InternalInvariantError(
@@ -565,7 +529,7 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
 
 def build_pv_scalar(k: DiffField, a, m_max: int = DEFAULT_SEARCH_BOUND) -> PVPresentation:
     """Solution ring of sigma(Y) = a Y presented as k[Y^{+-1}]/(Y^m - g)."""
-    return _build_multiplicative(DiffSystem.scalar(k, a), m_max)
+    return _build_multiplicative(DiffSystem.diagonal(k, (a,)), m_max)
 
 
 def build_pv_diagonal(k: DiffField, entries, m_max: int = DEFAULT_SEARCH_BOUND) -> PVPresentation:
@@ -609,10 +573,6 @@ def compute_ell(p: PVPresentation) -> int:
     re-runs the stride-relation search.  The two must agree factor by
     factor and their lcm must match the stored value.
     """
-    if p.system.shape == "unipotent2":
-        if p.ell != 1:
-            raise InternalInvariantError("unipotent rings have a single component")
-        return 1
     k = p.field
     ell = 1
     for f in p.factors:
@@ -636,10 +596,6 @@ def compute_m(p: PVPresentation) -> int:
     whose component order is order/split, is fed back into the stride
     search at stride ell.
     """
-    if p.system.shape == "unipotent2":
-        if p.m_inv != 1:
-            raise InternalInvariantError("unipotent rings have invariant degree 1")
-        return 1
     k = p.field
     m_inv = 1
     residual = 1
@@ -704,18 +660,19 @@ def check_simple(p: PVPresentation, degree_bound: int) -> bool:
     """
     if degree_bound < 1:
         raise ZeroInput("degree bound must be at least 1")
-    if p.system.shape not in ("scalar", "diagonal"):
+    if p.system.shape != "diagonal":
         raise UnsupportedShape(
-            "simplicity scan covers scalar and diagonal shapes only")
+            "simplicity scan covers diagonal shapes only, one-entry "
+            "diagonals included")
     if p.idempotents is None and p.ell > 1:
         return False
     k = p.field
-    n = len(p.system.entries)
+    entries = p.system.entries
     for s in range(p.complete_radius + 1, degree_bound + 1):
-        for vec in _sup_norm_shell(n, s):
+        for vec in _sup_norm_shell(len(entries), s):
             if p.lattice.contains(vec):
                 continue
-            if solve_mult(k, _entry_power(p.system.entries, vec)) is not None:
+            if solve_mult(k, _entry_power(k.k_field, entries, vec)) is not None:
                 return False
     return True
 

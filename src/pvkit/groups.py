@@ -16,8 +16,9 @@ of the constants (a larger cyclotomic field, or adjoined transcendental
 constants) rebuilds the presentation once; the transport check takes that
 rebuilt presentation and confirms the coordinate equations only change by
 coefficient extension.  Connection matrices between two fundamental
-solutions of the same scalar system are computed in the residue ring, with
-the inverse read off the ``Poly.xgcd`` cofactor, and certified sigma-fixed.
+solutions of the same one-entry diagonal system are computed in the residue
+ring, with the inverse read off the ``Poly.xgcd`` cofactor, and certified
+sigma-fixed.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .base import DiffField, lift_ratfunc
 from .engine import (
     PVPresentation,
     build_pv_diagonal,
-    build_pv_scalar,
     build_pv_unipotent,
     check_simple,
 )
@@ -299,7 +299,7 @@ def functor_ideal(p: PVPresentation) -> tuple:
     An empty tuple means the zero ideal (the full group of the shape).
     """
     shape = p.system.shape
-    if shape in ("scalar", "diagonal"):
+    if shape == "diagonal":
         if p.ideal.characters is None:
             raise UnsupportedSubstitutionShape(
                 "presentation carries no reduction data for the substitution")
@@ -445,9 +445,7 @@ def base_change(p: PVPresentation, ext: ConstantsExtensionDesc) -> PVPresentatio
     inner = new_k.k_field.inner
     entries = [lift_ratfunc(e, inner) for e in p.system.entries]
     shape = p.system.shape
-    if shape == "scalar":
-        new_p = build_pv_scalar(new_k, entries[0], m_max=p.search_bound)
-    elif shape == "diagonal":
+    if shape == "diagonal":
         new_p = build_pv_diagonal(new_k, entries, m_max=p.search_bound)
     elif shape == "unipotent2":
         new_p = build_pv_unipotent(new_k, entries[0], m_max=p.search_bound)
@@ -462,7 +460,7 @@ def base_change(p: PVPresentation, ext: ConstantsExtensionDesc) -> PVPresentatio
         raise InternalInvariantError(
             "base change altered the generator set",
             before=old_gens, after=new_gens)
-    if shape in ("scalar", "diagonal"):
+    if shape == "diagonal":
         if not check_simple(new_p, SIMPLICITY_RECHECK_BOUND):
             raise InternalInvariantError(
                 "base change exposed a missed relation")
@@ -497,14 +495,15 @@ def group_transport_check(p: PVPresentation, ext: ConstantsExtensionDesc,
 
 def connection_matrix_check(p: PVPresentation, u_exp: LaurentPoly,
                             v_exp: LaurentPoly) -> LaurentPoly:
-    """The constant relating two fundamental solutions of a scalar system.
+    """The constant relating two fundamental solutions of a one-entry
+    diagonal system.
 
     Both residues are normalized, v is inverted in the residue ring, and
     u * v^{-1} is certified sigma-fixed.  Raises NotFundamental when v is
     not a unit (zero, a zero divisor against the modulus, or a non-monomial
     in the free ring) and NotConstant when the ratio moves under sigma.
     """
-    if p.system.shape != "scalar":
+    if p.system.nvars != 1:
         raise UnsupportedShape(
             "connection matrices are computed for scalar presentations")
     ideal = p.ideal

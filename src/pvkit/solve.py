@@ -67,11 +67,7 @@ class LatticeBasis:
         coeffs, residue = hnf_reduce(self.vectors(), list(vec))
         if any(residue):
             return None
-        g = self._field.one
-        for c, (_, w) in zip(coeffs, self.rows):
-            if c:
-                g = g * w ** c
-        return _monic_num(g)
+        return _combine_witnesses(self._field, self.rows, coeffs)
 
     def __repr__(self):
         vecs = [list(v) for v, _ in self.rows]
@@ -451,34 +447,48 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
                     prod_lc = prod_lc * u ** m
                 if prod_lc != lc_one:
                     continue
-            r = field.one
-            for m, ai in zip(vec, a):
-                if m:
-                    r = r * ai ** m
-            sol = solve_mult(k, r)
+            sol = solve_mult(k, _entry_power(field, a, vec))
             if sol is not None:
                 found.append((vec, sol.witness))
                 hnf_rows, _ = hermite_normal_form([list(v) for v, _ in found])
-    if not found:
-        return LatticeBasis(dim=n, rows=[], field=field)
-    h, u_tr = hermite_normal_form([list(v) for v, _ in found])
-    if len(h) != len(found):
+    rows = _hermite_rows(k, a, found)
+    if len(rows) != len(found):
         raise InternalInvariantError("relation scan admitted a dependent vector")
-    rows = []
-    for i, hrow in enumerate(h):
-        g = field.one
-        for c, (_, w) in zip(u_tr[i], found):
-            if c:
-                g = g * w ** c
-        g = _monic_num(g)
-        target = field.one
-        for m, ai in zip(hrow, a):
-            if m:
-                target = target * ai ** m
-        if apply_sigma(k, g) / g != target:
-            raise InternalInvariantError("recombined lattice witness failed re-check")
-        rows.append((tuple(hrow), g))
     return LatticeBasis(dim=n, rows=rows, field=field)
+
+
+def _entry_power(field, entries, vec) -> RatFunc:
+    """prod entries_i^{vec_i}, skipping zero exponents."""
+    acc = field.one
+    for m, a in zip(vec, entries):
+        if m:
+            acc = acc * a ** m
+    return acc
+
+
+def _combine_witnesses(field, rows, coeffs) -> RatFunc:
+    """Witness of sum coeffs_i * v_i from the witnesses of rows (v_i, g_i)."""
+    acc = field.one
+    for c, (_, w) in zip(coeffs, rows):
+        if c:
+            acc = acc * w ** c
+    return _monic_num(acc)
+
+
+def _hermite_rows(k: DiffField, entries, rows) -> list:
+    """Hermite-canonicalize vector/witness pairs, recombining the witnesses
+    through the unimodular transform and re-checking each one.  Q-dependent
+    input rows are absorbed, so the result may be shorter than ``rows``."""
+    field = k.k_field
+    h, u = hermite_normal_form([list(v) for v, _ in rows])
+    out = []
+    for hrow, coeffs in zip(h, u):
+        g = _combine_witnesses(field, rows, coeffs)
+        if apply_sigma(k, g) / g != _entry_power(field, entries, hrow):
+            raise InternalInvariantError(
+                "recombined witness does not witness its relation")
+        out.append((tuple(hrow), g))
+    return out
 
 
 def _sup_norm_shell(n: int, s: int):

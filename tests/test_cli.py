@@ -264,6 +264,28 @@ class TestCommands:
         assert "status: constant" in out
         assert "[0]: -1" in out
 
+    def test_connection_on_one_entry_diagonal(self, capsys):
+        code, out, _ = run_cli(
+            ["check-connection", "--sigma", "qshift", "--q", "2",
+             "--system", "diag(-2)", "--u", "1", "--v", "-1",
+             "--output", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["connection"]["status"] == "constant"
+        assert report["connection"]["matrix"] == [["-1"]]
+
+    def test_scalar_and_one_entry_diagonal_report_alike(self, capsys):
+        reports = []
+        for system in ("scalar(-1)", "diag(-1)"):
+            code, out, _ = run_cli(
+                ["group", "--system", system, "--output", "json"], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        scalar, diag = reports
+        assert scalar["presentation"] == diag["presentation"]
+        assert scalar["group"] == diag["group"]
+        assert scalar["presentation"]["shape"] == "scalar"
+
     def test_connection_rejects_drift(self, capsys):
         code, out, _ = run_cli(
             ["check-connection", "--sigma", "shift", "--system", "scalar(2)",

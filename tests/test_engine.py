@@ -211,7 +211,7 @@ class TestScalarShiftMinusOne:
         assert (p.ell, p.m_inv, p.krull_dim) == (2, 2, 0)
         assert p.constants_ext_degree == 1
         assert p.caveats == ()
-        assert p.system.shape == "scalar"
+        assert p.system.shape == "diagonal"
         assert p.ideal.var_names == ("Y",)
 
     def test_ideal_is_y_squared_minus_one(self):
@@ -667,7 +667,7 @@ class TestCheckSimple:
         ideal = SigmaIdeal.from_lattice(k, (k.one(),), [((2,), k.one())], ("Y",))
         lattice = LatticeBasis(1, [((2,), k.one())], k.k_field)
         p = PVPresentation(
-            field=k, system=DiffSystem.scalar(k, k.one()), ideal=ideal,
+            field=k, system=DiffSystem.diagonal(k, (k.one(),)), ideal=ideal,
             ell=1, m_inv=1, krull_dim=0, constants_ext_degree=1,
             idempotents=None, search_bound=12, lattice=lattice)
         assert check_simple(p, 6) is False

@@ -367,6 +367,11 @@ class TestWeakPVComparison:
         assert weak_pv_compare(p, p_weak) is True
         assert functor_ideal(p_weak) == functor_ideal(p_ext)
 
+    def test_scalar_is_a_one_entry_diagonal(self):
+        k = shift_field()
+        assert weak_pv_compare(build_pv_scalar(k, -1),
+                               build_pv_diagonal(k, [-1])) is True
+
     def test_unipotent_weak_copy(self):
         p = example_b()
         q = conftest.changed_presentation("triangular-free-corner", "t1")
@@ -449,6 +454,17 @@ class TestConnectionMatrix:
         y = LaurentPoly.variable(p.field.k_field, 3, 0)
         with pytest.raises(UnsupportedShape):
             connection_matrix_check(p, y, y)
+        p = diagonal_pair()
+        y = LaurentPoly.variable(p.field.k_field, 2, 0)
+        with pytest.raises(UnsupportedShape):
+            connection_matrix_check(p, y, y)
+
+    def test_one_entry_diagonal(self):
+        k = qshift_field(2)
+        p = build_pv_diagonal(k, [-2])
+        y = mono(k, (1,))
+        ratio = connection_matrix_check(p, y, -y)
+        assert ratio == LaurentPoly.const(k.k_field, 1, -1)
 
 
 class TestGroupDescEquality:

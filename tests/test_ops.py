@@ -11,13 +11,10 @@ from pvkit.arith.ops import (
     dispersion,
     dispersion_with_flag,
     integer_roots,
-    poly_gcd,
     resultant,
-    substitute_scale,
-    substitute_shift,
 )
 from pvkit.base import SigmaSpec
-from pvkit.errors import NonRationalCoefficients, ZeroScale
+from pvkit.errors import NonRationalCoefficients
 
 
 def _p(*coeffs):
@@ -31,14 +28,6 @@ def test_resultant_frozen_values():
     assert resultant(_p(-2, 1), _p(-2, 1)) == 0
     # 3x3 Sylvester by hand: res(x^2-1, x) = -1
     assert resultant(_p(-1, 0, 1), _p(0, 1)) == -1
-
-
-def test_substitutions_named_ops():
-    assert substitute_shift(_p(0, 0, 1), 1) == _p(1, 2, 1)
-    assert substitute_scale(_p(1, 1), 2) == _p(1, 2)
-    assert substitute_scale(_p(3), 5) == _p(3)
-    with pytest.raises(ZeroScale):
-        substitute_scale(_p(1, 1), 0)
 
 
 def test_integer_roots_examples():
@@ -87,10 +76,6 @@ def test_qshift_dispersion_with_rational_q_less_than_one():
     assert dispersion(_p(-1, 1), _p(-4, 1), sig) == 2
 
 
-def test_poly_gcd_named_op():
-    assert poly_gcd(_p(-1, 0, 1), _p(1, -2, 1)) == _p(-1, 1)
-
-
 _small_polys = st.builds(
     lambda cs: Poly(QQ, cs),
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
@@ -102,7 +87,7 @@ def test_resultant_vanishes_iff_common_factor(a, b):
     if a.is_zero() or b.is_zero():
         return
     res = resultant(a, b)
-    has_common = poly_gcd(a, b).degree() > 0
+    has_common = a.gcd(b).degree() > 0
     if a.degree() == 0 and b.degree() == 0:
         return
     assert res.is_zero() == has_common

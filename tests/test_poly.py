@@ -52,6 +52,7 @@ def test_shift_and_scale_substitutions():
     assert p.scale_arg(2) == _p(0, 0, 4)
     assert _p(1, 1).scale_arg(2) == _p(1, 2)   # x+1 -> 2x+1
     assert _p(0, 0, 0, 1).scale_arg(2) == _p(0, 0, 0, 8)  # x^3 -> 8x^3
+    assert _p(3).scale_arg(5) == _p(3)
 
 
 def test_nth_root_detection():
