@@ -9,7 +9,7 @@ from math import gcd as int_gcd
 
 from ..errors import NonRationalCoefficients, ZeroInput
 from .cyclo import CycloNum
-from .poly import Poly, RatFunc, RatFuncField
+from .poly import Poly, RatFunc, RatFuncField, _is_zero
 
 
 def resultant(a: Poly, b: Poly):
@@ -42,7 +42,7 @@ def _determinant(rows, field):
     for col in range(n):
         pivot = None
         for r in range(col, n):
-            if not _value_is_zero(rows[r][col]):
+            if not _is_zero(rows[r][col]):
                 pivot = r
                 break
         if pivot is None:
@@ -55,19 +55,11 @@ def _determinant(rows, field):
         inv = field.one / pv
         for r in range(col + 1, n):
             factor = rows[r][col] * inv
-            if _value_is_zero(factor):
+            if _is_zero(factor):
                 continue
             for c in range(col, n):
                 rows[r][c] = rows[r][c] - factor * rows[col][c]
     return det
-
-
-def _value_is_zero(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    if hasattr(v, "is_zero"):
-        return v.is_zero()
-    return not v
 
 
 def _value_is_rational(v) -> bool:
@@ -125,7 +117,7 @@ def _integer_roots_any(p: Poly) -> set[int]:
     candidates = _rational_slice_integer_roots(slice_poly)
     out = set()
     for r in candidates:
-        if _value_is_zero(p.eval(p.field.coerce(r))):
+        if _is_zero(p.eval(p.field.coerce(r))):
             out.add(r)
     return out
 
@@ -178,12 +170,12 @@ _QSHIFT_SCAN_CAP = 128
 
 
 def dispersion(p: Poly, r: Poly, sigma) -> int | None:
-    """Largest j >= 0 at which p meets the j-th translate of r.
+    """Largest j >= 0 with gcd(p, sigma^j(r)) != 1, or None when no j exists.
 
-    Shift: largest j with deg gcd(p(x), r(x+j)) > 0. q-shift: largest j with
-    a root of p equal to q^j times a root of r, i.e. deg gcd(p(q^j x), r) > 0.
-    Shared powers of x are stripped first in the q case (they would meet at
-    every j). Returns None when no j exists.
+    One convention for both kinds: a root alpha of p meets the j-th
+    translate of r when r vanishes at sigma^j(alpha), i.e. at alpha + j for
+    the shift and at q^j * alpha for the q-dilation.  Shared powers of x are
+    stripped first in the q case (they would meet at every j).
     """
     value, _complete = dispersion_with_flag(p, r, sigma)
     return value
@@ -191,18 +183,33 @@ def dispersion(p: Poly, r: Poly, sigma) -> int | None:
 
 def dispersion_with_flag(p: Poly, r: Poly, sigma) -> tuple[int | None, bool]:
     """Like dispersion, plus a flag saying the candidate set was provably
-    complete (always true for shift; true for q-shift with rational q)."""
+    complete (always true for shift; true for q-shift with rational q).
+
+    Only the candidate set depends on the kind of sigma: the integer roots
+    of a resultant in t for the shift, a p-adic bound or a bounded window
+    for the q-dilation.  Every candidate is then verified the same way.
+    """
     if p.is_zero() or r.is_zero():
         raise ZeroInput("dispersion of the zero polynomial")
-    if sigma.kind == "shift":
-        return _shift_dispersion(p, r), True
-    return _qshift_dispersion(p, r, sigma.q)
-
-
-def _shift_dispersion(p: Poly, r: Poly) -> int | None:
-    field = p.field
+    if sigma.kind == "qshift":
+        # strip shared x-powers: they meet at every j and carry no orbit data
+        p, r = _strip_x(p), _strip_x(r)
     if p.degree() == 0 or r.degree() == 0:
-        return None
+        return None, True
+    if sigma.kind == "shift":
+        candidates, complete = _shift_candidates(p, r), True
+    else:
+        candidates, complete = _qshift_candidates(p, r, p.field.coerce(sigma.q))
+    best = None
+    for j in sorted(candidates):
+        if j >= 0 and p.gcd(sigma.translate(r, j)).degree() > 0:
+            best = j
+    return best, complete
+
+
+def _shift_candidates(p: Poly, r: Poly) -> set[int]:
+    """Integer roots j >= 0 of res_x(p(x), r(x + t))."""
+    field = p.field
     ft = RatFuncField(field, "t")
     t = RatFunc.x(field)
     p_t = Poly(ft, [ft.coerce(c) for c in p.coeffs])
@@ -213,46 +220,26 @@ def _shift_dispersion(p: Poly, r: Poly) -> int | None:
     res = resultant(p_t, r_t)
     if res.is_zero():
         raise ZeroInput("shift dispersion degenerate: arguments share every translate")
-    candidates = {j for j in _integer_roots_any(res.num) if j >= 0}
-    best = None
-    for j in sorted(candidates):
-        if p.gcd(r.shift_arg(j)).degree() > 0:
-            best = j
-    return best
-
-
-def _qshift_dispersion(p: Poly, r: Poly, q) -> tuple[int | None, bool]:
-    field = p.field
-    q = field.coerce(q)
-    # strip shared x-powers: they meet at every j and carry no orbit data
-    p = _strip_x(p)
-    r = _strip_x(r)
-    if p.degree() == 0 or r.degree() == 0:
-        return None, True
-    candidates, complete = _qshift_candidates(p, r, q)
-    best = None
-    for j in sorted(candidates):
-        if j < 0:
-            continue
-        if p.scale_arg(q ** j).gcd(r).degree() > 0:
-            best = j
-    return best, complete
+    return {j for j in _integer_roots_any(res.num) if j >= 0}
 
 
 def _strip_x(p: Poly) -> Poly:
     k = 0
-    while k <= p.degree() and _value_is_zero(p.nth(k)):
+    while k <= p.degree() and _is_zero(p.nth(k)):
         k += 1
     return Poly(p.field, p.coeffs[k:])
 
 
 def _qshift_candidates(p: Poly, r: Poly, q) -> tuple[set[int], bool]:
+    """Candidates j >= 0 with q^j = beta / alpha for roots alpha of p and
+    beta of r: exponents read off the valuations of res_x(r(u x), p(x)) in
+    u when q and that resultant are rational, else the bounded window."""
     field = p.field
     ft = RatFuncField(field, "u")
     u = ft.coerce(RatFunc.x(field))
-    p_u = Poly(ft, [ft.coerce(c) * u ** i for i, c in enumerate(p.coeffs)])
-    r_u = Poly(ft, [ft.coerce(c) for c in r.coeffs])
-    res = resultant(p_u, r_u)
+    r_u = Poly(ft, [ft.coerce(c) * u ** i for i, c in enumerate(r.coeffs)])
+    p_u = Poly(ft, [ft.coerce(c) for c in p.coeffs])
+    res = resultant(r_u, p_u)
     if res.is_zero():
         return set(), True
     coeffs = res.num.coeffs

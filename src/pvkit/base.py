@@ -3,7 +3,9 @@
 C is a cyclotomic field Q(zeta_N), optionally extended by transcendental
 constants t1, t2, ... (a rational-function tower). The endomorphism is either
 the unit shift x -> x+1 or a q-dilation x -> q*x with q not a root of unity;
-both fix C pointwise and are invertible.
+both fix C pointwise and are invertible.  ``SigmaSpec.translate`` is the one
+place that knows what sigma^j does to a polynomial; ``apply_sigma_power``
+and the certifiers in ``solve`` and ``arith.ops`` go through it.
 """
 from __future__ import annotations
 
@@ -44,6 +46,12 @@ class SigmaSpec:
         if self.kind not in ("shift", "qshift"):
             raise ValueError(f"unknown sigma kind {self.kind!r}")
 
+    def translate(self, p: Poly, j: int) -> Poly:
+        """sigma^j(p): p(x + j) for the shift, p(q^j x) for the dilation."""
+        if self.kind == "shift":
+            return p.shift_arg(j)
+        return p.scale_arg(self.q ** j)
+
     def describe(self) -> dict:
         if self.kind == "shift":
             return {"variant": "shift"}
@@ -81,12 +89,6 @@ class DiffField:
     def zero(self) -> RatFunc:
         return self.k_field.zero
 
-    def q_in_constants(self) -> CycloNum:
-        q = self.sigma.q
-        if isinstance(self.constants, CycloField):
-            return self.constants.coerce(q)
-        return q
-
     def format(self, f: RatFunc) -> str:
         return format_ratfunc(f, self.var)
 
@@ -108,12 +110,7 @@ def apply_sigma_power(k: DiffField, f: RatFunc, j: int) -> RatFunc:
     """sigma^j(f); j may be negative since sigma is invertible."""
     if j == 0:
         return f
-    if k.sigma.kind == "shift":
-        c = f.field.coerce(j)
-        return RatFunc(f.num.shift_arg(c), f.den.shift_arg(c))
-    q = k.q_in_constants()
-    scale = q ** j
-    return RatFunc(f.num.scale_arg(scale), f.den.scale_arg(scale))
+    return RatFunc(k.sigma.translate(f.num, j), k.sigma.translate(f.den, j))
 
 
 def is_constant(k: DiffField, f: RatFunc) -> bool:

@@ -53,7 +53,7 @@ from .solve import (
     _combine_witnesses,
     _entry_power,
     _hermite_rows,
-    _sup_norm_shell,
+    _relation_scan,
     relation_lattice,
     solve_add,
     solve_mult,
@@ -651,12 +651,11 @@ def check_simple(p: PVPresentation, degree_bound: int) -> bool:
     vector outside the lattice whose character product is a sigma-quotient
     produces a proper stable subideal.  Scanning sup-norm shells
     ``complete_radius + 1 .. degree_bound`` makes the negative answer a
-    bounded certificate.  Shells up to ``complete_radius`` are skipped
-    because the builder already decided each of their vectors with the same
-    deterministic ``solve_mult`` (or with its balance and leading-coefficient
-    filters, which ``solve_mult`` applies first): a vector there is in the
-    lattice or is not a sigma-quotient, and the cyclic-factor step only adds
-    relations, so a rescan could only agree.
+    bounded certificate; the scan is ``relation_lattice``'s own.  Shells up
+    to ``complete_radius`` are skipped because ``relation_lattice`` already
+    decided each of their vectors with that same deterministic scan: a
+    vector there is in the lattice or is not a sigma-quotient, and the
+    cyclic-factor step only adds relations, so a rescan could only agree.
     """
     if degree_bound < 1:
         raise ZeroInput("degree bound must be at least 1")
@@ -666,15 +665,9 @@ def check_simple(p: PVPresentation, degree_bound: int) -> bool:
             "diagonals included")
     if p.idempotents is None and p.ell > 1:
         return False
-    k = p.field
-    entries = p.system.entries
-    for s in range(p.complete_radius + 1, degree_bound + 1):
-        for vec in _sup_norm_shell(len(entries), s):
-            if p.lattice.contains(vec):
-                continue
-            if solve_mult(k, _entry_power(k.k_field, entries, vec)) is not None:
-                return False
-    return True
+    shells = range(p.complete_radius + 1, degree_bound + 1)
+    missed = _relation_scan(p.field, p.system.entries, shells, p.lattice.contains)
+    return next(missed, None) is None
 
 
 # ---------------------------------------------------------------------------

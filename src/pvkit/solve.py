@@ -8,6 +8,14 @@ Four questions get decided here, each with a checked witness:
   relation_lattice  all integer vectors (m_i), |m_i| <= m_max, with
                     prod a_i^{m_i} a sigma-quotient, as a lattice basis
 
+Each is written once for a generic sigma: sigma^j acts on polynomials
+only through ``SigmaSpec.translate``, and ``dispersion`` reads the same way
+for both kinds.  The few facts that depend on the kind sit next to the step
+they change: the shift's leading-coefficient condition (a filter in the
+peel, the relation scan and ``torsion_order``) and exact leftover 1, the
+dilation's origin filter, its constant leftover (a power of q, read off by
+a discrete log) and its poles at x = 0 in ``solve_add``.
+
 Every witness is re-substituted into its defining equation before it is
 returned; a failure there raises InternalInvariantError because it would
 be a bug in this module, never a property of the input.
@@ -20,7 +28,7 @@ from math import lcm
 from typing import Sequence
 
 from .arith.cyclo import CycloNum, bounded_multiplicative_order
-from .arith.ops import _padic, _uneven_prime, dispersion
+from .arith.ops import _padic, _strip_x, _uneven_prime, dispersion
 from .arith.poly import Poly, RatFunc
 from .base import DiffField, SigmaSpec, apply_sigma, apply_sigma_power
 from .errors import DimensionTooLarge, InternalInvariantError, ZeroInput
@@ -82,10 +90,10 @@ def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
     """Decide whether r = sigma^step(f)/f for some f in k*, exactly.
 
     Strategy: the pole/zero multiset of a sigma-quotient telescopes, so
-    matching roots of num and den along the sigma-orbit (found through the
-    dispersion) peel off a partial witness V; what remains of r after the
-    peel must be trivial -- exactly 1 for the shift, a constant equal to an
-    exact power of q for the q-dilation (absorbed by a power of x).
+    matching roots of num and den along the sigma^step-orbit (found through
+    the dispersion) peel off a partial witness V; what remains of r after
+    the peel must be trivial -- exactly 1 for the shift, a constant equal to
+    an exact power of q^step for the q-dilation (absorbed by a power of x).
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
@@ -96,10 +104,7 @@ def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
     # quotient sigma^s(f)/f has balance zero
     if r.degree_balance() != 0:
         return None
-    if k.sigma.kind == "shift":
-        f = _solve_mult_shift(k, r, step)
-    else:
-        f = _solve_mult_qshift(k, r, step)
+    f = _solve_mult_peel(k, r, step)
     if f is None:
         return None
     f = _monic_num(f)
@@ -108,100 +113,65 @@ def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
     return MultSolution(witness=f, step=step)
 
 
-def _solve_mult_shift(k: DiffField, r: RatFunc, step: int) -> RatFunc | None:
+def _solve_mult_peel(k: DiffField, r: RatFunc, step: int) -> RatFunc | None:
     field = k.k_field
-    # shifting the argument preserves leading coefficients, so any quotient
-    # sigma^s(f)/f has lc ratio exactly 1; the peel cannot repair a constant
-    # mismatch, so refuse before paying for dispersions
-    lcr = r.lc_ratio()
-    if lcr != lcr ** 0:
+    shift = k.sigma.kind == "shift"
+    if shift:
+        # shifting the argument preserves leading coefficients, so any
+        # quotient sigma^s(f)/f has lc ratio exactly 1; the peel cannot
+        # repair a constant mismatch, so refuse before paying for dispersions
+        lcr = r.lc_ratio()
+        if lcr != lcr ** 0:
+            return None
+    elif r.num.nth(0).is_zero() or r.den.nth(0).is_zero():
+        # sigma(f)/f is a unit at the origin (orbits of 0 stay at 0), so an
+        # r with a root or pole at x = 0 is never a quotient
         return None
+    # the dispersions are taken for sigma^step as a spec, ``per`` of whose
+    # translates make one sigma^step: the unit shift with per = step, or
+    # q^step with per = 1, so that the bounded window of an irrational q
+    # counts sigma^step translates
+    spec, per = k.sigma, step
+    if not shift and step > 1:
+        spec, per = SigmaSpec.qshift(k.sigma.q ** step), 1
+
+    def peel(a: Poly, b: Poly):
+        # a root alpha of a against a root of b at sigma^{j*step}(alpha)
+        # contributes sigma^step(V)/V with V = prod_{i=1..j} G translated by
+        # sigma^{-i*step}; returns the reduced a, b and the product of the
+        # V.  The dilation scales leading coefficients, so factors are kept
+        # monic and the constant slack lands in the leftover
+        telescope = field.one
+        j_cap = dispersion(a, b, spec)
+        for j in range((j_cap or 0) // per, 0, -1):
+            g = a.gcd(spec.translate(b, j * per))
+            if g.degree() > 0:
+                a = a.exact_div(g)
+                b = b.exact_div(spec.translate(g, -j * per).monic())
+                for i in range(1, j + 1):
+                    telescope = telescope * field.coerce(
+                        spec.translate(g, -i * per).monic())
+        return a, b, telescope
+
     num, den = r.num, r.den
     v = field.one
-    changed = True
-    while changed:
-        changed = False
-        # forward pairing: a num root at alpha against a den root at
-        # alpha + j*step contributes sigma^step(V)/V with
-        # V = prod_{i=1..j} G(x - i*step)
-        j_cap = dispersion(num, den, k.sigma)
-        if j_cap is not None:
-            for j in range(j_cap // step, 0, -1):
-                g = num.gcd(den.shift_arg(j * step))
-                if g.degree() > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g.shift_arg(-j * step))
-                    for i in range(1, j + 1):
-                        v = v * field.coerce(g.shift_arg(-i * step))
-                    changed = True
-        # reverse pairing: den root at beta, num root at beta + j*step;
-        # contributes the reciprocal telescope
-        j_cap = dispersion(den, num, k.sigma)
-        if j_cap is not None:
-            for j in range(j_cap // step, 0, -1):
-                g = den.gcd(num.shift_arg(j * step))
-                if g.degree() > 0:
-                    den = den.exact_div(g)
-                    num = num.exact_div(g.shift_arg(-j * step))
-                    for i in range(1, j + 1):
-                        v = v / field.coerce(g.shift_arg(-i * step))
-                    changed = True
-    # leading coefficients of sigma^s(f) and f agree, so the leftover must
-    # be exactly 1 -- no constant slack in the shift case
-    if r * v / apply_sigma_power(k, v, step) != field.one:
-        return None
-    return v
-
-
-def _solve_mult_qshift(k: DiffField, r: RatFunc, step: int) -> RatFunc | None:
-    field = k.k_field
-    q = k.sigma.q  # CycloNum, by construction of SigmaSpec.qshift
-    q_eff = q ** step
-    spec_eff = k.sigma if step == 1 else SigmaSpec.qshift(q_eff)
-    num, den = r.num, r.den
-    # sigma(f)/f is a unit at the origin (orbits of 0 stay at 0), so an
-    # r with a root or pole at x = 0 is never a quotient
-    if num.nth(0).is_zero() or den.nth(0).is_zero():
-        return None
-    v = field.one
-    changed = True
-    while changed:
-        changed = False
-        # forward: num root alpha against den root q_eff^j * alpha
-        j_cap = dispersion(den, num, spec_eff)
-        if j_cap is not None:
-            for j in range(j_cap, 0, -1):
-                g = num.gcd(den.scale_arg(q_eff ** j))
-                if g.degree() > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g.scale_arg(q_eff ** -j).monic())
-                    for i in range(1, j + 1):
-                        v = v * field.coerce(g.scale_arg(q_eff ** -i).monic())
-                    changed = True
-        # reverse: den root beta against num root q_eff^j * beta
-        j_cap = dispersion(num, den, spec_eff)
-        if j_cap is not None:
-            for j in range(j_cap, 0, -1):
-                g = den.gcd(num.scale_arg(q_eff ** j))
-                if g.degree() > 0:
-                    den = den.exact_div(g)
-                    num = num.exact_div(g.scale_arg(q_eff ** -j).monic())
-                    for i in range(1, j + 1):
-                        v = v / field.coerce(g.scale_arg(q_eff ** -i).monic())
-                    changed = True
-    # after the peel the leftover w must be a constant: scaling arguments
-    # moves no constants, and monic factor normalization above dropped the
-    # multiplicative slack into w on purpose
+    while True:
+        num, den, forward = peel(num, den)
+        den, num, reverse = peel(den, num)
+        if forward == field.one and reverse == field.one:
+            break
+        v = v * forward / reverse
     w = r * v / apply_sigma_power(k, v, step)
+    if shift:
+        # leading coefficients of sigma^s(f) and f agree, so the leftover
+        # must be exactly 1 -- no constant slack in the shift case
+        return v if w == field.one else None
+    # the leftover must be a constant: scaling arguments moves no constants
     if not w.is_const():
         return None
     z = _constant_as_cyclo(w.const_value())
-    if z is None:
-        return None
-    e = _discrete_log(z, q_eff)
-    if e is None:
-        return None
-    return v * field.x() ** e
+    e = None if z is None else _discrete_log(z, k.sigma.q ** step)
+    return None if e is None else v * field.x() ** e
 
 
 def _monic_num(f: RatFunc) -> RatFunc:
@@ -269,31 +239,18 @@ def solve_add(k: DiffField, b) -> RatFunc | None:
     field = k.k_field
     if b.is_zero():
         return field.zero
-    if k.sigma.kind == "shift":
-        den_hat = b.den
-        j_cap = dispersion(den_hat, den_hat, k.sigma)
-        j_cap = -1 if j_cap is None else j_cap
-        v = Poly.one(field.inner)
-        for j in range(j_cap + 1):
-            v = v * den_hat.shift_arg(j)
-        # the polynomial part of f runs one degree above that of b:
-        # sigma(x^d) - x^d has degree d - 1
-        bound = v.degree() + max(b.degree_balance(), 0) + 1
-    else:
-        den_hat = b.den
-        x_order = 0
-        while den_hat.degree() > 0 and den_hat.nth(0).is_zero():
-            den_hat = den_hat.exact_div(Poly.x(field.inner))
-            x_order += 1
-        j_cap = dispersion(den_hat, den_hat, k.sigma)
-        j_cap = -1 if j_cap is None else j_cap
-        q = k.q_in_constants()
-        v = Poly.x(field.inner) ** x_order
-        for j in range(j_cap + 1):
-            v = v * den_hat.scale_arg(q ** j).monic()
-        # no +1 here: sigma(x^d) - x^d = (q^d - 1) x^d never drops degree
-        # (q is not a root of unity), so the polynomial parts match
-        bound = v.degree() + max(b.degree_balance(), 0)
+    # a pole of b at x = 0 is fixed by the dilation and enters V as is
+    den_hat = b.den if k.sigma.kind == "shift" else _strip_x(b.den)
+    j_cap = dispersion(den_hat, den_hat, k.sigma)
+    v = Poly.x(field.inner) ** (b.den.degree() - den_hat.degree())
+    for j in range((-1 if j_cap is None else j_cap) + 1):
+        v = v * k.sigma.translate(den_hat, j).monic()
+    # the polynomial part of f runs one degree above that of b for the
+    # shift, where sigma(x^d) - x^d has degree d - 1; the dilation needs no
+    # slack, as sigma(x^d) - x^d = (q^d - 1) x^d keeps the degree (q is not
+    # a root of unity)
+    slack = 1 if k.sigma.kind == "shift" else 0
+    bound = v.degree() + max(b.degree_balance(), 0) + slack
     f = _solve_add_linear(k, b, v, bound)
     if f is None:
         return None
@@ -308,17 +265,10 @@ def solve_add(k: DiffField, b) -> RatFunc | None:
 
 def _solve_add_linear(k: DiffField, b: RatFunc, v: Poly, bound: int):
     """Solve sigma(u/v) - u/v = b for u polynomial of degree <= bound."""
-    field = k.k_field
-    inner = field.inner
-
-    def spoly(p: Poly) -> Poly:
-        if k.sigma.kind == "shift":
-            return p.shift_arg(1)
-        return p.scale_arg(k.q_in_constants())
-
-    v_s = spoly(v)
+    inner = k.k_field.inner
+    v_s = k.sigma.translate(v, 1)
     x = Poly.x(inner)
-    x_s = spoly(x)
+    x_s = k.sigma.translate(x, 1)
     # sigma(u) * v * den_b  -  u * sigma(v) * den_b  =  num_b * v * sigma(v)
     cols = []
     mono = Poly.one(inner)
@@ -427,17 +377,41 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
             raise ZeroInput("characters must be nonzero")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    field = k.k_field
-    balances = [ai.degree_balance() for ai in a]
-    lcrs = None
-    if k.sigma.kind == "shift":
-        lcrs = [ai.lc_ratio() for ai in a]
-        lc_one = lcrs[0] ** 0
     found: list[tuple[tuple[int, ...], RatFunc]] = []
     hnf_rows: list[list[int]] = []
-    for shell in range(1, m_max + 1):
-        for vec in _sup_norm_shell(n, shell):
-            if found and in_lattice(hnf_rows, list(vec)):
+
+    def known(vec) -> bool:
+        # read as each vector comes up, so the skip sees every relation
+        # found so far
+        return bool(hnf_rows) and in_lattice(hnf_rows, list(vec))
+
+    for vec, witness in _relation_scan(k, a, range(1, m_max + 1), known):
+        found.append((vec, witness))
+        hnf_rows, _ = hermite_normal_form([list(v) for v, _ in found])
+    rows = _hermite_rows(k, a, found)
+    if len(rows) != len(found):
+        raise InternalInvariantError("relation scan admitted a dependent vector")
+    return LatticeBasis(dim=n, rows=rows, field=k.k_field)
+
+
+def _relation_scan(k: DiffField, entries, shells, known):
+    """Yield (vec, witness) for every vector on the given sup-norm shells
+    that ``known`` does not cover and under which the entries multiply into
+    a sigma-quotient, in scan order.
+
+    Two exact necessary conditions of ``solve_mult`` are tested first and
+    cheaply: the degree balance of the product is zero, and for the shift
+    its leading-coefficient ratio is 1.
+    """
+    field = k.k_field
+    balances = [a.degree_balance() for a in entries]
+    lcrs = None
+    if k.sigma.kind == "shift":
+        lcrs = [a.lc_ratio() for a in entries]
+        lc_one = lcrs[0] ** 0
+    for shell in shells:
+        for vec in _sup_norm_shell(len(entries), shell):
+            if known(vec):
                 continue
             if sum(m * bal for m, bal in zip(vec, balances)) != 0:
                 continue
@@ -447,14 +421,9 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
                     prod_lc = prod_lc * u ** m
                 if prod_lc != lc_one:
                     continue
-            sol = solve_mult(k, _entry_power(field, a, vec))
+            sol = solve_mult(k, _entry_power(field, entries, vec))
             if sol is not None:
-                found.append((vec, sol.witness))
-                hnf_rows, _ = hermite_normal_form([list(v) for v, _ in found])
-    rows = _hermite_rows(k, a, found)
-    if len(rows) != len(found):
-        raise InternalInvariantError("relation scan admitted a dependent vector")
-    return LatticeBasis(dim=n, rows=rows, field=field)
+                yield vec, sol.witness
 
 
 def _entry_power(field, entries, vec) -> RatFunc:

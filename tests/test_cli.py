@@ -248,6 +248,16 @@ class TestCommands:
         assert "transport_ok: true" in out
         assert "group_unchanged: true" in out
 
+    def test_basechange_leaves_relations_past_the_bound_alone(self, capsys):
+        # (-1)^2 = 1 lies outside the box of radius 1, so neither side
+        # sees it; that is a property of the bound, not a missed relation
+        code, out, _ = run_cli(
+            ["basechange", "--system", "scalar(-1)", "--m-max", "1",
+             "--adjoin", "zeta(4)"], capsys)
+        assert code == 0
+        assert "group_unchanged: true" in out
+        assert "transport_ok: true" in out
+
     def test_basechange_transcendental(self, capsys):
         code, out, _ = run_cli(
             ["basechange", "--sigma", "qshift", "--q", "2",

@@ -695,9 +695,12 @@ class TestCheckSimple:
         p = build_pv_diagonal(k, [-1, -(k.x() + 1) / k.x()])
 
         def refuse(*args, **kwargs):
-            raise AssertionError("solve_mult called inside the proven radius")
+            raise AssertionError("vector scanned inside the proven radius")
 
-        monkeypatch.setattr("pvkit.engine.solve_mult", refuse)
+        # every vector outside this lattice fails the scan's filters, so
+        # only the lattice question shows whether a shell was rescanned
+        monkeypatch.setattr(p.lattice, "contains", refuse)
+        monkeypatch.setattr("pvkit.solve.solve_mult", refuse)
         assert check_simple(p, 6) is True
         assert check_simple(p, p.search_bound) is True
 
@@ -706,23 +709,25 @@ class TestCheckSimple:
         x = k.x()
         entries = [k.coerce(-1), -(x + 1) / x, x]
         p = build_pv_diagonal(k, entries, m_max=2)
-        seen = []
+        asked, seen = [], []
+        contains = p.lattice.contains
+
+        def ask(vec):
+            asked.append(tuple(vec))
+            return contains(vec)
 
         def record(kk, r, step=1):
             seen.append(r)
             return solve_mult(kk, r, step=step)
 
-        monkeypatch.setattr("pvkit.engine.solve_mult", record)
+        monkeypatch.setattr(p.lattice, "contains", ask)
+        monkeypatch.setattr("pvkit.solve.solve_mult", record)
         assert check_simple(p, 3) is True
-        expected = []
-        for vec in _sup_norm_shell(3, 3):
-            if p.lattice.contains(vec):
-                continue
-            r = k.one()
-            for a, m in zip(entries, vec):
-                r = r * a ** m
-            expected.append(r)
-        assert expected and seen == expected
+        assert asked == list(_sup_norm_shell(3, 3))
+        # the shared scan filters before solving: every shell-3 vector
+        # outside the lattice has a nonzero degree balance (x) or
+        # leading-coefficient ratio -1, so none reaches solve_mult
+        assert seen == []
 
 
 # ---------------------------------------------------------------------------

@@ -59,21 +59,21 @@ def test_shift_dispersion_examples():
 
 def test_qshift_dispersion_examples():
     sig = SigmaSpec.qshift(CycloNum.from_rational(2))
-    assert dispersion(_p(-4, 1), _p(-1, 1), sig) == 2
-    value, complete = dispersion_with_flag(_p(-4, 1), _p(-1, 1), sig)
+    assert dispersion(_p(-1, 1), _p(-4, 1), sig) == 2
+    value, complete = dispersion_with_flag(_p(-1, 1), _p(-4, 1), sig)
     assert value == 2 and complete is True
-    # roots 4 and 2 against root 1: candidates 2 and 1, largest verified is 2
-    assert dispersion(_p(-4, 1) * _p(-2, 1), _p(-1, 1), sig) == 2
+    # root 1 against roots 4 and 2: candidates 2 and 1, largest verified is 2
+    assert dispersion(_p(-1, 1), _p(-4, 1) * _p(-2, 1), sig) == 2
     # no q-power relates the roots
-    assert dispersion(_p(-3, 1), _p(-1, 1), sig) is None
+    assert dispersion(_p(-1, 1), _p(-3, 1), sig) is None
     # shared x factors are stripped, not an excuse for an infinite answer
-    assert dispersion(_p(0, 0, 1), _p(0, 1), sig) is None
+    assert dispersion(_p(0, 1), _p(0, 0, 1), sig) is None
 
 
 def test_qshift_dispersion_with_rational_q_less_than_one():
     sig = SigmaSpec.qshift(CycloNum.from_rational(Fraction(1, 2)))
-    # root of p = 1, root of r = 4: 1 = (1/2)^2 * 4
-    assert dispersion(_p(-1, 1), _p(-4, 1), sig) == 2
+    # root of p = 4, root of r = 1: 1 = (1/2)^2 * 4
+    assert dispersion(_p(-4, 1), _p(-1, 1), sig) == 2
 
 
 _small_polys = st.builds(
@@ -91,3 +91,41 @@ def test_resultant_vanishes_iff_common_factor(a, b):
     if a.degree() == 0 and b.degree() == 0:
         return
     assert res.is_zero() == has_common
+
+
+def _roots_poly(roots):
+    p = _p(1)
+    for a in roots:
+        p = p * _p(-a, 1)
+    return p
+
+
+_int_roots = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+_two_power_roots = st.lists(
+    st.tuples(st.sampled_from([1, -1]), st.integers(-2, 3)).map(
+        lambda sv: sv[0] * Fraction(2) ** sv[1]),
+    min_size=1, max_size=3)
+
+
+@given(_int_roots, _int_roots)
+def test_shift_dispersion_matches_root_brute_force(p_roots, r_roots):
+    # a root a of p meets r at j when a + j is a root of r
+    meets = [b - a for a in p_roots for b in r_roots if b - a >= 0]
+    expected = max(meets) if meets else None
+    got = dispersion(_roots_poly(p_roots), _roots_poly(r_roots),
+                     SigmaSpec.shift())
+    assert got == expected
+
+
+@given(_two_power_roots, _two_power_roots, st.booleans())
+def test_qshift_dispersion_matches_root_brute_force(p_roots, r_roots, at_zero):
+    # q = 2: a root a of p meets r at j when 2^j * a is a root of r; a
+    # shared root at the origin is stripped, never a meeting
+    meets = [j for a in p_roots for b in r_roots for j in range(6)
+             if Fraction(2) ** j * a == b]
+    expected = max(meets) if meets else None
+    p, r = _roots_poly(p_roots), _roots_poly(r_roots)
+    if at_zero:
+        p, r = p * _p(0, 1), r * _p(0, 1)
+    sig = SigmaSpec.qshift(CycloNum.from_rational(2))
+    assert dispersion(p, r, sig) == expected

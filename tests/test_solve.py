@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvkit.arith import CycloNum
+from pvkit.arith import CycloNum, RatFunc
 from pvkit.base import DiffField, SigmaSpec, apply_sigma, apply_sigma_power
 from pvkit.errors import DimensionTooLarge, ZeroInput
 from pvkit.snf import hermite_normal_form
@@ -165,6 +165,52 @@ def test_mult_round_trip_on_sigma_quotients(num, den, kind):
     r = apply_sigma(k, f) / f
     sol = solve_mult(k, r)
     _check_mult(k, r, sol)
+
+
+_small_roots = st.lists(
+    st.tuples(st.sampled_from([-2, -1, 1, 2, 4]), st.integers(-2, 2)),
+    max_size=2)
+
+
+def _dilate(f: RatFunc, s: int) -> RatFunc:
+    return RatFunc(f.num.scale_arg(s), f.den.scale_arg(s))
+
+
+def _from_roots(k: DiffField, pairs):
+    f = k.one()
+    for root, mult in pairs:
+        f = f * (k.x() - root) ** mult
+    return f
+
+
+@given(
+    witness=_small_roots,
+    noise=_small_roots,
+    scale=st.sampled_from([1, -1, 2]),
+    step=st.sampled_from([2, 3]),
+    kind=st.sampled_from(["shift", "qshift"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_mult_step_agrees_with_the_unit_step(witness, noise, scale, step, kind):
+    # sigma^s(f)/f = r with sigma = (x -> x+1) is g(x+1)/g(x) = r(s*x) for
+    # g = f(s*x); with sigma = (x -> q*x) it is the same question for q^s
+    k = shift_field() if kind == "shift" else qshift_field(2)
+    f = _from_roots(k, witness)
+    r = apply_sigma_power(k, f, step) / f * _from_roots(k, noise) * scale
+    sol = solve_mult(k, r, step=step)
+    if kind == "shift":
+        unit = solve_mult(k, _dilate(r, step))
+        assert (sol is None) == (unit is None)
+        if sol is not None:
+            g = _dilate(sol.witness, step)
+            assert unit.witness == g / g.num.lc()
+    else:
+        unit = solve_mult(qshift_field(2 ** step), r)
+        assert (sol is None) == (unit is None)
+        if sol is not None:
+            assert sol.witness == unit.witness
+    if not noise and scale == 1:
+        _check_mult(k, r, sol, step)
 
 
 # ----------------------------------------------------------------- solve_add
