@@ -9,57 +9,31 @@ from math import gcd as int_gcd
 
 from ..errors import NonRationalCoefficients, ZeroInput
 from .cyclo import CycloNum
-from .poly import Poly, RatFunc, RatFuncField, _is_zero
+from .poly import Poly, RatFunc, _is_zero
 
 
 def resultant(a: Poly, b: Poly):
-    """Sylvester resultant.
+    """res(a, b) = lc(a)^deg(b) * prod of b over the roots of a.
 
-    Convention: the first deg(b) rows carry a's coefficients (highest first),
-    the next deg(a) rows carry b's. For monic linear inputs this gives
-    res(x - u, x - v) = v - u, e.g. res(x-2, x-3) = -1.
+    Computed by the Euclidean remainder recurrence over the coefficient
+    field, res(a, b) = (-1)^(nm) lc(b)^(n - deg r) res(b, r) with
+    r = a mod b, n = deg a and m = deg b, ending at res(a, c) = c^n for a
+    constant c.  For monic linear inputs res(x - u, x - v) = v - u, e.g.
+    res(x-2, x-3) = -1.
     """
     if a.is_zero() or b.is_zero():
         raise ZeroInput("resultant of the zero polynomial")
-    n, m = a.degree(), b.degree()
-    field = a.field
-    if n + m == 0:
-        return field.one
-    size = n + m
-    rows = []
-    arow = [a.nth(n - i) for i in range(n + 1)]
-    brow = [b.nth(m - i) for i in range(m + 1)]
-    for i in range(m):
-        rows.append([field.zero] * i + arow + [field.zero] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([field.zero] * i + brow + [field.zero] * (size - m - 1 - i))
-    return _determinant(rows, field)
-
-
-def _determinant(rows, field):
-    n = len(rows)
-    det = field.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not _is_zero(rows[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det = det * pv
-        inv = field.one / pv
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if _is_zero(factor):
-                continue
-            for c in range(col, n):
-                rows[r][c] = rows[r][c] - factor * rows[col][c]
-    return det
+    res = a.field.one
+    while b.degree() > 0:
+        n, m = a.degree(), b.degree()
+        r = a % b
+        if r.is_zero():
+            return a.field.zero
+        if n * m % 2:
+            res = -res
+        res = res * b.lc() ** (n - r.degree())
+        a, b = b, r
+    return res * b.lc() ** a.degree()
 
 
 def _value_is_rational(v) -> bool:
@@ -185,9 +159,11 @@ def dispersion_with_flag(p: Poly, r: Poly, sigma) -> tuple[int | None, bool]:
     """Like dispersion, plus a flag saying the candidate set was provably
     complete (always true for shift; true for q-shift with rational q).
 
-    Only the candidate set depends on the kind of sigma: the integer roots
-    of a resultant in t for the shift, a p-adic bound or a bounded window
-    for the q-dilation.  Every candidate is then verified the same way.
+    Dispersion depends only on the root sets, so it is taken of the
+    square-free parts p / gcd(p, p').  Only the candidate set depends on
+    the kind of sigma: the integer roots of a resultant in t for the shift,
+    a p-adic bound or a bounded window for the q-dilation.  Every candidate
+    is then verified the same way.
     """
     if p.is_zero() or r.is_zero():
         raise ZeroInput("dispersion of the zero polynomial")
@@ -196,6 +172,7 @@ def dispersion_with_flag(p: Poly, r: Poly, sigma) -> tuple[int | None, bool]:
         p, r = _strip_x(p), _strip_x(r)
     if p.degree() == 0 or r.degree() == 0:
         return None, True
+    p, r = _square_free(p), _square_free(r)
     if sigma.kind == "shift":
         candidates, complete = _shift_candidates(p, r), True
     else:
@@ -207,20 +184,42 @@ def dispersion_with_flag(p: Poly, r: Poly, sigma) -> tuple[int | None, bool]:
     return best, complete
 
 
+def _square_free(p: Poly) -> Poly:
+    """p / gcd(p, p'): the roots of p, each once."""
+    dp = Poly(p.field, [c * i for i, c in enumerate(p.coeffs)][1:])
+    return p.exact_div(p.gcd(dp))
+
+
+def _interpolate(values, start: int, field) -> Poly:
+    """The polynomial of degree < len(values) taking values[i] at start + i
+    (Newton's divided differences on unit-spaced points)."""
+    coef = list(values)
+    n = len(coef)
+    for j in range(1, n):
+        inv = field.coerce(Fraction(1, j))
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * inv
+    out = Poly.zero(field)
+    for i in range(n - 1, -1, -1):
+        out = out * Poly(field, (-(start + i), 1)) + coef[i]
+    return out
+
+
+def _shift_resultant(p: Poly, r: Poly) -> Poly:
+    """R(t) = res_x(p(x), r(x + t)), which vanishes at t = beta - alpha for
+    roots alpha of p and beta of r.
+
+    R has degree deg p * deg r in t, so it is interpolated from its values
+    at t = 0, 1, ..., deg p * deg r, each a resultant over the constants.
+    """
+    values = [resultant(p, r.shift_arg(t))
+              for t in range(p.degree() * r.degree() + 1)]
+    return _interpolate(values, 0, p.field)
+
+
 def _shift_candidates(p: Poly, r: Poly) -> set[int]:
     """Integer roots j >= 0 of res_x(p(x), r(x + t))."""
-    field = p.field
-    ft = RatFuncField(field, "t")
-    t = RatFunc.x(field)
-    p_t = Poly(ft, [ft.coerce(c) for c in p.coeffs])
-    x_plus_t = Poly(ft, (ft.coerce(t), ft.one))
-    r_t = Poly.zero(ft)
-    for c in reversed(r.coeffs):
-        r_t = r_t * x_plus_t + ft.coerce(c)
-    res = resultant(p_t, r_t)
-    if res.is_zero():
-        raise ZeroInput("shift dispersion degenerate: arguments share every translate")
-    return {j for j in _integer_roots_any(res.num) if j >= 0}
+    return {j for j in _integer_roots_any(_shift_resultant(p, r)) if j >= 0}
 
 
 def _strip_x(p: Poly) -> Poly:
@@ -230,19 +229,25 @@ def _strip_x(p: Poly) -> Poly:
     return Poly(p.field, p.coeffs[k:])
 
 
+def _qshift_resultant(p: Poly, r: Poly) -> Poly:
+    """R(u) = res_x(r(u x), p(x)), which vanishes at u = beta / alpha for
+    roots alpha != 0 of p and beta of r.
+
+    R has degree at most deg p * deg r in u, so it is interpolated from its
+    values at u = 1, 2, ..., deg p * deg r + 1 (at u = 0, r(u x) would
+    drop its degree), each a resultant over the constants.
+    """
+    values = [resultant(r.scale_arg(u), p)
+              for u in range(1, p.degree() * r.degree() + 2)]
+    return _interpolate(values, 1, p.field)
+
+
 def _qshift_candidates(p: Poly, r: Poly, q) -> tuple[set[int], bool]:
     """Candidates j >= 0 with q^j = beta / alpha for roots alpha of p and
-    beta of r: exponents read off the valuations of res_x(r(u x), p(x)) in
-    u when q and that resultant are rational, else the bounded window."""
-    field = p.field
-    ft = RatFuncField(field, "u")
-    u = ft.coerce(RatFunc.x(field))
-    r_u = Poly(ft, [ft.coerce(c) * u ** i for i, c in enumerate(r.coeffs)])
-    p_u = Poly(ft, [ft.coerce(c) for c in p.coeffs])
-    res = resultant(r_u, p_u)
-    if res.is_zero():
-        return set(), True
-    coeffs = res.num.coeffs
+    beta of r: exponents read off the p-adic valuations of the coefficients
+    of res_x(r(u x), p(x)) when q and that resultant are rational, else the
+    bounded window 0.._QSHIFT_SCAN_CAP, and the flag says so."""
+    coeffs = _qshift_resultant(p, r).coeffs
     rationals = []
     for c in coeffs:
         if not _value_is_rational(c):

@@ -4,12 +4,14 @@ A Poly stores its coefficient field handle plus a low-to-high tuple of
 coefficients. The field handle only has to provide ``zero``, ``one``,
 ``coerce`` and (for root extraction / slicing hooks) ``nth_root`` and
 ``qq_slices``; elements do their own arithmetic through operators. The same
-class therefore serves Q(zeta_N)[x], k[Y] with k = Q(zeta_N)(x), and
-resultant computations over Q(zeta_N)(t).
+class therefore serves C[x] for the constants C = Q(zeta_N), possibly with
+transcendental constants adjoined, and k[Y] with k = C(x).
 
 RatFunc is the reduced quotient of two Polys with monic denominator;
 RatFuncField wraps a RatFunc domain as a coefficient field so towers like
-Q(zeta_N)(t1)(x) compose out of the same parts.
+Q(zeta_N)(t1)(x) compose out of the same parts.  RatFunc arithmetic keeps
+the reduced form by Henrici's method (Knuth, TAOCP vol. 2, 4.5.1): each
+operation divides out only the factors its reduced operands can share.
 """
 from __future__ import annotations
 
@@ -269,6 +271,26 @@ def _is_zero(v) -> bool:
     return not v
 
 
+def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den rescaled to a monic denominator; zero becomes 0/1."""
+    if num.is_zero():
+        return Poly.zero(num.field), Poly.one(num.field)
+    if den.is_monic():
+        return num, den
+    inv = num.field.one / den.lc()
+    return num * inv, den * inv
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a and b divided by their gcd; no gcd is run when either is constant."""
+    if a.degree() <= 0 or b.degree() <= 0:
+        return a, b
+    g = a.gcd(b)
+    if g.degree() == 0:
+        return a, b
+    return a.exact_div(g), b.exact_div(g)
+
+
 class RatFunc:
     """Reduced fraction of two Polys; denominator monic and coprime to numerator."""
 
@@ -278,34 +300,29 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num = Poly.zero(num.field)
-            den = Poly.one(num.field)
-        else:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            if not den.is_monic():
-                inv = Poly.const(num.field, num.field.one / den.lc())
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_den(*_cancel(num, den))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
+        """num/den for a pair already known to be coprime, den nonzero: only
+        makes the denominator monic."""
+        out = cls.__new__(cls)
+        out.num, out.den = _monic_den(num, den)
+        return out
+
+    @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.one(p.field))
+        return cls._reduced(p, Poly.one(p.field))
 
     @classmethod
     def const(cls, field, c) -> "RatFunc":
-        return cls(Poly.const(field, c), Poly.one(field))
+        return cls._reduced(Poly.const(field, c), Poly.one(field))
 
     @classmethod
     def x(cls, field) -> "RatFunc":
-        return cls(Poly.x(field), Poly.one(field))
+        return cls._reduced(Poly.x(field), Poly.one(field))
 
     # -- structure ----------------------------------------------------------
 
@@ -349,22 +366,42 @@ class RatFunc:
         except (InternalInvariantError, TypeError, ValueError):
             return None
 
+    def _plus(self, c: Poly, d: Poly) -> "RatFunc":
+        """self + c/d for coprime c, d.  With g = gcd(b, d), the numerator
+        t = a*(d/g) + c*(b/g) can share with (b/g)*(d/g)*g only factors
+        of g."""
+        a, b = self.num, self.den
+        if b.degree() > 0 and d.degree() > 0:
+            g = b.gcd(d)
+            if g.degree() > 0:
+                b_g, d_g = b.exact_div(g), d.exact_div(g)
+                t, g = _cancel(a * d_g + c * b_g, g)
+                return RatFunc._reduced(t, b_g * d_g * g)
+        return RatFunc._reduced(a * d + c * b, b * d)
+
+    def _times(self, c: Poly, d: Poly) -> "RatFunc":
+        """self * c/d for coprime c, d: only a with d and c with b can
+        share factors."""
+        a, d = _cancel(self.num, d)
+        c, b = _cancel(c, self.den)
+        return RatFunc._reduced(a * c, b * d)
+
     def __add__(self, other):
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._plus(other.num, other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._plus(-other.num, other.den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -373,7 +410,7 @@ class RatFunc:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return self._times(other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -383,7 +420,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self._times(other.den, other.num)
 
     def __rtruediv__(self, other):
         other = self._wrap(other)
@@ -392,11 +429,12 @@ class RatFunc:
         return other / self
 
     def __pow__(self, e: int):
+        # powers of coprime polynomials stay coprime
         if e >= 0:
-            return RatFunc(self.num ** e, self.den ** e)
+            return RatFunc._reduced(self.num ** e, self.den ** e)
         if self.is_zero():
             raise ZeroDivisionError("negative power of zero")
-        return RatFunc(self.den ** (-e), self.num ** (-e))
+        return RatFunc._reduced(self.den ** (-e), self.num ** (-e))
 
     def __eq__(self, other):
         other = self._wrap(other)

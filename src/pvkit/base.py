@@ -107,10 +107,12 @@ def apply_sigma(k: DiffField, f: RatFunc) -> RatFunc:
 
 
 def apply_sigma_power(k: DiffField, f: RatFunc, j: int) -> RatFunc:
-    """sigma^j(f); j may be negative since sigma is invertible."""
+    """sigma^j(f); j may be negative since sigma is invertible.  sigma is
+    an automorphism of C[x], so the translates stay coprime."""
     if j == 0:
         return f
-    return RatFunc(k.sigma.translate(f.num, j), k.sigma.translate(f.den, j))
+    return RatFunc._reduced(k.sigma.translate(f.num, j),
+                            k.sigma.translate(f.den, j))
 
 
 def is_constant(k: DiffField, f: RatFunc) -> bool:

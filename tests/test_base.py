@@ -120,3 +120,22 @@ def test_sigma_power_inverts(make_field):
         assert is_constant(k, f) == (apply_sigma(k, f) == f)
 
     check()
+
+
+@pytest.mark.parametrize("make_field", [
+    lambda: DiffField(SigmaSpec.shift()),
+    lambda: DiffField(SigmaSpec.qshift(CycloNum.from_rational(Fraction(2, 3)))),
+])
+def test_sigma_power_is_canonical_without_a_gcd(make_field):
+    # sigma is an automorphism of C[x], so the translates of a reduced pair
+    # stay coprime; only the denominator's leading coefficient changes
+    k = make_field()
+
+    @given(_ratfuncs(), st.integers(min_value=-3, max_value=3))
+    def check(f, j):
+        got = apply_sigma_power(k, f, j)
+        assert got.den.is_monic()
+        assert got == RatFunc(k.sigma.translate(f.num, j),
+                              k.sigma.translate(f.den, j))
+
+    check()

@@ -258,6 +258,48 @@ class TestCommands:
         assert "group_unchanged: true" in out
         assert "transport_ok: true" in out
 
+    # Default bounds.  The dispersions of these entries need resultants of
+    # several factors over Q and Q(zeta_5); the tests pin the answers and,
+    # through the suite's run time, that those resultants stay cheap.
+    @pytest.mark.parametrize("argv,ell,m_inv,krull_dim,description", [
+        # q = 4, a = -2(x-1)/(x-4) = -1/2 * sigma(g)/g with g = x - 4, since
+        # sigma(g) = 4(x-1).  A constant is a q-quotient iff it lies in 4^Z,
+        # so a^v is a quotient iff (-1/2)^v does, iff v is even: L = 2Z and
+        # the group is Z/2.  The witness of a^2 is g^2/x (1/4 is
+        # sigma(1/x)/(1/x)), which is not a square in Q(x), so no marker
+        # splits the components: ell = m_inv = 1.
+        (["--sigma", "qshift", "--q", "4",
+          "--system", "scalar(-2*(x-1)/(x-4))"],
+         1, 1, 0, "finite part Z/2"),
+        # q = 1/2, a1 = -1/2 (x-4)/(x-1) = -2 sigma(g)/g with g = (x-1)(x-2),
+        # since sigma(g) = (x-2)(x-4)/4.  The roots +-i of x^2+1 lie on
+        # q-orbits that never close, so v2 = 0, and (-2)^v1 lies in 2^Z iff
+        # v1 is even: L = <(2,0)>, the group is Z x Z/2.  sigma(g/x)/(g/x)
+        # = 2 sigma(g)/g, so a1 = -1 * sigma(g/x)/(g/x): root g/x and
+        # marker -1, a rational constant, so ell = m_inv = 2.
+        (["--sigma", "qshift", "--q", "1/2",
+          "--system", "diag(-1/2*(x-4)/(x-1),x^2+1)"],
+         2, 2, 1, "torus of rank 1 times finite part Z/2"),
+        # zeta5^v1 x^v1 (x+1)^v2 (-1)^v3: the degree forces v1 = -v2 = a,
+        # (x/(x+1))^a is a quotient, and zeta5^a (-1)^v3 = 1 forces 5 | a
+        # and 2 | v3.  L = <(5,-5,0), (0,0,2)>, so the group is Z x Z/10,
+        # and the constants hold the 10th roots of unity: ell = m_inv = 10.
+        (["--system", "diag(zeta(5)*x,x+1,-1)"],
+         10, 10, 1, "torus of rank 1 times finite part Z/10"),
+    ])
+    def test_formerly_slow_inputs_at_default_bounds(
+            self, argv, ell, m_inv, krull_dim, description, capsys):
+        code, out, _ = run_cli(["group"] + argv + ["--output", "json"],
+                               capsys)
+        assert code == 0
+        report = json.loads(out)
+        presentation = report["presentation"]
+        assert presentation["search_bound"] == 12
+        assert presentation["ell"] == ell
+        assert presentation["m_inv"] == m_inv
+        assert presentation["krull_dim"] == krull_dim
+        assert report["group"]["description"] == description
+
     def test_basechange_transcendental(self, capsys):
         code, out, _ = run_cli(
             ["basechange", "--sigma", "qshift", "--q", "2",

@@ -3,11 +3,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy as sp
+from sympy.polys.subresultants_qq_zz import sylvester
+from hypothesis import given, settings, strategies as st
 
 from pvkit.arith.cyclo import CycloField, CycloNum, QQ
 from pvkit.arith.poly import Poly
 from pvkit.arith.ops import (
+    _qshift_resultant,
+    _shift_resultant,
     dispersion,
     dispersion_with_flag,
     integer_roots,
@@ -129,3 +133,83 @@ def test_qshift_dispersion_matches_root_brute_force(p_roots, r_roots, at_zero):
         p, r = p * _p(0, 1), r * _p(0, 1)
     sig = SigmaSpec.qshift(CycloNum.from_rational(2))
     assert dispersion(p, r, sig) == expected
+
+
+_maybe_roots = st.lists(st.integers(-4, 4), max_size=3)
+_units = st.sampled_from([-2, -1, Fraction(1, 2), 1, 3])
+
+
+def _prod(values):
+    out = Fraction(1)
+    for v in values:
+        out *= v
+    return out
+
+
+@given(_units, _maybe_roots, _units, _maybe_roots)
+def test_resultant_is_the_product_over_root_pairs(c1, a_roots, c2, b_roots):
+    # res(c1 prod(x - a), c2 prod(x - b)) = c1^m c2^n prod(a - b), with
+    # n and m the numbers of roots a and b
+    n, m = len(a_roots), len(b_roots)
+    expected = c1 ** m * c2 ** n * _prod(a - b for a in a_roots
+                                        for b in b_roots)
+    got = resultant(_p(c1) * _roots_poly(a_roots),
+                    _p(c2) * _roots_poly(b_roots))
+    assert got == expected
+
+
+@given(_units, _int_roots, _units, _int_roots)
+def test_shift_resultant_is_the_product_of_root_gaps(c1, p_roots, c2,
+                                                    r_roots):
+    # res_x(p(x), r(x + t)) = c1^m c2^n prod(t - (b - a)) over the roots a of
+    # p and b of r, interpolated from integer values of t
+    n, m = len(p_roots), len(r_roots)
+    expected = _p(c1 ** m * c2 ** n)
+    for a in p_roots:
+        for b in r_roots:
+            expected = expected * _p(a - b, 1)
+    got = _shift_resultant(_p(c1) * _roots_poly(p_roots),
+                           _p(c2) * _roots_poly(r_roots))
+    assert got == expected
+
+
+@given(_units, _int_roots, _units, _int_roots)
+def test_qshift_resultant_is_the_product_of_root_ratios(c1, p_roots, c2,
+                                                       r_roots):
+    # res_x(r(u x), p(x)) = c2^n c1^m prod(b - u a) over the roots a of p and
+    # b of r, interpolated from integer values u >= 1
+    n, m = len(p_roots), len(r_roots)
+    expected = _p(c1 ** m * c2 ** n)
+    for a in p_roots:
+        for b in r_roots:
+            expected = expected * _p(b, -a)
+    got = _qshift_resultant(_p(c1) * _roots_poly(p_roots),
+                            _p(c2) * _roots_poly(r_roots))
+    assert got == expected
+
+
+_nonconstant = st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(
+    lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nonconstant, _nonconstant)
+def test_candidate_resultants_match_sympy(p_coeffs, r_coeffs):
+    # the reference is the determinant of sympy's Sylvester matrix in x, with
+    # the second variable s symbolic; sympy.resultant itself returns the
+    # opposite sign for some degree pairs (res(x - 1, x^3 + 8) = -9)
+    x, s = sp.symbols("x s")
+    p_expr = sum(c * x ** i for i, c in enumerate(p_coeffs))
+    r_expr = sum(c * x ** i for i, c in enumerate(r_coeffs))
+    p, r = _p(*p_coeffs), _p(*r_coeffs)
+
+    def sylvester_det(f, g):
+        return sylvester(sp.expand(f), sp.expand(g), x).det()
+
+    for ours, theirs in (
+            (_shift_resultant(p, r),
+             sylvester_det(p_expr, r_expr.subs(x, x + s))),
+            (_qshift_resultant(p, r),
+             sylvester_det(r_expr.subs(x, s * x), p_expr))):
+        want = sp.Poly(sp.expand(theirs), s).all_coeffs()[::-1]
+        assert ours == _p(*[Fraction(int(c.p), int(c.q)) for c in want])

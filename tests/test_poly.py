@@ -152,3 +152,59 @@ def test_gcd_against_brute_force_divisor_search():
 @given(_small_polys, st.integers(min_value=-3, max_value=3))
 def test_shift_substitution_round_trips(p, c):
     assert p.shift_arg(c).shift_arg(-c) == p
+
+
+_Z3 = CycloField(3)
+_ZETA3 = CycloNum.zeta(3)
+# small factors, several shared, so that the operands of a random operation
+# often have common factors for the reduction to find; over Q(zeta_3),
+# x - zeta_3 divides x^2 + x + 1
+_FACTORS = ((0, 1), (1, 1), (-1, 1), (2, 1), (1, 2), (1, 1, 1), (1, 0, 1))
+
+
+@st.composite
+def _reduced_ratfuncs(draw, field):
+    factors = [Poly(field, cs) for cs in _FACTORS]
+    if field == _Z3:
+        factors.append(Poly(field, (-_ZETA3, 1)))
+    picks = st.lists(st.sampled_from(factors), max_size=3)
+    coeff = draw(st.sampled_from([-2, -1, Fraction(1, 3), 1, 3]))
+    num, den = Poly.const(field, coeff), Poly.one(field)
+    for f in draw(picks):
+        num = num * f
+    for f in draw(picks):
+        den = den * f
+    if draw(st.booleans()):
+        den = den * Poly.const(field, _ZETA3 if field == _Z3 else 2)
+    if draw(st.integers(0, 9)) == 0:
+        num = Poly.zero(field)
+    return RatFunc(num, den)
+
+
+def _assert_canonical(f):
+    assert f.den.is_monic()
+    assert f.num.gcd(f.den).degree() == 0
+
+
+@pytest.mark.parametrize("field", [QQ, _Z3], ids=["QQ", "QQ(zeta3)"])
+def test_ratfunc_results_are_canonical(field):
+    # every operation keeps gcd(num, den) = 1 and a monic denominator, and
+    # equals the fraction reduced from the textbook formula
+    @given(_reduced_ratfuncs(field), _reduced_ratfuncs(field),
+           st.integers(-3, 3))
+    def check(a, b, e):
+        an, ad, bn, bd = a.num, a.den, b.num, b.den
+        cases = [(a + b, an * bd + bn * ad, ad * bd),
+                 (a - b, an * bd - bn * ad, ad * bd),
+                 (a * b, an * bn, ad * bd)]
+        if not b.is_zero():
+            cases.append((a / b, an * bd, ad * bn))
+        if e >= 0:
+            cases.append((a ** e, an ** e, ad ** e))
+        elif not a.is_zero():
+            cases.append((a ** e, ad ** -e, an ** -e))
+        for got, num, den in cases:
+            _assert_canonical(got)
+            assert got == RatFunc(num, den)
+
+    check()
