@@ -14,7 +14,10 @@ numbers:
 * ``ell``: how many orbit components the ring splits into.  Detected by
   extracting an exact root of each relation witness; whenever a witness
   g = h^d splits, the marker a^{m/d} h / sigma(h) is a primitive d-th root
-  of unity and the component idempotents can be written down explicitly.
+  of unity.  Then W = Y^{m/d} / h has W^d = 1 and sigma(W) = marker W, and
+  the component idempotents are written down in closed form: the discrete
+  Fourier idempotents of the group algebra the W span, certified over the
+  constants without one product of Laurent polynomials.
 * ``m_inv``: the degree over the constants of the field of elements with
   finite sigma-orbit inside the total quotient ring.  Detected by an
   independent search: the least stride s (running over s = order/t) along
@@ -451,38 +454,67 @@ class Component:
 
 def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
                        nvars: int) -> list:
+    """The orbit e_0..e_{ell-1}, in closed form from the marker group algebra.
+
+    Each splitting factor (d = split > 1) gives W = Y^{(order/d) coord} / root
+    with W^d = 1 and sigma(W) = marker W in the quotient, so the W generate
+    the group algebra of prod C_d over the constants.  The orbit is its
+    discrete Fourier basis,
+
+        e_i = prod_f (1/d_f) sum_{j<d_f} marker_f^{i j} W_f^j,
+
+    a constant combination of the ell = prod d_f normal-formed products
+    prod W_f^{j_f}; the d_f are pairwise coprime here (``split_product ==
+    ell``), so i -> (i mod d_f) runs once through every index by CRT.  Four
+    certificates, none of them a product of two orbit elements:
+
+    * W^d = 1 and sigma(W) = marker W, one normal form each per factor;
+    * the character sums sum_{j<d} marker^{u j} = d [u = 0] for u < d, which
+      with W^d = 1 and CRT make the e_i idempotent and pairwise orthogonal;
+    * sum_i e_i = 1;
+    * sigma(e_{ell-1}) = e_0, which closes the cycle.
+    """
     field = k.k_field
+    one = LaurentPoly.one(field, nvars)
     if ell == 1:
-        return [LaurentPoly.one(field, nvars)]
-    e0 = LaurentPoly.one(field, nvars)
+        return [one]
+    basis = [((), one)]  # (j per factor, prod W^j before its normal form)
+    marker_powers = []
     for f in factors:
-        if f.split == 1:
+        d = f.split
+        if d == 1:
             continue
-        scale = k.coerce(Fraction(1, f.split))
-        vec = tuple((f.order // f.split) * c for c in f.coord)
+        vec = tuple((f.order // d) * c for c in f.coord)
         w = LaurentPoly.monomial(field, nvars, vec, k.one() / f.root)
-        block = LaurentPoly.zero(field, nvars)
-        power = LaurentPoly.one(field, nvars)
-        for _ in range(f.split):
-            block = block + power
-            power = ideal.normal_form(power * w)
-        e0 = ideal.normal_form(e0 * block.map_coeffs(lambda c: c * scale))
-    orbit = [e0]
-    for _ in range(1, ell):
-        orbit.append(ideal.normal_form(ideal.sigma_image(orbit[-1])))
-    # closing the cycle, idempotency, orthogonality and the partition of 1
+        if ideal.normal_form(w ** d) != one:
+            raise InternalInvariantError("orbit generator W has W^d != 1")
+        if not ideal.normal_form(ideal.sigma_image(w) - w * f.marker).is_zero():
+            raise InternalInvariantError("sigma does not scale W by its marker")
+        # the u = 1 sum vanishes only if marker^d = 1, which then lets every
+        # later exponent be read mod d
+        powers = [f.marker ** j for j in range(d)]
+        for u in range(d):
+            total = sum((powers[u * j % d] for j in range(d)), k.zero())
+            if total != k.coerce(d if u == 0 else 0):
+                raise InternalInvariantError(
+                    "marker character sums are not d [u = 0]")
+        marker_powers.append(powers)
+        basis = [(js + (j,), b * w ** j) for js, b in basis for j in range(d)]
+    basis = [(js, ideal.normal_form(b)) for js, b in basis]
+    scale = k.coerce(Fraction(1, len(basis)))
+    orbit = []
+    for i in range(ell):
+        e = LaurentPoly.zero(field, nvars)
+        for js, b in basis:
+            c = scale
+            for powers, j in zip(marker_powers, js):
+                c = c * powers[i * j % len(powers)]
+            e = e + b * c
+        orbit.append(e)
+    if sum(orbit[1:], orbit[0]) != one:
+        raise InternalInvariantError("orbit idempotents do not sum to 1")
     if ideal.normal_form(ideal.sigma_image(orbit[-1])) != orbit[0]:
         raise InternalInvariantError("idempotent orbit does not close")
-    total = LaurentPoly.zero(field, nvars)
-    for i, e in enumerate(orbit):
-        if not ideal.normal_form(e * e - e).is_zero():
-            raise InternalInvariantError("orbit element is not idempotent")
-        for other in orbit[i + 1:]:
-            if not ideal.normal_form(e * other).is_zero():
-                raise InternalInvariantError("orbit idempotents are not orthogonal")
-        total = total + e
-    if not ideal.normal_form(total - LaurentPoly.one(field, nvars)).is_zero():
-        raise InternalInvariantError("orbit idempotents do not sum to 1")
     return orbit
 
 

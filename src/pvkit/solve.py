@@ -200,7 +200,8 @@ def _discrete_log(z: CycloNum, q: CycloNum) -> int | None:
     |e| <= 64 is scanned; exponents beyond it would need witness degrees
     far outside anything this toolkit constructs.
     """
-    if z == q ** 0:
+    one = q ** 0
+    if z == one:
         return 0
     if z.is_rational() and q.is_rational():
         zf = z.rational_value()
@@ -213,10 +214,15 @@ def _discrete_log(z: CycloNum, q: CycloNum) -> int | None:
                 return None
             e = vz // vq
             return e if q ** e == z else None
+    # one running power in each direction, +e tried before -e
+    up = down = one
+    q_inv = q.inverse()
     for e in range(1, 65):
-        if q ** e == z:
+        up = up * q
+        if up == z:
             return e
-        if q ** -e == z:
+        down = down * q_inv
+        if down == z:
             return -e
     return None
 

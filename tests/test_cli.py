@@ -300,6 +300,23 @@ class TestCommands:
         assert presentation["krull_dim"] == krull_dim
         assert report["group"]["description"] == description
 
+    def test_zeta13_at_a_bound_that_reaches_its_order(self, capsys):
+        # shift, a = zeta13: a^v is a quotient iff zeta13^v = 1 (a constant
+        # c is sigma(g)/g only for c = 1), iff 13 | v.  L = 13Z, so the group
+        # is Z/13, the ring is zero-dimensional, and the witness 1 = 1^13
+        # splits with marker zeta13: ell = m_inv = 13.  The box must reach
+        # v = 13, hence --m-max 13; the default bound is a separate matter.
+        code, out, _ = run_cli(["group", "--system", "scalar(zeta(13))",
+                                "--m-max", "13", "--output", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        presentation = report["presentation"]
+        assert presentation["search_bound"] == 13
+        assert presentation["ell"] == 13
+        assert presentation["m_inv"] == 13
+        assert presentation["krull_dim"] == 0
+        assert report["group"]["description"] == "finite part Z/13"
+
     def test_basechange_transcendental(self, capsys):
         code, out, _ = run_cli(
             ["basechange", "--sigma", "qshift", "--q", "2",

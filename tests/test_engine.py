@@ -36,6 +36,7 @@ from pvkit.engine import (
     DiffSystem,
     PVPresentation,
     SigmaIdeal,
+    _orbit_idempotents,
     build_pv_diagonal,
     build_pv_scalar,
     build_pv_unipotent,
@@ -618,31 +619,74 @@ class TestInvariantRoutesAgree:
         assert compute_m(p) == m
 
 
+def assert_orbit_algebra(p, es):
+    """Every product check on an idempotent orbit: e_i = sigma^i(e_0), the
+    cycle closes, each e_i is idempotent, all pairs are orthogonal, and the
+    e_i sum to 1, each modulo the ideal."""
+    k = p.field
+    ideal = p.ideal
+    one = LaurentPoly.one(k.k_field, ideal.nvars)
+    # orbit: e_i = sigma^i(e_0) modulo the ideal
+    walker = es[0]
+    for i in range(1, len(es)):
+        walker = ideal.normal_form(ideal.sigma_image(walker))
+        assert walker == es[i]
+    # returning once more closes the cycle
+    assert ideal.normal_form(ideal.sigma_image(walker)) == es[0]
+    total = LaurentPoly.zero(k.k_field, ideal.nvars)
+    for i, e in enumerate(es):
+        assert ideal.normal_form(e * e - e).is_zero()
+        for j in range(i + 1, len(es)):
+            assert ideal.normal_form(e * es[j]).is_zero()
+        total = total + e
+    assert ideal.normal_form(total - one).is_zero()
+
+
+@functools.lru_cache(maxsize=None)
+def cyclo_presentation(name):
+    """Cyclotomic presentations with ell = 5, 6 and 10, as derived in
+    perfbench/workloads.py and tests/test_cli.py."""
+    k5 = shift_field(conductor=5)
+    z5 = k5.coerce(CycloNum.zeta(5))
+    k3 = shift_field(conductor=3)
+    z3 = k3.coerce(CycloNum.zeta(3))
+    if name == "zeta5-shift":  # zeta5 sigma(x)/x: L = 5Z, ell = 5
+        return build_pv_scalar(k5, z5 * (k5.x() + 1) / k5.x())
+    if name == "zeta3-and-minus-one":  # L = <(3,0), (0,2)>, ell = 6
+        return build_pv_diagonal(k3, (z3 * (k3.x() + 1) / k3.x(), -1))
+    if name == "zeta5-x-pair":  # L = <(5,-5,0), (0,0,2)>, ell = 10
+        return build_pv_diagonal(k5, (z5 * k5.x(), k5.x() + 1, -1))
+    raise KeyError(name)
+
+
 class TestIdempotentAlgebra:
     @pytest.mark.parametrize("name", ["shift-minus-one", "qshift-minus-two",
                                       "shift-zeta3", "diag-pair"])
     def test_orbit_orthogonality_and_partition(self, name):
         p = dict((row[0], row[1]) for row in all_presentations())[name]
-        k = p.field
-        ideal = p.ideal
         comps = decompose(p)
         es = [c.idempotent for c in comps]
         assert es[0] == p.idempotents[0]
-        one = LaurentPoly.one(k.k_field, ideal.nvars)
-        # orbit: e_i = sigma^i(e_0) modulo the ideal
-        walker = es[0]
-        for i in range(1, len(es)):
-            walker = ideal.normal_form(ideal.sigma_image(walker))
-            assert walker == es[i]
-        # returning once more closes the cycle
-        assert ideal.normal_form(ideal.sigma_image(walker)) == es[0]
-        total = LaurentPoly.zero(k.k_field, ideal.nvars)
-        for i, e in enumerate(es):
-            assert ideal.normal_form(e * e - e).is_zero()
-            for j in range(i + 1, len(es)):
-                assert ideal.normal_form(e * es[j]).is_zero()
-            total = total + e
-        assert ideal.normal_form(total - one).is_zero()
+        assert_orbit_algebra(p, es)
+
+    @pytest.mark.parametrize("name,ell", [("zeta5-shift", 5),
+                                          ("zeta3-and-minus-one", 6)])
+    def test_closed_form_passes_every_product_check(self, name, ell):
+        # the engine certifies the orbit through W^d = 1, sigma(W) = marker W
+        # and the character sums; the products it no longer forms run here
+        p = cyclo_presentation(name)
+        assert p.ell == ell
+        assert len(p.idempotents) == ell
+        assert_orbit_algebra(p, p.idempotents)
+
+    def test_ell_ten_first_component(self):
+        p = cyclo_presentation("zeta5-x-pair")
+        assert p.ell == 10
+        es = p.idempotents
+        nf = p.ideal.normal_form
+        assert nf(es[0] * es[0] - es[0]).is_zero()
+        for e in es[1:]:
+            assert nf(es[0] * e).is_zero()
 
     @pytest.mark.parametrize("name", ["shift-minus-one", "qshift-minus-two",
                                       "shift-zeta3", "diag-pair",
@@ -653,6 +697,32 @@ class TestIdempotentAlgebra:
         comps = decompose(p)
         expected = iterated_step(k, p.system.matrix(), max(p.ell, 1))
         assert comps[0].step_matrix == expected
+
+    @pytest.mark.parametrize("changes,message", [
+        # another primitive cube root of unity, and a sixth root
+        (lambda k, f: {"marker": f.marker * f.marker}, "by its marker"),
+        (lambda k, f: {"marker": -f.marker}, "by its marker"),
+        # W^3 = 1/8, and W^3 = 1/(x+1)^3
+        (lambda k, f: {"root": f.root * 2}, r"W\^d"),
+        (lambda k, f: {"root": f.root * (k.x() + 1)}, r"W\^d"),
+    ], ids=["marker-squared", "marker-negated", "root-doubled",
+            "root-times-x-plus-1"])
+    def test_tampered_factor_is_refused(self, changes, message):
+        p = dict((row[0], row[1]) for row in all_presentations())["shift-zeta3"]
+        (f,) = p.factors
+        bad = dataclasses.replace(f, **changes(p.field, f))
+        with pytest.raises(InternalInvariantError, match=message):
+            _orbit_idempotents(p.field, p.ideal, (bad,), p.ell, p.ideal.nvars)
+
+    def test_non_primitive_marker_fails_the_character_sums(self):
+        # shift, a = -1: Y^2 = 1 and marker -1.  Posing as order 4 and
+        # split 4 keeps W = Y, W^4 = 1 and sigma(W) = -W, but -1 is not a
+        # primitive fourth root: sum_j (-1)^{2j} = 4 for u = 2
+        p = dict((row[0], row[1]) for row in all_presentations())["shift-minus-one"]
+        (f,) = p.factors
+        bad = dataclasses.replace(f, order=4, split=4)
+        with pytest.raises(InternalInvariantError, match="character sums"):
+            _orbit_idempotents(p.field, p.ideal, (bad,), 4, p.ideal.nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvkit.arith import CycloNum, RatFunc
+from pvkit.arith import CycloField, CycloNum, RatFunc
 from pvkit.base import DiffField, SigmaSpec, apply_sigma, apply_sigma_power
 from pvkit.errors import DimensionTooLarge, ZeroInput
 from pvkit.snf import hermite_normal_form
@@ -14,6 +14,7 @@ from pvkit.solve import (
     LatticeBasis,
     MultSolution,
     TorsionCert,
+    _discrete_log,
     relation_lattice,
     solve_add,
     solve_mult,
@@ -211,6 +212,54 @@ def test_mult_step_agrees_with_the_unit_step(witness, noise, scale, step, kind):
             assert sol.witness == unit.witness
     if not noise and scale == 1:
         _check_mult(k, r, sol, step)
+
+
+# --------------------------------------------------------------- discrete log
+
+
+def _window_order():
+    for e in range(1, 65):
+        yield e
+        yield -e
+
+
+def test_discrete_log_window_edges_for_irrational_q():
+    # q = 2 zeta3 has norm 4, so it is not a root of unity and q^e is
+    # distinct for every e; the scan covers |e| <= 64, +e before -e
+    q = 2 * CycloNum.zeta(3)
+    assert _discrete_log(q ** 64, q) == 64
+    assert _discrete_log(q ** -64, q) == -64
+    assert _discrete_log(q ** 65, q) is None
+    assert _discrete_log(q ** -65, q) is None
+
+
+def test_discrete_log_agrees_with_brute_force_powers():
+    q = 2 * CycloNum.zeta(3)
+    window = [(e, q ** e) for e in _window_order()]
+    for e in range(-70, 71):
+        z = q ** e
+        brute = 0 if e == 0 else next(
+            (f for f, power in window if power == z), None)
+        assert _discrete_log(z, q) == brute
+        assert brute == (e if abs(e) <= 64 else None)
+        # zeta3 q^e = q^f would give zeta3 = q^(f-e) of norm 4^(f-e), so
+        # f = e and zeta3 = 1: no power of q
+        assert _discrete_log(CycloNum.zeta(3) * z, q) is None
+
+
+def test_discrete_log_rational_q_reads_valuations():
+    two = CycloField(1).coerce(2)
+    # exponents far outside the window are found by the 2-adic valuation
+    assert _discrete_log(two ** 100, two) == 100
+    assert _discrete_log(two ** -100, two) == -100
+    # the valuation fits but the sign does not: -8 is not a power of 2
+    assert _discrete_log(-(two ** 3), two) is None
+    # 3 has 2-adic valuation 0, which pins e = 0, and 3 != 1
+    assert _discrete_log(CycloField(1).coerce(3), two) is None
+    # q = 1/4, z = 1/2: valuation -1 is not a multiple of -2
+    quarter = CycloField(1).coerce(Fraction(1, 4))
+    assert _discrete_log(CycloField(1).coerce(Fraction(1, 2)), quarter) is None
+    assert _discrete_log(quarter ** -7, quarter) == -7
 
 
 # ----------------------------------------------------------------- solve_add
