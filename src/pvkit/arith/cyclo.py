@@ -1,10 +1,17 @@
 """Cyclotomic number arithmetic.
 
 Elements of Q(zeta_N) are stored densely in the power basis
-1, zeta, ..., zeta^(phi(N)-1) with Fraction coordinates, reduced modulo the
-N-th cyclotomic polynomial. Elements of different conductors lift to the
-least common multiple before combining. Conductor 1 is plain Q: a conductor-1
-element is exactly one Fraction coordinate.
+1, zeta, ..., zeta^(phi(N)-1) as integer coordinates over one positive
+common denominator (Cohen, A Course in Computational Algebraic Number
+Theory, 4.2). The form is canonical: the denominator is positive, it shares
+no factor with all the coordinates together, and zero is all-zero
+coordinates over 1, so two elements of one conductor are equal exactly when
+their coordinates and denominators are.
+The N-th cyclotomic polynomial is monic with integer coefficients, so every
+power of zeta has integer coordinates and the arithmetic runs on Python
+ints. Elements of different conductors lift to the least common multiple
+before combining. Conductor 1 is plain Q: a conductor-1 element is one
+integer over its denominator, and ``coeffs`` reads it back as one Fraction.
 
 >>> z = CycloNum.zeta(4)
 >>> z * z == -1
@@ -16,11 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import InternalInvariantError, ZeroInput
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
     m = n
@@ -36,119 +44,96 @@ def euler_phi(n: int) -> int:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Plain list-of-Fraction polynomial helpers, used only inside this module to
-# bootstrap the number field (the general Poly class lives one level up and
-# needs CycloNum already working).
-
-def _trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        c = a[-1] * inv
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        _trim(a)
-        if not a:
-            break
-    return _trim(q), a
-
-
-def _pxgcd(a: list[Fraction], b: list[Fraction]):
-    # returns (g, s, t) with s*a + t*b = g
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim([x - y for x, y in _zip_pad(s0, _pmul(q, s1))])
-        t0, t1 = t1, _trim([x - y for x, y in _zip_pad(t0, _pmul(q, t1))])
-    return r0, s0, t0
-
-
-def _zip_pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        x = a[i] if i < len(a) else Fraction(0)
-        y = b[i] if i < len(b) else Fraction(0)
-        yield x, y
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial.
+def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Integer coefficients (low to high) of the n-th cyclotomic polynomial.
 
-    >>> [int(c) for c in cyclotomic_coeffs(6)]
-    [1, -1, 1]
+    >>> cyclotomic_coeffs(6)
+    (1, -1, 1)
     """
-    ring = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    ring = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q, r = _pdivmod(ring, list(cyclotomic_coeffs(d)))
-            if r:
+            # exact division by the monic Phi_d
+            div = cyclotomic_coeffs(d)
+            quot = [0] * (len(ring) - len(div) + 1)
+            for k in range(len(quot) - 1, -1, -1):
+                c = quot[k] = ring[k + len(div) - 1]
+                for i, y in enumerate(div):
+                    ring[k + i] -= c * y
+            if any(ring):
                 raise InternalInvariantError("cyclotomic division left a remainder")
-            ring = q
+            ring = quot
     return tuple(ring)
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    # row k: coordinates of zeta_n^(phi + k) in the power basis, covering the
-    # overflow degrees a product of two reduced elements can reach
+def _powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # row e: the nonzero integer coordinates (i, c) of zeta_n^e, 0 <= e < n;
+    # zeta^phi = -(the low part of the monic Phi_n) starts the carries
     phi = euler_phi(n)
-    modulus = list(cyclotomic_coeffs(n))
+    low = cyclotomic_coeffs(n)[:phi]
     rows = []
-    for k in range(max(0, phi - 1)):
-        power = [Fraction(0)] * (phi + k) + [Fraction(1)]
-        _, r = _pdivmod(power, modulus)
-        r = r + [Fraction(0)] * (phi - len(r))
-        rows.append(tuple(r))
+    row = [1] + [0] * (phi - 1)
+    for _ in range(n):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, low)]
     return tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def _lift_table(n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
-    # row k: coordinates of (zeta_n^k lifted into Q(zeta_m)), i.e. of
-    # zeta_m^(k*m/n), in the power basis of Q(zeta_m)
-    phi_n = euler_phi(n)
-    phi_m = euler_phi(m)
-    modulus = list(cyclotomic_coeffs(m))
-    step = m // n
-    rows = []
-    for k in range(phi_n):
-        power = [Fraction(0)] * (k * step) + [Fraction(1)]
-        _, r = _pdivmod(power, modulus)
-        r = r + [Fraction(0)] * (phi_m - len(r))
-        rows.append(tuple(r))
-    return tuple(rows)
+def _overflow_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # row k: zeta_n^(phi + k), for the degrees a product of two reduced
+    # elements can reach beyond the basis
+    phi = euler_phi(n)
+    powers = _powers(n)
+    return tuple(powers[(phi + k) % n] for k in range(phi - 1))
+
+
+def _combine(num, rows, out: list[int]) -> list[int]:
+    # out += sum_k num[k] * rows[k], each row sparse (i, c)
+    for c, row in zip(num, rows):
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return out
+
+
+def _product(n: int, x, y) -> list[int]:
+    # integer coordinates of (sum x_i zeta^i)(sum y_j zeta^j) mod Phi_n
+    phi = len(x)
+    prod = [0] * (2 * phi - 1)
+    for i, u in enumerate(x):
+        if u:
+            for j, v in enumerate(y, i):
+                prod[j] += u * v
+    return _combine(prod[phi:], _overflow_rows(n), prod[:phi])
+
+
+_new = object.__new__
+
+
+def _canonical(conductor: int, num, den: int) -> "CycloNum":
+    # num / den with den > 0, divided by the common content
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    out = _new(CycloNum)
+    out.conductor = conductor
+    out._num = tuple(num)
+    out._den = den
+    return out
 
 
 class CycloNum:
     """An element of a cyclotomic field, exact and immutable."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "_num", "_den")
     __hash__ = None  # equality crosses conductors; do not use as dict keys
 
     def __init__(self, conductor: int, coeffs):
@@ -159,28 +144,33 @@ class CycloNum:
         if len(tup) != phi:
             raise InternalInvariantError(
                 f"conductor {conductor} needs {phi} coordinates, got {len(tup)}")
+        # over the lcm of reduced denominators the content is already 1
+        den = lcm(*(c.denominator for c in tup))
         self.conductor = conductor
-        self.coeffs = tup
+        self._num = tuple(c.numerator * (den // c.denominator) for c in tup)
+        self._den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational power-basis coordinates."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> "CycloNum":
         phi = euler_phi(conductor)
-        return cls(conductor, (Fraction(value),) + (Fraction(0),) * (phi - 1))
+        return cls(conductor, (value,) + (0,) * (phi - 1))
 
     @classmethod
     def zeta(cls, n: int) -> "CycloNum":
         if n <= 0:
             raise ZeroInput("root-of-unity order must be positive")
         if n == 1:
-            return cls(1, (Fraction(1),))
+            return cls(1, (1,))
         if n == 2:
-            return cls(2, (Fraction(-1),))
-        phi = euler_phi(n)
-        coeffs = [Fraction(0)] * phi
-        coeffs[1] = Fraction(1)
-        return cls(n, tuple(coeffs))
+            return cls(2, (-1,))
+        return cls(n, [int(i == 1) for i in range(euler_phi(n))])
 
     # -- structure ----------------------------------------------------------
 
@@ -189,30 +179,33 @@ class CycloNum:
             return self
         if m % self.conductor != 0:
             raise InternalInvariantError("lift target must be a conductor multiple")
-        table = _lift_table(self.conductor, m)
-        phi_m = euler_phi(m)
-        out = [Fraction(0)] * phi_m
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = table[k]
-            for i in range(phi_m):
-                out[i] += c * row[i]
-        return CycloNum(m, tuple(out))
+        # zeta_n^k = zeta_m^(k m/n)
+        step = m // self.conductor
+        powers = _powers(m)
+        rows = [powers[k * step] for k in range(len(self._num))]
+        return _canonical(m, _combine(self._num, rows, [0] * euler_phi(m)),
+                          self._den)
+
+    def _conjugate(self, k: int) -> list[int]:
+        # coordinates (over self._den) of the image under zeta -> zeta^k
+        n = self.conductor
+        powers = _powers(n)
+        rows = [powers[j * k % n] for j in range(len(self._num))]
+        return _combine(self._num, rows, [0] * len(rows))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise InternalInvariantError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self._num)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -225,30 +218,38 @@ class CycloNum:
         return None
 
     def _pair(self, other):
+        if type(other) is CycloNum and other.conductor == self.conductor:
+            return self, other
         other = self._coerce(other, self.conductor)
         if other is None:
             return None, None
         if self.conductor == other.conductor:
             return self, other
-        m = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+        m = lcm(self.conductor, other.conductor)
         return self.lift(m), other.lift(m)
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return CycloNum(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a._den, b._den
+        if da == db:
+            num = [u + sign * v for u, v in zip(a._num, b._num)]
+        else:
+            num = [u * db + sign * v * da for u, v in zip(a._num, b._num)]
+            da *= db
+        return _canonical(a.conductor, num, da)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.conductor, tuple(-c for c in self.coeffs))
+        return _canonical(self.conductor, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return CycloNum(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -257,41 +258,36 @@ class CycloNum:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        n = a.conductor
-        phi = euler_phi(n)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y == 0:
-                    continue
-                prod[i + j] += x * y
-        out = list(prod[:phi])
-        table = _reduction_table(n)
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c == 0:
-                continue
-            row = table[k - phi]
-            for i in range(phi):
-                out[i] += c * row[i]
-        return CycloNum(n, tuple(out))
+        x, y = a._num, b._num
+        if len(x) == 1:
+            return _canonical(a.conductor, (x[0] * y[0],), a._den * b._den)
+        return _canonical(a.conductor, _product(a.conductor, x, y),
+                          a._den * b._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
+        """1/a = (product of the other Galois conjugates of a) / N(a)."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
+        n, num, den = self.conductor, self._num, self._den
         if self.is_rational():
-            return CycloNum.from_rational(1 / self.coeffs[0], self.conductor)
-        g, s, _ = _pxgcd(_trim(list(self.coeffs)), list(cyclotomic_coeffs(self.conductor)))
-        if len(g) != 1:
-            raise InternalInvariantError("cyclotomic element not invertible")
-        inv = _pmul(s, [1 / g[0]])
-        phi = euler_phi(self.conductor)
-        inv = inv + [Fraction(0)] * (phi - len(inv))
-        return CycloNum(self.conductor, tuple(inv[:phi]))
+            top = num[0]
+            if top < 0:
+                top, den = -top, -den
+            return _canonical(n, (den,) + num[1:], top)
+        # rest = prod_{k != 1} sigma_k(num), an integer element
+        rest = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                image = self._conjugate(k)
+                rest = image if rest is None else _product(n, rest, image)
+        # num * rest = N(num), an integer, positive since Q(zeta_n) has no
+        # real embedding for n > 2; 1/a = den * rest / N(num)
+        norm = _product(n, num, rest)
+        if any(norm[1:]) or norm[0] <= 0:
+            raise InternalInvariantError("cyclotomic norm is not a positive integer")
+        return _canonical(n, [den * c for c in rest], norm[0])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -324,7 +320,7 @@ class CycloNum:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return a.coeffs == b.coeffs
+        return a._den == b._den and a._num == b._num
 
     # -- display ------------------------------------------------------------
 
@@ -332,11 +328,12 @@ class CycloNum:
         return f"CycloNum({self.conductor}, {self.coeffs!r})"
 
     def __str__(self):
+        coeffs = self.coeffs
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             if k == 0:
@@ -360,7 +357,7 @@ class CycloField:
         self.one = CycloNum.from_rational(1, conductor)
 
     def coerce(self, value) -> CycloNum:
-        if isinstance(value, CycloNum):
+        if type(value) is CycloNum:
             if value.conductor == self.conductor:
                 return value
             if self.conductor % value.conductor == 0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import InternalInvariantError, ZeroInput
+from .cyclo import CycloNum
 
 
 class Poly:
@@ -264,6 +265,8 @@ class Poly:
 
 
 def _is_zero(v) -> bool:
+    if type(v) is CycloNum:
+        return v.is_zero()
     if isinstance(v, (int, Fraction)):
         return v == 0
     if hasattr(v, "is_zero"):

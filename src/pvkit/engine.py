@@ -40,6 +40,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from .arith.cyclo import bounded_multiplicative_order
 from .arith.poly import RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power, is_constant
 from .errors import (
@@ -54,6 +55,7 @@ from .snf import smith_normal_form, unimodular_inverse
 from .solve import (
     LatticeBasis,
     _combine_witnesses,
+    _constant_as_cyclo,
     _entry_power,
     _hermite_rows,
     _relation_scan,
@@ -518,6 +520,30 @@ def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
     return orbit
 
 
+def _torsion_beyond_box(k: DiffField, entries, m_max: int) -> list:
+    """Caveats for shift entries whose leading-coefficient ratio has a finite
+    order above ``m_max``.
+
+    A shift quotient has leading-coefficient ratio 1, so a torsion relation
+    of an entry is a multiple of that order and the search box cannot reach
+    it.  Every root of unity of Q(zeta_N) has order dividing lcm(2, N), so
+    nothing is computed when that bound is already inside the box.
+    """
+    cap = lcm(2, k.constants_conductor)
+    if k.sigma.kind != "shift" or cap <= m_max:
+        return []
+    caveats = []
+    for i, a in enumerate(entries, 1):
+        u = _constant_as_cyclo(a.lc_ratio())
+        order = None if u is None else bounded_multiplicative_order(u, cap)
+        if order is not None and order > m_max:
+            caveats.append(
+                f"entry {i} has leading-coefficient ratio of order {order} "
+                f"above --m-max {m_max}; torsion of that order lies outside "
+                "the search box and may be reported as free")
+    return caveats
+
+
 def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
     k = system.field
     if m_max < 1:
@@ -539,6 +565,7 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
             caveats.append(
                 f"presentation exponent {f.order} exceeds the invariant degree "
                 f"{f.m_factor}; the reported m follows the degree")
+    caveats += _torsion_beyond_box(k, entries, m_max)
     if split_product == ell:
         constants_ext_degree = 1
         idempotents = _orbit_idempotents(k, ideal, factors, ell, n)

@@ -317,6 +317,31 @@ class TestCommands:
         assert presentation["krull_dim"] == 0
         assert report["group"]["description"] == "finite part Z/13"
 
+    @pytest.mark.parametrize("system, order", [("scalar(zeta(13))", 13),
+                                               ("scalar(-zeta(7))", 14)])
+    def test_torsion_above_the_default_bound_is_caveated(self, capsys,
+                                                         system, order):
+        # shift, a constant a: a^v is a quotient iff a^v = 1.  zeta13 has
+        # order 13 and -zeta7 = zeta14^9 has order 14, both above the
+        # default --m-max 12, so the box misses L = order*Z and the group
+        # comes out free; the presentation says which order and which bound.
+        # A bound that reaches the order gives Z/order and no caveat.
+        code, out, _ = run_cli(["group", "--system", system,
+                                "--output", "json"], capsys)
+        assert code == 0
+        presentation = json.loads(out)["presentation"]
+        assert presentation["search_bound"] == 12
+        assert presentation["caveats"] == [
+            f"entry 1 has leading-coefficient ratio of order {order} above "
+            "--m-max 12; torsion of that order lies outside the search box "
+            "and may be reported as free"]
+        code, out, _ = run_cli(["group", "--system", system, "--m-max",
+                                str(order), "--output", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["presentation"]["caveats"] == []
+        assert report["group"]["description"] == f"finite part Z/{order}"
+
     def test_basechange_transcendental(self, capsys):
         code, out, _ = run_cli(
             ["basechange", "--sigma", "qshift", "--q", "2",

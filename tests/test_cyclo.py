@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,3 +124,126 @@ def test_nonzero_elements_invert(a):
     if a.is_zero():
         return
     assert a * a.inverse() == 1
+
+
+# ---------------------------------------------------------------------------
+# The integer form against the rational schoolbook formula.  The oracle works
+# on tuples of Fractions: coordinates combine one by one, products are
+# polynomial products reduced by long division modulo the cyclotomic
+# polynomial, and zeta_n^k lifts to zeta_m^(k m/n) reduced the same way.
+
+def _oracle_reduce(poly, n):
+    modulus = cyclotomic_coeffs(n)
+    rem = [Fraction(c) for c in poly]
+    while len(rem) >= len(modulus):
+        c = rem.pop()
+        k = len(rem) - len(modulus) + 1
+        for i, y in enumerate(modulus[:-1]):
+            rem[k + i] -= c * y
+    return tuple(rem + [Fraction(0)] * (euler_phi(n) - len(rem)))
+
+
+def _oracle_mul(xs, ys, n):
+    prod = [Fraction(0)] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            prod[i + j] += x * y
+    return _oracle_reduce(prod, n)
+
+
+def _oracle_lift(xs, n, m):
+    out = [Fraction(0)] * euler_phi(m)
+    for k, c in enumerate(xs):
+        power = [0] * (k * (m // n)) + [1]
+        for i, r in enumerate(_oracle_reduce(power, m)):
+            out[i] += c * r
+    return tuple(out)
+
+
+def _oracle_pair(a, b):
+    m = lcm(a.conductor, b.conductor)
+    return (m, _oracle_lift(a.coeffs, a.conductor, m),
+            _oracle_lift(b.coeffs, b.conductor, m))
+
+
+_conductors = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
+
+
+@st.composite
+def _any_cyclo(draw, conductor=None):
+    n = draw(_conductors) if conductor is None else conductor
+    coeffs = [draw(_small_rationals) for _ in range(euler_phi(n))]
+    if draw(st.booleans()):
+        # sparse values reach the zero element and the rational ones
+        coeffs = [c if draw(st.booleans()) else 0 for c in coeffs]
+    return CycloNum(n, coeffs)
+
+
+def _assert_canonical(x):
+    assert x._den > 0
+    assert gcd(x._den, *x._num) == 1
+    assert all(type(c) is int for c in x._num + (x._den,))
+    if x.is_zero():
+        assert x._num == (0,) * euler_phi(x.conductor) and x._den == 1
+
+
+@given(_any_cyclo())
+def test_integer_form_is_canonical_and_round_trips(x):
+    _assert_canonical(x)
+    assert all(type(c) is Fraction for c in x.coeffs)
+    again = CycloNum(x.conductor, x.coeffs)
+    assert again == x
+    assert (again._num, again._den) == (x._num, x._den)
+
+
+@given(_conductors, st.integers(1, 30))
+def test_zero_is_unique(n, scale):
+    zeros = [CycloNum(n, [0] * euler_phi(n)),
+             CycloNum.from_rational(Fraction(0, scale), n),
+             CycloNum.zeta(n) * 0,
+             CycloNum.zeta(n) / scale - CycloNum.zeta(n) / scale]
+    for z in zeros:
+        _assert_canonical(z)
+        assert (z._num, z._den) == ((0,) * euler_phi(n), 1)
+
+
+@given(_any_cyclo(), _any_cyclo())
+def test_sum_difference_product_match_the_schoolbook_formula(a, b):
+    m, xs, ys = _oracle_pair(a, b)
+    for got, want in ((a + b, tuple(x + y for x, y in zip(xs, ys))),
+                      (a - b, tuple(x - y for x, y in zip(xs, ys))),
+                      (a * b, _oracle_mul(xs, ys, m))):
+        _assert_canonical(got)
+        assert got.conductor == m
+        assert got.coeffs == want
+
+
+@given(_any_cyclo())
+def test_inverse_matches_the_schoolbook_formula(a):
+    if a.is_zero():
+        return
+    inv = a.inverse()
+    _assert_canonical(inv)
+    one = (Fraction(1),) + (Fraction(0),) * (euler_phi(a.conductor) - 1)
+    assert _oracle_mul(a.coeffs, inv.coeffs, a.conductor) == one
+
+
+@given(_any_cyclo(), st.sampled_from([1, 2, 3, 4, 5]))
+def test_lift_matches_the_schoolbook_formula(a, factor):
+    m = a.conductor * factor
+    lifted = a.lift(m)
+    _assert_canonical(lifted)
+    assert lifted.conductor == m
+    assert lifted.coeffs == _oracle_lift(a.coeffs, a.conductor, m)
+
+
+@given(_any_cyclo(), _any_cyclo())
+def test_equality_across_conductors_matches_the_schoolbook_formula(a, b):
+    _, xs, ys = _oracle_pair(a, b)
+    assert (a == b) == (xs == ys)
+    # same integer coordinates, another denominator
+    assert (a == a / 2) == a.is_zero()
+    m = lcm(a.conductor, b.conductor)
+    assert a == a.lift(m) and a.lift(m) == a
+    # a value equal to b's lift into a larger field
+    assert b * 1 == CycloNum(m, _oracle_lift(b.coeffs, b.conductor, m))

@@ -832,6 +832,10 @@ class TestBuildValidation:
         assert p.krull_dim == 1
         assert p.lattice.rank() == 0
         assert p.search_bound == 5
+        assert p.caveats == (
+            "entry 1 has leading-coefficient ratio of order 8 above --m-max 5; "
+            "torsion of that order lies outside the search box and may be "
+            "reported as free",)
 
     def test_decompose_requires_explicit_idempotents(self):
         k = shift_field()
