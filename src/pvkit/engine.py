@@ -41,6 +41,7 @@ from math import lcm
 from typing import Optional
 
 from .arith.cyclo import bounded_multiplicative_order
+from .arith.ops import _strip_x
 from .arith.poly import RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power, is_constant
 from .errors import (
@@ -520,25 +521,42 @@ def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
     return orbit
 
 
-def _torsion_beyond_box(k: DiffField, entries, m_max: int) -> list:
-    """Caveats for shift entries whose leading-coefficient ratio has a finite
-    order above ``m_max``.
+def _torsion_beyond_box(k: DiffField, entries, lattice: LatticeBasis,
+                        m_max: int) -> list:
+    """Caveats for entries whose constant ratio is a root of unity of order
+    above ``m_max``.
 
-    A shift quotient has leading-coefficient ratio 1, so a torsion relation
-    of an entry is a multiple of that order and the search box cannot reach
-    it.  Every root of unity of Q(zeta_N) has order dividing lcm(2, N), so
-    nothing is computed when that bound is already inside the box.
+    Write an entry as a = c x^k sigma(h)/h.  A shift quotient has
+    leading-coefficient ratio 1, so c is the leading-coefficient ratio of a
+    and c^m = 1 whenever a^m is a quotient.  A dilation quotient has
+    lowest-coefficient ratio in q^Z, so c is the lowest-coefficient ratio of
+    a and c^m lies in q^Z; when c is a root of unity, so is c^m, and q is
+    not one, so again c^m = 1.  Either way the order of c divides every
+    torsion exponent m of the entry, and an order above ``m_max`` puts
+    them all outside the search box.  Every root of unity of Q(zeta_N) has
+    order dividing lcm(2, N), so nothing is computed when that bound is
+    already inside the box, nor for an entry whose torsion the lattice
+    already holds inside the box.
     """
     cap = lcm(2, k.constants_conductor)
-    if k.sigma.kind != "shift" or cap <= m_max:
+    if cap <= m_max:
         return []
+    end = "leading" if k.sigma.kind == "shift" else "lowest"
     caveats = []
-    for i, a in enumerate(entries, 1):
-        u = _constant_as_cyclo(a.lc_ratio())
+    n = len(entries)
+    for i, a in enumerate(entries):
+        if any(lattice.contains([m * (j == i) for j in range(n)])
+               for m in range(1, m_max + 1)):
+            continue
+        if end == "leading":
+            c = a.lc_ratio()
+        else:
+            c = _strip_x(a.num).nth(0) / _strip_x(a.den).nth(0)
+        u = _constant_as_cyclo(c)
         order = None if u is None else bounded_multiplicative_order(u, cap)
         if order is not None and order > m_max:
             caveats.append(
-                f"entry {i} has leading-coefficient ratio of order {order} "
+                f"entry {i + 1} has {end}-coefficient ratio of order {order} "
                 f"above --m-max {m_max}; torsion of that order lies outside "
                 "the search box and may be reported as free")
     return caveats
@@ -565,7 +583,7 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
             caveats.append(
                 f"presentation exponent {f.order} exceeds the invariant degree "
                 f"{f.m_factor}; the reported m follows the degree")
-    caveats += _torsion_beyond_box(k, entries, m_max)
+    caveats += _torsion_beyond_box(k, entries, lattice, m_max)
     if split_product == ell:
         constants_ext_degree = 1
         idempotents = _orbit_idempotents(k, ideal, factors, ell, n)

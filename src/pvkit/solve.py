@@ -13,8 +13,15 @@ only through ``SigmaSpec.translate``, and ``dispersion`` reads the same way
 for both kinds.  The few facts that depend on the kind sit next to the step
 they change: the shift's leading-coefficient condition (a filter in the
 peel, the relation scan and ``torsion_order``) and exact leftover 1, the
-dilation's origin filter, its constant leftover (a power of q, read off by
+dilation's origin filter (in the peel; the relation scan walks it as
+x-adic valuation zero), its constant leftover (a power of q, read off by
 a discrete log) and its poles at x = 0 in ``solve_add``.
+
+The relation scan generates only the exponent vectors that meet the exact
+conditions linear in the vector (degree balance zero, and for the
+dilation x-adic valuation zero), shell by shell; the lattice membership
+and the shift's leading-coefficient ratio are tested on each generated
+vector, and ``solve_mult`` decides the rest.
 
 Every witness is re-substituted into its defining equation before it is
 returned; a failure there raises InternalInvariantError because it would
@@ -22,7 +29,6 @@ be a bug in this module, never a property of the input.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
@@ -369,9 +375,12 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
     characters a_list multiply into a sigma-quotient.
 
     Vectors are scanned shell by shell in the sup-norm, skipping anything
-    already generated, so discovered relations are inclusion-minimal; the
-    final basis is canonicalized to row Hermite form with witnesses
-    recombined through the unimodular transform.
+    already generated, so discovered relations are inclusion-minimal; only
+    vectors whose product has degree balance zero (and for the dilation
+    x-adic valuation zero) are generated, the rest are tested as
+    ``_relation_scan`` says.  The final basis is canonicalized to row
+    Hermite form with witnesses recombined through the unimodular
+    transform.
     """
     a = [k.coerce(ai) for ai in a_list]
     n = len(a)
@@ -405,21 +414,24 @@ def _relation_scan(k: DiffField, entries, shells, known):
     that ``known`` does not cover and under which the entries multiply into
     a sigma-quotient, in scan order.
 
-    Two exact necessary conditions of ``solve_mult`` are tested first and
-    cheaply: the degree balance of the product is zero, and for the shift
-    its leading-coefficient ratio is 1.
+    Exact necessary conditions of ``solve_mult`` that are linear in the
+    vector are walked, not tested: ``_orthogonal_shell`` generates only the
+    vectors under which the product has degree balance zero and, for the
+    dilation, x-adic valuation zero (sigma(f)/f is a unit at the origin).
+    Each walked vector is then tested against ``known`` and, for the
+    shift, against the leading-coefficient ratio 1, before ``solve_mult``.
     """
     field = k.k_field
-    balances = [a.degree_balance() for a in entries]
+    columns = [[a.degree_balance() for a in entries]]
     lcrs = None
     if k.sigma.kind == "shift":
         lcrs = [a.lc_ratio() for a in entries]
         lc_one = lcrs[0] ** 0
+    else:
+        columns.append([_x_order(a.num) - _x_order(a.den) for a in entries])
     for shell in shells:
-        for vec in _sup_norm_shell(len(entries), shell):
+        for vec in _orthogonal_shell(len(entries), shell, columns):
             if known(vec):
-                continue
-            if sum(m * bal for m, bal in zip(vec, balances)) != 0:
                 continue
             if lcrs is not None:
                 prod_lc = lc_one
@@ -430,6 +442,53 @@ def _relation_scan(k: DiffField, entries, shells, known):
             sol = solve_mult(k, _entry_power(field, entries, vec))
             if sol is not None:
                 yield vec, sol.witness
+
+
+def _x_order(p: Poly) -> int:
+    """ord_x of a nonzero polynomial."""
+    return p.degree() - _strip_x(p).degree()
+
+
+def _orthogonal_shell(n: int, s: int, columns):
+    """Vectors v in Z^n with sup norm exactly s, first nonzero entry
+    positive and v . c = 0 for every integer column c, in lexicographic
+    order (each generated lattice line once).
+
+    Entries are fixed left to right.  A prefix is cut as soon as entries in
+    [-s, s] after it can no longer bring some dot product back to zero, and
+    the last entry that any column touches is solved from its dot product
+    instead of looped over.
+    """
+    if s < 1:
+        return
+    cols = [tuple(c) for c in columns if any(c)]
+    last = max((i for c in cols for i, ci in enumerate(c) if ci), default=-1)
+    solver = next((j for j, c in enumerate(cols) if c[last]), None)
+    # reach[i][j]: the largest |dot with cols[j]| entries i.. can still add
+    reach = [[s * sum(abs(ci) for ci in c[i:]) for c in cols]
+             for i in range(n + 1)]
+
+    def walk(prefix, dots, full):
+        i = len(prefix)
+        if i == n:
+            if full:
+                yield prefix
+            return
+        if i == last:
+            v, rem = divmod(-dots[solver], cols[solver][i])
+            values = () if rem else (v,)
+        elif i == n - 1 and not full:
+            values = (-s, s)
+        else:
+            values = range(-s, s + 1)
+        for v in values:
+            if abs(v) > s or (v < 0 and not any(prefix)):
+                continue
+            nxt = [d + v * c[i] for d, c in zip(dots, cols)]
+            if all(abs(d) <= r for d, r in zip(nxt, reach[i + 1])):
+                yield from walk(prefix + (v,), nxt, full or abs(v) == s)
+
+    yield from walk((), [0] * len(cols), False)
 
 
 def _entry_power(field, entries, vec) -> RatFunc:
@@ -464,14 +523,3 @@ def _hermite_rows(k: DiffField, entries, rows) -> list:
                 "recombined witness does not witness its relation")
         out.append((tuple(hrow), g))
     return out
-
-
-def _sup_norm_shell(n: int, s: int):
-    """Vectors in Z^n with sup norm exactly s whose first nonzero entry is
-    positive, in lexicographic order (each generated lattice line once)."""
-    for vec in itertools.product(range(-s, s + 1), repeat=n):
-        if max(abs(c) for c in vec) != s:
-            continue
-        lead = next((c for c in vec if c != 0), 0)
-        if lead > 0:
-            yield vec

@@ -342,6 +342,46 @@ class TestCommands:
         assert report["presentation"]["caveats"] == []
         assert report["group"]["description"] == f"finite part Z/{order}"
 
+    def test_qshift_torsion_above_the_default_bound_is_caveated(self, capsys):
+        # q = 2, a = zeta13: a^v is sigma(g)/g iff zeta13^v is in 2^Z (a
+        # dilation quotient with no x-adic part is q^k h(qx)/h(x), h(0) != 0,
+        # and a constant one is q^k), and zeta13^v is a root of unity while
+        # 2 is not, so iff 13 | v.  L = 13Z: the group is Z/13 with ell =
+        # m_inv = 13 (marker zeta13), krull_dim 0, and the default box
+        # misses it.  A bound that reaches the order gives it, uncaveated.
+        qshift = ["group", "--sigma", "qshift", "--q", "2", "--system",
+                  "scalar(zeta(13))", "--output", "json"]
+        code, out, _ = run_cli(qshift, capsys)
+        assert code == 0
+        presentation = json.loads(out)["presentation"]
+        assert presentation["search_bound"] == 12
+        assert presentation["caveats"] == [
+            "entry 1 has lowest-coefficient ratio of order 13 above --m-max "
+            "12; torsion of that order lies outside the search box and may "
+            "be reported as free"]
+        code, out, _ = run_cli(qshift + ["--m-max", "13"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        presentation = report["presentation"]
+        assert presentation["caveats"] == []
+        assert presentation["ell"] == 13
+        assert presentation["m_inv"] == 13
+        assert presentation["krull_dim"] == 0
+        assert report["group"]["description"] == "finite part Z/13"
+
+    def test_qshift_caveat_reads_the_lowest_coefficients(self, capsys):
+        # q = 2, a = zeta13 (2x+1)/(x+1) = zeta13 sigma(x+1)/(x+1): the
+        # lowest coefficients give c = zeta13 of order 13, while the
+        # leading ones give 2 zeta13, which is no root of unity
+        code, out, _ = run_cli(
+            ["group", "--sigma", "qshift", "--q", "2", "--system",
+             "scalar(zeta(13)*(2*x+1)/(x+1))", "--output", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["presentation"]["caveats"] == [
+            "entry 1 has lowest-coefficient ratio of order 13 above --m-max "
+            "12; torsion of that order lies outside the search box and may "
+            "be reported as free"]
+
     def test_basechange_transcendental(self, capsys):
         code, out, _ = run_cli(
             ["basechange", "--sigma", "qshift", "--q", "2",

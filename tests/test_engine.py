@@ -25,6 +25,7 @@ sigma-quotient recurrences before the engine existed:
 
 import dataclasses
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -57,7 +58,7 @@ from pvkit.errors import (
 )
 from pvkit.laurent import BinomialNF, LaurentPoly
 from pvkit.snf import unimodular_inverse
-from pvkit.solve import LatticeBasis, _sup_norm_shell, solve_mult, torsion_order
+from pvkit.solve import LatticeBasis, relation_lattice, solve_mult, torsion_order
 
 
 def shift_field(conductor=1):
@@ -793,11 +794,36 @@ class TestCheckSimple:
         monkeypatch.setattr(p.lattice, "contains", ask)
         monkeypatch.setattr("pvkit.solve.solve_mult", record)
         assert check_simple(p, 3) is True
-        assert asked == list(_sup_norm_shell(3, 3))
-        # the shared scan filters before solving: every shell-3 vector
-        # outside the lattice has a nonzero degree balance (x) or
-        # leading-coefficient ratio -1, so none reaches solve_mult
+        # the walk generates only the shell-3 vectors of degree balance
+        # zero, so the lattice is asked about exactly those with no x
+        balanced = [
+            vec for vec in itertools.product(range(-3, 4), repeat=3)
+            if max(map(abs, vec)) == 3
+            and next(c for c in vec if c) > 0 and vec[2] == 0]
+        assert asked == balanced
+        # each of them outside the lattice has leading-coefficient ratio
+        # -1, so none reaches solve_mult
         assert seen == []
+
+    def test_qshift_scan_never_solves_a_nonzero_valuation(self, monkeypatch):
+        # q = 2: x has valuation 1, so the walk keeps v1 = 0 where the
+        # degree balance v1 + 2 v3 = 0 alone would let (2, 0, -1) through
+        k = qshift_field(2)
+        x = k.x()
+        entries = [x, k.coerce(-1), x**2 + 1]
+        p = build_pv_diagonal(k, entries, m_max=2)
+        seen = []
+
+        def record(kk, r, step=1):
+            seen.append(r)
+            return solve_mult(kk, r, step=step)
+
+        monkeypatch.setattr("pvkit.solve.solve_mult", record)
+        assert relation_lattice(k, entries, 4).vectors() == [[0, 2, 0]]
+        assert check_simple(p, 4) is True
+        assert seen
+        assert all(not r.num.nth(0).is_zero() and not r.den.nth(0).is_zero()
+                   for r in seen)
 
 
 # ---------------------------------------------------------------------------

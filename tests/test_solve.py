@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from pvkit.solve import (
     MultSolution,
     TorsionCert,
     _discrete_log,
+    _orthogonal_shell,
     relation_lattice,
     solve_add,
     solve_mult,
@@ -508,3 +510,83 @@ def test_lattice_row_sums_recombine():
         for ai, mi in zip(a, vec):
             prod = prod * ai**mi
         assert apply_sigma(k, g) / g == prod
+
+
+# ------------------------------------------------- the relation scan's walk
+
+
+def _cube_shell(n: int, s: int, columns):
+    """Shell s of Z^n read off the whole cube, the oracle of the walk:
+    sup norm exactly s, first nonzero entry positive, orthogonal to every
+    column, in lexicographic order."""
+    for vec in itertools.product(range(-s, s + 1), repeat=n):
+        if max(abs(c) for c in vec) != s:
+            continue
+        if next((c for c in vec if c != 0), 0) <= 0:
+            continue
+        if all(sum(v * c for v, c in zip(vec, col)) == 0 for col in columns):
+            yield vec
+
+
+@given(
+    case=st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, 6),
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                 max_size=3),
+    ))
+)
+@settings(max_examples=300, deadline=None)
+def test_orthogonal_shell_matches_the_cube(case):
+    n, s, columns = case
+    assert list(_orthogonal_shell(n, s, columns)) == list(
+        _cube_shell(n, s, columns))
+
+
+def test_orthogonal_shell_solves_a_constrained_entry_before_a_free_one():
+    # the last constrained entry is the first; the other two are free
+    walked = list(_orthogonal_shell(3, 2, [[2, 0, 0]]))
+    assert walked == list(_cube_shell(3, 2, [[2, 0, 0]]))
+    assert walked[0] == (0, 0, 2) and len(walked) == 8
+
+
+def _box_lattice(k: DiffField, entries, m: int) -> list[list[int]]:
+    """Hermite form of the lattice spanned by every vector of the box
+    |v_i| <= m whose character product ``solve_mult`` certifies."""
+    found = []
+    for vec in itertools.product(range(-m, m + 1), repeat=len(entries)):
+        prod = k.one()
+        for a, e in zip(entries, vec):
+            prod = prod * a**e
+        if any(vec) and solve_mult(k, prod) is not None:
+            found.append(list(vec))
+    return hermite_normal_form(found)[0]
+
+
+def _lattice_systems():
+    k = shift_field()
+    x = k.x()
+    yield "shift x, x+1, -1", k, [x, x + 1, k.coerce(-1)], 3
+    yield "shift -1, -(x+1)/x, x", k, [k.coerce(-1), -(x + 1) / x, x], 3
+    yield ("shift x^2, (x+2)/x, 1/(x(x+1))", k,
+           [x**2, (x + 2) / x, 1 / (x * (x + 1))], 3)
+    k = qshift_field(2)
+    x = k.x()
+    yield "q=2 x, -1, x^2+1", k, [x, k.coerce(-1), x**2 + 1], 3
+    yield "q=2 x^2, 2/x", k, [x**2, 2 / x], 4
+    k = qshift_field(3)
+    x = k.x()
+    yield ("q=3 x(x+1)/(3x+1), -1, x^3", k,
+           [x * (x + 1) / (3 * x + 1), k.coerce(-1), x**3], 3)
+
+
+@pytest.mark.parametrize(
+    "k, entries, m",
+    [pytest.param(*case[1:], id=case[0]) for case in _lattice_systems()])
+def test_lattice_matches_the_brute_force_box(k, entries, m):
+    # entries with nonzero degree balance and, for the dilation, nonzero
+    # x-adic valuation: the walk must skip only vectors solve_mult refuses
+    basis = relation_lattice(k, entries, m)
+    assert hermite_normal_form(basis.vectors())[0] == _box_lattice(
+        k, entries, m)
+
