@@ -160,6 +160,10 @@ class CycloNum:
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> "CycloNum":
         phi = euler_phi(conductor)
+        # an integer over 1 is canonical as it stands; the constructor
+        # converts anything else, and rejects a conductor below 1
+        if type(value) is int and conductor >= 1:
+            return _canonical(conductor, (value,) + (0,) * (phi - 1), 1)
         return cls(conductor, (value,) + (0,) * (phi - 1))
 
     @classmethod
@@ -266,6 +270,30 @@ class CycloNum:
 
     __rmul__ = __mul__
 
+    def _cofactor(self) -> tuple[list[int], int]:
+        """(rest, N(num)) for an irrational element: rest is the product
+        prod_{k != 1} sigma_k(num) of the other conjugates of the integer
+        coordinates num, and num * rest = N(num) is a positive integer."""
+        n, num = self.conductor, self._num
+        rest = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                image = self._conjugate(k)
+                rest = image if rest is None else _product(n, rest, image)
+        # positive since Q(zeta_n) has no real embedding for n > 2
+        norm = _product(n, num, rest)
+        if any(norm[1:]) or norm[0] <= 0:
+            raise InternalInvariantError("cyclotomic norm is not a positive integer")
+        return rest, norm[0]
+
+    def norm(self) -> Fraction:
+        """N(a), the norm from Q(zeta_n) to Q for the conductor n of a:
+        N(num) / den^phi(n)."""
+        phi = euler_phi(self.conductor)
+        if self.is_rational():
+            return Fraction(self._num[0], self._den) ** phi
+        return Fraction(self._cofactor()[1], self._den ** phi)
+
     def inverse(self) -> "CycloNum":
         """1/a = (product of the other Galois conjugates of a) / N(a)."""
         if self.is_zero():
@@ -276,18 +304,9 @@ class CycloNum:
             if top < 0:
                 top, den = -top, -den
             return _canonical(n, (den,) + num[1:], top)
-        # rest = prod_{k != 1} sigma_k(num), an integer element
-        rest = None
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                image = self._conjugate(k)
-                rest = image if rest is None else _product(n, rest, image)
-        # num * rest = N(num), an integer, positive since Q(zeta_n) has no
-        # real embedding for n > 2; 1/a = den * rest / N(num)
-        norm = _product(n, num, rest)
-        if any(norm[1:]) or norm[0] <= 0:
-            raise InternalInvariantError("cyclotomic norm is not a positive integer")
-        return _canonical(n, [den * c for c in rest], norm[0])
+        # 1/a = den * rest / N(num)
+        rest, norm = self._cofactor()
+        return _canonical(n, [den * c for c in rest], norm)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -308,12 +327,15 @@ class CycloNum:
         if e < 0:
             base = self.inverse()
             e = -e
-        result = CycloNum.from_rational(1, base.conductor)
+        result = None
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
+            if e:
+                base = base * base
+        if result is None:
+            return CycloNum.from_rational(1, self.conductor)
         return result
 
     def __eq__(self, other):
@@ -364,7 +386,7 @@ class CycloField:
                 return value.lift(self.conductor)
             raise InternalInvariantError(
                 f"cannot place conductor-{value.conductor} value in conductor-{self.conductor} field")
-        return CycloNum.from_rational(Fraction(value), self.conductor)
+        return CycloNum.from_rational(value, self.conductor)
 
     def __eq__(self, other):
         return isinstance(other, CycloField) and other.conductor == self.conductor

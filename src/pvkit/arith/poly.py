@@ -7,6 +7,15 @@ coefficients. The field handle only has to provide ``zero``, ``one``,
 class therefore serves C[x] for the constants C = Q(zeta_N), possibly with
 transcendental constants adjoined, and k[Y] with k = C(x).
 
+Results of Poly arithmetic (``+``, ``-``, negation, ``*``, ``**``,
+``divmod``, ``monic``) are built by the trusted constructor ``_trusted``,
+which only trims trailing zeros: arithmetic on elements of one field never
+leaves that field, so coercing each result coefficient again would prove
+nothing.  Everything else goes through the coercing ``Poly.__init__``:
+external construction, and an operand that ``_wrap`` has to bring into the
+field (a scalar, or a Poly over another field, whose coefficients the
+field must accept or reject).
+
 RatFunc is the reduced quotient of two Polys with monic denominator;
 RatFuncField wraps a RatFunc domain as a coefficient field so towers like
 Q(zeta_N)(t1)(x) compose out of the same parts.  RatFunc arithmetic keeps
@@ -20,6 +29,8 @@ from fractions import Fraction
 from ..errors import InternalInvariantError, ZeroInput
 from .cyclo import CycloNum
 
+_new = object.__new__
+
 
 class Poly:
     __slots__ = ("field", "coeffs")
@@ -32,6 +43,17 @@ class Poly:
         self.coeffs = tuple(cs)
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field, cs: list) -> "Poly":
+        """A result of arithmetic on elements of ``field``: trailing zeros
+        are trimmed, nothing is coerced."""
+        while cs and _is_zero(cs[-1]):
+            cs.pop()
+        out = _new(cls)
+        out.field = field
+        out.coeffs = tuple(cs)
+        return out
 
     @classmethod
     def const(cls, field, c) -> "Poly":
@@ -77,15 +99,20 @@ class Poly:
         if self.is_zero() or self.is_monic():
             return self
         inv = self.field.one / self.lc()
-        return Poly(self.field, tuple(c * inv for c in self.coeffs))
+        return Poly._trusted(self.field, [c * inv for c in self.coeffs])
 
     # -- arithmetic ---------------------------------------------------------
 
     def _wrap(self, other) -> "Poly | None":
+        """other as a Poly over this field, or None.  A Poly over another
+        field is rebuilt by coercion, so a coefficient the field cannot
+        hold raises instead of leaking into a trusted result."""
         if isinstance(other, Poly):
-            return other
+            if other.field is self.field or other.field == self.field:
+                return other
+            return Poly(self.field, other.coeffs)
         try:
-            return Poly.const(self.field, self.field.coerce(other))
+            return Poly._trusted(self.field, [self.field.coerce(other)])
         except (InternalInvariantError, TypeError, ValueError):
             return None
 
@@ -93,20 +120,28 @@ class Poly:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, tuple(self.nth(i) + other.nth(i) for i in range(n)))
+        xs, ys = self.coeffs, other.coeffs
+        if len(xs) < len(ys):
+            xs, ys = ys, xs
+        return Poly._trusted(self.field,
+                             [a + b for a, b in zip(xs, ys)] + list(xs[len(ys):]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, tuple(-c for c in self.coeffs))
+        return Poly._trusted(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, tuple(self.nth(i) - other.nth(i) for i in range(n)))
+        xs, ys = self.coeffs, other.coeffs
+        out = [a - b for a, b in zip(xs, ys)]
+        if len(xs) > len(ys):
+            out += xs[len(ys):]
+        else:
+            out += [-b for b in ys[len(xs):]]
+        return Poly._trusted(self.field, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -115,29 +150,40 @@ class Poly:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        xs, ys = self.coeffs, other.coeffs
+        if not xs or not ys:
+            return Poly._trusted(self.field, [])
+        if len(ys) == 1:
+            xs, ys = ys, xs
+        if len(xs) == 1:
+            a = xs[0]
+            return Poly._trusted(self.field, [a * b for b in ys])
+        # each output coefficient starts at its first product, never at zero
+        out = [None] * (len(xs) + len(ys) - 1)
+        ys = [(j, b) for j, b in enumerate(ys) if not _is_zero(b)]
+        for i, a in enumerate(xs):
             if _is_zero(a):
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, tuple(out))
+            for j, b in ys:
+                c = out[i + j]
+                out[i + j] = a * b if c is None else c + a * b
+        zero = self.field.zero
+        return Poly._trusted(self.field, [zero if c is None else c for c in out])
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ZeroInput("negative power of a polynomial")
-        result = Poly.one(self.field)
+        result = None
         base = self
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return Poly.one(self.field) if result is None else result
 
     def __divmod__(self, other):
         other = self._wrap(other)
@@ -147,18 +193,16 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         q = [self.field.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv = self.field.one / other.lc()
+        inv = None if other.is_monic() else self.field.one / other.lc()
         while len(rem) >= len(other.coeffs):
             k = len(rem) - len(other.coeffs)
-            c = rem[-1] * inv
+            c = rem[-1] if inv is None else rem[-1] * inv
             q[k] = c
             for i, b in enumerate(other.coeffs):
                 rem[k + i] = rem[k + i] - c * b
             while rem and _is_zero(rem[-1]):
                 rem.pop()
-            if not rem:
-                break
-        return Poly(self.field, tuple(q)), Poly(self.field, tuple(rem))
+        return Poly._trusted(self.field, q), Poly._trusted(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -173,9 +217,12 @@ class Poly:
         return q
 
     def __eq__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
+        # a Poly over another field compares coefficient by coefficient,
+        # without coercion, as coefficient equality crosses fields
+        if not isinstance(other, Poly):
+            other = self._wrap(other)
+            if other is None:
+                return NotImplemented
         return self.coeffs == other.coeffs
 
     __hash__ = None
@@ -374,20 +421,30 @@ class RatFunc:
         t = a*(d/g) + c*(b/g) can share with (b/g)*(d/g)*g only factors
         of g."""
         a, b = self.num, self.den
-        if b.degree() > 0 and d.degree() > 0:
-            g = b.gcd(d)
-            if g.degree() > 0:
-                b_g, d_g = b.exact_div(g), d.exact_div(g)
-                t, g = _cancel(a * d_g + c * b_g, g)
-                return RatFunc._reduced(t, b_g * d_g * g)
+        # a monic denominator of degree 0 is 1, and multiplies nothing
+        if b.degree() == 0:
+            return RatFunc._reduced(a + c if d.degree() == 0 else a * d + c, d)
+        if d.degree() == 0:
+            return RatFunc._reduced(a + c * b, b)
+        g = b.gcd(d)
+        if g.degree() > 0:
+            b_g, d_g = b.exact_div(g), d.exact_div(g)
+            t, g = _cancel(a * d_g + c * b_g, g)
+            return RatFunc._reduced(t, b_g * d_g * g)
         return RatFunc._reduced(a * d + c * b, b * d)
 
     def _times(self, c: Poly, d: Poly) -> "RatFunc":
-        """self * c/d for coprime c, d: only a with d and c with b can
-        share factors."""
+        """self * c/d for coprime c, d (d nonzero, not necessarily monic):
+        only a with d and c with b can share factors."""
         a, d = _cancel(self.num, d)
         c, b = _cancel(c, self.den)
-        return RatFunc._reduced(a * c, b * d)
+        if b.degree() == 0:
+            den = d
+        elif d.degree() == 0 and d.is_monic():
+            den = b
+        else:
+            den = b * d
+        return RatFunc._reduced(a * c, den)
 
     def __add__(self, other):
         other = self._wrap(other)
@@ -432,12 +489,16 @@ class RatFunc:
         return other / self
 
     def __pow__(self, e: int):
-        # powers of coprime polynomials stay coprime
+        # powers of coprime polynomials stay coprime; a monic denominator
+        # of degree 0 is 1, and so is each of its powers
+        unit = self.den.degree() == 0
         if e >= 0:
-            return RatFunc._reduced(self.num ** e, self.den ** e)
+            return RatFunc._reduced(self.num ** e,
+                                    self.den if unit else self.den ** e)
         if self.is_zero():
             raise ZeroDivisionError("negative power of zero")
-        return RatFunc._reduced(self.den ** (-e), self.num ** (-e))
+        return RatFunc._reduced(self.den if unit else self.den ** (-e),
+                                self.num ** (-e))
 
     def __eq__(self, other):
         other = self._wrap(other)

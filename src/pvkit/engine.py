@@ -40,8 +40,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .arith.cyclo import bounded_multiplicative_order
-from .arith.ops import _strip_x
+from .arith.cyclo import CycloNum, bounded_multiplicative_order, euler_phi
+from .arith.ops import _padic, _strip_x, _uneven_prime
 from .arith.poly import RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power, is_constant
 from .errors import (
@@ -524,14 +524,16 @@ def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
 def _torsion_beyond_box(k: DiffField, entries, lattice: LatticeBasis,
                         m_max: int) -> list:
     """Caveats for entries whose constant ratio is a root of unity of order
-    above ``m_max``.
+    above ``m_max``, modulo q^Z for the dilation.
 
     Write an entry as a = c x^k sigma(h)/h.  A shift quotient has
     leading-coefficient ratio 1, so c is the leading-coefficient ratio of a
     and c^m = 1 whenever a^m is a quotient.  A dilation quotient has
     lowest-coefficient ratio in q^Z, so c is the lowest-coefficient ratio of
-    a and c^m lies in q^Z; when c is a root of unity, so is c^m, and q is
-    not one, so again c^m = 1.  Either way the order of c divides every
+    a and c^m lies in q^Z.  For rational q, c is first divided by the one
+    power of q that can leave a root of unity (``_mod_q``), which changes
+    no torsion exponent.  When c is then a root of unity, so is c^m, and q
+    is not one, so again c^m = 1.  Either way the order of c divides every
     torsion exponent m of the entry, and an order above ``m_max`` puts
     them all outside the search box.  Every root of unity of Q(zeta_N) has
     order dividing lcm(2, N), so nothing is computed when that bound is
@@ -553,6 +555,8 @@ def _torsion_beyond_box(k: DiffField, entries, lattice: LatticeBasis,
         else:
             c = _strip_x(a.num).nth(0) / _strip_x(a.den).nth(0)
         u = _constant_as_cyclo(c)
+        if u is not None and end == "lowest" and k.sigma.q.is_rational():
+            u = _mod_q(u, k.sigma.q)
         order = None if u is None else bounded_multiplicative_order(u, cap)
         if order is not None and order > m_max:
             caveats.append(
@@ -560,6 +564,22 @@ def _torsion_beyond_box(k: DiffField, entries, lattice: LatticeBasis,
                 f"above --m-max {m_max}; torsion of that order lies outside "
                 "the search box and may be reported as free")
     return caveats
+
+
+def _mod_q(c: CycloNum, q: CycloNum) -> CycloNum | None:
+    """c / q^j for the one j that can make it a root of unity, or None if
+    there is none; q rational.
+
+    A root of unity has norm +-1, so c = zeta q^j forces N(c) = N(q)^j,
+    and j is read off the valuations at a prime where q has a nonzero one
+    (one exists, as q is no root of unity).  The norm is taken over the
+    conductor n of c, so N(q) = q^phi(n).
+    """
+    qf = q.rational_value()
+    p = _uneven_prime(qf)
+    vq = euler_phi(c.conductor) * _padic(qf, p)
+    j, rem = divmod(_padic(c.norm(), p), vq)
+    return None if rem else c / q ** j
 
 
 def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:

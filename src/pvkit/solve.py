@@ -420,28 +420,47 @@ def _relation_scan(k: DiffField, entries, shells, known):
     dilation, x-adic valuation zero (sigma(f)/f is a unit at the origin).
     Each walked vector is then tested against ``known`` and, for the
     shift, against the leading-coefficient ratio 1, before ``solve_mult``.
+    The ratio of a vector is one product per entry out of a table of the
+    powers u^m, |m| <= the largest shell, of each entry's ratio u.
     """
+    if not shells:
+        return
     field = k.k_field
     columns = [[a.degree_balance() for a in entries]]
-    lcrs = None
+    tables = None
     if k.sigma.kind == "shift":
-        lcrs = [a.lc_ratio() for a in entries]
-        lc_one = lcrs[0] ** 0
+        one = k.constants.one
+        top = max(shells)
+        tables = [_power_table(a.lc_ratio(), one, top) for a in entries]
     else:
         columns.append([_x_order(a.num) - _x_order(a.den) for a in entries])
     for shell in shells:
         for vec in _orthogonal_shell(len(entries), shell, columns):
             if known(vec):
                 continue
-            if lcrs is not None:
-                prod_lc = lc_one
-                for m, u in zip(vec, lcrs):
-                    prod_lc = prod_lc * u ** m
-                if prod_lc != lc_one:
+            if tables is not None:
+                prod_lc = None
+                for m, table in zip(vec, tables):
+                    if m and table is not None:
+                        u_m = table[top + m]
+                        prod_lc = u_m if prod_lc is None else prod_lc * u_m
+                if prod_lc is not None and prod_lc != one:
                     continue
             sol = solve_mult(k, _entry_power(field, entries, vec))
             if sol is not None:
                 yield vec, sol.witness
+
+
+def _power_table(u, one, top: int) -> list | None:
+    """[u^-top, ..., u^top], so that u^m sits at index top + m; None when
+    u = 1, whose powers are all 1."""
+    if u == one:
+        return None
+    up, down = [u], [u.inverse()]
+    for _ in range(top - 1):
+        up.append(up[-1] * u)
+        down.append(down[-1] * down[0])
+    return down[::-1] + [one] + up
 
 
 def _x_order(p: Poly) -> int:

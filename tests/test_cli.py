@@ -369,6 +369,32 @@ class TestCommands:
         assert presentation["krull_dim"] == 0
         assert report["group"]["description"] == "finite part Z/13"
 
+    @pytest.mark.parametrize("system", ["scalar(2*zeta(13))",
+                                        "scalar(zeta(13)/4)"])
+    def test_qshift_caveat_reduces_the_ratio_modulo_q(self, capsys, system):
+        # q = 2, a = 2^j zeta13 (j = 1, -2): a^v = 2^(jv) zeta13^v is in 2^Z
+        # iff zeta13^v is, iff 13 | v, since zeta13^v is a root of unity and
+        # 2 is not.  L = 13Z: the group is Z/13 with ell = m_inv = 13 and
+        # krull_dim 0, and the default box misses it.  The norm over
+        # Q(zeta13) reads j: N(a) = 2^(12j) = N(2)^j.
+        qshift = ["group", "--sigma", "qshift", "--q", "2", "--system",
+                  system, "--output", "json"]
+        code, out, _ = run_cli(qshift, capsys)
+        assert code == 0
+        assert json.loads(out)["presentation"]["caveats"] == [
+            "entry 1 has lowest-coefficient ratio of order 13 above --m-max "
+            "12; torsion of that order lies outside the search box and may "
+            "be reported as free"]
+        code, out, _ = run_cli(qshift + ["--m-max", "13"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        presentation = report["presentation"]
+        assert presentation["caveats"] == []
+        assert presentation["ell"] == 13
+        assert presentation["m_inv"] == 13
+        assert presentation["krull_dim"] == 0
+        assert report["group"]["description"] == "finite part Z/13"
+
     def test_qshift_caveat_reads_the_lowest_coefficients(self, capsys):
         # q = 2, a = zeta13 (2x+1)/(x+1) = zeta13 sigma(x+1)/(x+1): the
         # lowest coefficients give c = zeta13 of order 13, while the

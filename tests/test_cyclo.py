@@ -247,3 +247,34 @@ def test_equality_across_conductors_matches_the_schoolbook_formula(a, b):
     assert a == a.lift(m) and a.lift(m) == a
     # a value equal to b's lift into a larger field
     assert b * 1 == CycloNum(m, _oracle_lift(b.coeffs, b.conductor, m))
+
+
+def test_norm_known_values():
+    i = CycloNum.zeta(4)
+    z13 = CycloNum.zeta(13)
+    sqrt2 = CycloNum.zeta(8) + CycloNum.zeta(8) ** 7
+    assert (1 + i).norm() == 2                   # (1 + i)(1 - i)
+    assert (2 * z13).norm() == 2 ** 12           # N(zeta) = 1, N(2) = 2^phi
+    assert sqrt2.norm() == 4                     # (sqrt2 * -sqrt2)^2
+    assert (1 - CycloNum.zeta(7)).norm() == 7    # Phi_7(1)
+    assert (z13 / 4).norm() == Fraction(1, 4 ** 12)
+    assert CycloNum.from_rational(Fraction(-2, 3), 5).norm() == Fraction(16, 81)
+    assert CycloNum.from_rational(0, 3).norm() == 0
+
+
+@given(_any_cyclo(), _any_cyclo())
+def test_norm_is_multiplicative_and_inverts(a, b):
+    m = lcm(a.conductor, b.conductor)
+    a, b = a.lift(m), b.lift(m)
+    assert (a * b).norm() == a.norm() * b.norm()
+    if not a.is_zero():
+        assert a.inverse().norm() == 1 / a.norm()
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), _conductors)
+def test_from_rational_integer_matches_the_fraction_path(value, n):
+    fast = CycloNum.from_rational(value, n)
+    slow = CycloNum(n, (Fraction(value),) + (0,) * (euler_phi(n) - 1))
+    _assert_canonical(fast)
+    assert (fast.conductor, fast._num, fast._den) == (
+        slow.conductor, slow._num, slow._den)

@@ -37,6 +37,7 @@ from pvkit.engine import (
     DiffSystem,
     PVPresentation,
     SigmaIdeal,
+    _mod_q,
     _orbit_idempotents,
     build_pv_diagonal,
     build_pv_scalar,
@@ -980,3 +981,27 @@ class TestContractExtendRoundTrip:
             lifted = ideal_extend(k, list(canon.generators))
             again = ideal_contract(k, lifted)
             assert list(again.generators) == list(canon.generators)
+
+
+@pytest.mark.parametrize("c, q, want", [
+    # 2 zeta13 = zeta13 * 2^1; N(2 zeta13) = 2^12 = N(2)^1
+    (CycloNum.zeta(13) * 2, 2, CycloNum.zeta(13)),
+    # zeta13 / 4 = zeta13 * 2^-2, and for q = 1/2 the same value is q^2 zeta13
+    (CycloNum.zeta(13) / 4, 2, CycloNum.zeta(13)),
+    (CycloNum.zeta(13) / 4, Fraction(1, 2), CycloNum.zeta(13)),
+    # -8 = -1 * 2^3 over Q; 3 zeta4 has N = 9 of 2-adic valuation 0, so
+    # j = 0 and it comes back as it is, for the order test to refuse
+    (CycloNum.from_rational(-8), 2, CycloNum.from_rational(-1)),
+    (CycloNum.zeta(4) * 3, 2, CycloNum.zeta(4) * 3),
+    # 2 + 2i = 2^(3/2) times a unit: N = 8 over Q(i), N(2) = 4
+    ((CycloNum.zeta(4) + 1) * 2, 2, None),
+    # sqrt2 = zeta8 + zeta8^7 has N = 4 over Q(zeta8), N(2) = 16: j = 1/2
+    (CycloNum.zeta(8) + CycloNum.zeta(8) ** 7, 2, None),
+    # 12 zeta3 = zeta3 * 2^2 * 3 passes the 2-adic test; the quotient 3
+    # zeta3 is then no root of unity, which the order test finds
+    (CycloNum.zeta(3) * 12, 2, CycloNum.zeta(3) * 3),
+], ids=["2zeta13", "zeta13/4", "zeta13/4 q=1/2", "-8", "3i", "2+2i",
+        "sqrt2", "12zeta3"])
+def test_mod_q_divides_out_the_power_of_q_the_norm_fixes(c, q, want):
+    got = _mod_q(c, CycloNum.from_rational(q))
+    assert got == want

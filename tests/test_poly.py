@@ -3,9 +3,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pvkit.arith.cyclo import CycloField, CycloNum, QQ
+from pvkit.arith.cyclo import CycloField, CycloNum, QQ, euler_phi
 from pvkit.arith.poly import (
     Poly,
     RatFunc,
@@ -13,6 +13,7 @@ from pvkit.arith.poly import (
     format_poly,
     format_ratfunc,
 )
+from pvkit.errors import InternalInvariantError
 
 
 def _p(*coeffs):
@@ -208,3 +209,158 @@ def test_ratfunc_results_are_canonical(field):
             assert got == RatFunc(num, den)
 
     check()
+
+
+# -- differential tests of the kernels against a schoolbook oracle ----------
+#
+# The oracle builds every result with the coercing constructor and seeds
+# every product coefficient with zero, as textbook code does; the kernels
+# build results without coercion and never start a sum at zero.
+
+def _school_add(p, q, sign=1):
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly(p.field, [p.nth(i) + sign * q.nth(i) for i in range(n)])
+
+
+def _school_mul(p, q):
+    out = [p.field.zero] * max(0, len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(p.field, out)
+
+
+def _school_divmod(p, d):
+    rem = list(p.coeffs)
+    quot = [p.field.zero] * max(0, len(rem) - len(d.coeffs) + 1)
+    inv = p.field.one / d.lc()
+    while len(rem) >= len(d.coeffs):
+        k = len(rem) - len(d.coeffs)
+        c = rem[-1] * inv
+        quot[k] = c
+        for i, b in enumerate(d.coeffs):
+            rem[k + i] = rem[k + i] - c * b
+        rem = list(Poly(p.field, rem).coeffs)
+    return Poly(p.field, quot), Poly(p.field, rem)
+
+
+def _school_pow(p, e):
+    out = Poly.one(p.field)
+    for _ in range(e):
+        out = _school_mul(out, p)
+    return out
+
+
+def _assert_trusted(p):
+    # the field holds every coefficient as it is, and the top one is nonzero
+    assert all(p.field.coerce(c) is c for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != p.field.zero
+
+
+def _cyclo_coeffs(n):
+    coord = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+    return st.lists(coord, min_size=euler_phi(n), max_size=euler_phi(n)).map(
+        lambda cs: CycloNum(n, cs))
+
+
+_CT = RatFuncField(_Z3, "t")
+
+
+def _t_coeffs():
+    # rational functions in t over Q(zeta_3), zero and units among them
+    small = st.lists(st.sampled_from([0, 1, -1, 2, _ZETA3]), max_size=3)
+    return st.builds(
+        lambda num, den, unit: RatFunc(Poly(_Z3, num),
+                                       Poly.one(_Z3) if unit or not any(den)
+                                       else Poly(_Z3, den)),
+        small, small, st.booleans())
+
+
+_FIELDS = [(CycloField(n), _cyclo_coeffs(n)) for n in (1, 3, 4, 8, 12)]
+_FIELDS.append((_CT, _t_coeffs()))
+
+
+def _polys(field, coeffs, max_size=4):
+    return st.lists(coeffs, max_size=max_size).map(lambda cs: Poly(field, cs))
+
+
+@pytest.mark.parametrize("field, coeffs", _FIELDS,
+                         ids=[repr(f) for f, _ in _FIELDS])
+def test_poly_arithmetic_matches_the_schoolbook_oracle(field, coeffs):
+    @settings(deadline=None)
+    @given(_polys(field, coeffs), _polys(field, coeffs),
+           st.integers(0, 3))
+    def check(p, q, e):
+        cases = [(p + q, _school_add(p, q)),
+                 (p - q, _school_add(p, q, -1)),
+                 (-p, _school_add(Poly.zero(field), p, -1)),
+                 (p * q, _school_mul(p, q)),
+                 (p ** e, _school_pow(p, e)),
+                 (p.monic(), _school_mul(p, Poly.const(field, field.one / p.lc()))
+                  if p else p)]
+        if q:
+            cases += zip(divmod(p, q), _school_divmod(p, q))
+        for got, want in cases:
+            _assert_trusted(got)
+            assert got.coeffs == want.coeffs
+
+    check()
+
+
+def _unit_or_not_ratfuncs(field, coeffs, max_size):
+    # the denominator is 1 half of the time, and a nonzero constant that is
+    # not 1 some of the time
+    polys = _polys(field, coeffs, max_size=max_size)
+    return st.builds(
+        lambda num, den, unit: RatFunc(num, Poly.one(field) if unit or not den
+                                       else den),
+        polys, polys, st.booleans())
+
+
+# degree <= 2 over the constants; degree <= 1 over C(t), where the oracle's
+# gcds of polynomials with coefficients in Q(zeta_3)(t) are slow
+@pytest.mark.parametrize("field, coeffs, max_size",
+                         [(*_FIELDS[0], 3), (*_FIELDS[1], 3), (*_FIELDS[-1], 2)],
+                         ids=["QQ", "QQ(zeta3)", "QQ(zeta3)(t)"])
+def test_ratfunc_matches_the_fraction_built_from_scratch(field, coeffs,
+                                                         max_size):
+    @settings(deadline=None)
+    @given(_unit_or_not_ratfuncs(field, coeffs, max_size),
+           _unit_or_not_ratfuncs(field, coeffs, max_size), st.integers(-3, 3))
+    def check(a, b, e):
+        an, ad, bn, bd = a.num, a.den, b.num, b.den
+        cases = [(a + b, _school_add(_school_mul(an, bd), _school_mul(bn, ad)),
+                  _school_mul(ad, bd)),
+                 (a * b, _school_mul(an, bn), _school_mul(ad, bd))]
+        if b:
+            cases.append((a / b, _school_mul(an, bd), _school_mul(ad, bn)))
+        if e >= 0:
+            cases.append((a ** e, _school_pow(an, e), _school_pow(ad, e)))
+        elif a:
+            cases.append((a ** e, _school_pow(ad, -e), _school_pow(an, -e)))
+        for got, num, den in cases:
+            _assert_trusted(got.num)
+            _assert_trusted(got.den)
+            _assert_canonical(got)
+            want = RatFunc(num, den)
+            assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs,
+                                                        want.den.coeffs)
+
+    check()
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_poly_over_a_smaller_field_rejects_a_larger_operand(op):
+    # zeta_6 = -zeta_3^2 is no element of Q(zeta_3) as a conductor-6 value:
+    # the conductor-3 field must refuse it rather than keep it in a result
+    p3 = Poly(CycloField(3), (1, _ZETA3))
+    p6 = Poly(CycloField(6), (CycloNum.zeta(6), 1))
+    combine = (lambda u, v: u + v) if op == "add" else (lambda u, v: u * v)
+    with pytest.raises(InternalInvariantError):
+        combine(p3, p6)
+    # the other way round, the conductor-3 operand lifts into Q(zeta_6)
+    got = combine(p6, p3)
+    assert got.field == CycloField(6)
+    assert all(c.conductor == 6 for c in got.coeffs)
+    want = combine(p6, Poly(CycloField(6), p3.coeffs))
+    assert got.coeffs == want.coeffs

@@ -17,6 +17,7 @@ from pvkit.solve import (
     TorsionCert,
     _discrete_log,
     _orthogonal_shell,
+    _power_table,
     relation_lattice,
     solve_add,
     solve_mult,
@@ -590,3 +591,28 @@ def test_lattice_matches_the_brute_force_box(k, entries, m):
     assert hermite_normal_form(basis.vectors())[0] == _box_lattice(
         k, entries, m)
 
+
+
+@pytest.mark.parametrize("u", [CycloNum.zeta(5) * 2, -CycloNum.zeta(12),
+                               CycloNum.from_rational(Fraction(-3, 7))],
+                         ids=["2 zeta5", "-zeta12", "-3/7"])
+@pytest.mark.parametrize("top", [1, 2, 12])
+def test_power_table_holds_every_power(u, top):
+    # the lc filter reads u^m at index top + m for every |m| <= top
+    one = CycloField(u.conductor).one
+    table = _power_table(u, one, top)
+    assert len(table) == 2 * top + 1
+    for m in range(-top, top + 1):
+        assert table[top + m] == u ** m
+
+
+def test_power_table_over_a_tower_and_of_one():
+    from pvkit.arith import RatFuncField
+
+    ct = RatFuncField(CycloField(3), "t")
+    t = ct.coerce(RatFunc.x(CycloField(3)))
+    u = (t + 1) / (t * 2)
+    table = _power_table(u, ct.one, 3)
+    assert [table[3 + m] for m in range(-3, 4)] == [u ** m for m in range(-3, 4)]
+    assert _power_table(ct.one, ct.one, 3) is None
+    assert _power_table(CycloField(4).one, CycloField(4).one, 5) is None
