@@ -119,15 +119,16 @@ def _rational_slice_integer_roots(coeffs: list[Fraction]) -> set[int]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
+    """The positive divisors of n >= 1, ascending."""
+    low, high = [], []
     d = 1
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            low.append(d)
             if d != n // d:
-                out.append(n // d)
+                high.append(n // d)
         d += 1
-    return out
+    return low + high[::-1]
 
 
 def _int_poly_eval(coeffs: list[int], v: int) -> int:

@@ -10,6 +10,7 @@ and the certifiers in ``solve`` and ``arith.ops`` go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import lcm
 
 from .arith.cyclo import CycloField, CycloNum, bounded_multiplicative_order
@@ -73,7 +74,7 @@ class DiffField:
             inner = inner.inner
         return inner.conductor
 
-    @property
+    @cached_property
     def k_field(self) -> RatFuncField:
         return RatFuncField(self.constants, self.var)
 

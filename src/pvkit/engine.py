@@ -37,11 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .arith.cyclo import CycloNum, bounded_multiplicative_order, euler_phi
-from .arith.ops import _padic, _strip_x, _uneven_prime
+from .arith.ops import _divisors, _padic, _strip_x, _uneven_prime
 from .arith.poly import RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power, is_constant
 from .errors import (
@@ -58,12 +58,10 @@ from .solve import (
     _combine_witnesses,
     _constant_as_cyclo,
     _entry_power,
-    _hermite_rows,
     _relation_scan,
     relation_lattice,
     solve_add,
     solve_mult,
-    torsion_order,
 )
 
 __all__ = [
@@ -84,10 +82,6 @@ __all__ = [
 ]
 
 DEFAULT_SEARCH_BOUND = 12
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -362,53 +356,68 @@ def _split_witness(k: DiffField, char: RatFunc, order: int, witness: RatFunc):
     raise InternalInvariantError("witness splitting fell through d = 1")
 
 
-def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis):
-    """Split the relation lattice into independent cyclic coordinates.
+def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
+    """Split the relation lattice into independent cyclic coordinates, in
+    one Smith pass.
 
-    Returns (factors, lattice); the lattice comes back extended when a
-    Smith coordinate turns out to have a shorter relation than the box scan
-    found (a defensive path: the sup-norm box already contains every vector
-    whose entries are bounded by the largest coordinate order).
+    The lattice must be saturated: every relation vector in its rational
+    span lies in it.  ``relation_lattice`` returns L_B, the span of the
+    relation vectors of the sup-norm box B of radius M, and for n <= 3 that
+    is saturated in the full relation lattice L:
+
+    Lemma.  For L in Z^n with n <= 3, L_B = L cap span_Q(L_B).
+
+    Proof.  Take independent b_1..b_r in L cap B of least r-volume.  A
+    nonzero class of (L cap span_Q L_B)/<b> has a representative
+    w = sum c_i b_i with c_i in (-1/2, 1/2].  If sum |c_i| <= 1, then
+    |w| <= M, and swapping w for a b_j with c_j != 0 scales the volume by
+    |c_j| <= 1/2, against minimality.  For a class of order m, the mean of
+    sum_i |rep(t c_i)| over t = 1..m-1 is at most r m / (4 (m - 1)), and at
+    most 1 when m = 3, so when m >= 3 or r <= 2 some multiple of the class
+    falls in the first case.  That leaves m = 2, r = 3 and
+    c = (1/2, 1/2, 1/2): the class holds the four vectors
+    (+-b_1 +-b_2 +-b_3)/2 up to sign, and a coordinate can push at most
+    the one whose signs all agree with it past M, so with n <= 3
+    coordinates one of the four lies in B, and swapping it in halves the
+    volume again.  So the quotient is trivial.
+
+    Hence, with coord_u the Smith coordinates and d_u the Smith orders:
+
+    * no order can shrink: a relation t coord_u with t < d_u would lie in
+      L cap span_Q(L_B) but not in L_B, so each d_u is the exact torsion
+      order of its character;
+    * no two splits share a prime p: the sigma-fixed
+      W_f^{j d_f / p} W_g^{-d_g / p} of two markers of order divisible by
+      p would give such a relation vector too.
+
+    A lattice that is not saturated therefore breaks an invariant and is
+    never repaired silently: a non-minimal order makes the marker of
+    ``_split_witness`` imprimitive, and shared primes are refused before
+    the orbit is built by CRT.
     """
     field = k.k_field
-    rows = list(lattice.rows)
-    n = lattice.dim
-    for _ in range(16):
-        if not rows:
-            return (), LatticeBasis(n, [], field)
-        vecs = [list(v) for v, _ in rows]
-        d_mat, u_mat, v_mat = smith_normal_form(vecs)
-        coord_mat = unimodular_inverse(v_mat)
-        repair = None
-        factors = []
-        for u in range(len(vecs)):
-            order = d_mat[u][u]
-            coord = tuple(coord_mat[u])
-            char = _entry_power(field, entries, coord)
-            witness = _combine_witnesses(field, rows, u_mat[u])
-            if apply_sigma(k, witness) / witness != char ** order:
-                raise InternalInvariantError(
-                    "Smith-combined witness does not witness its relation")
-            if order > 1:
-                cert = torsion_order(k, char, order)
-                if cert is None:
-                    raise InternalInvariantError(
-                        "coordinate order is not realized by any relation")
-                if cert.order < order:
-                    repair = (tuple(cert.order * c for c in coord), cert.witness)
-                    break
-            split, root, marker = _split_witness(k, char, order, witness)
-            m_factor = _stride_degree(k, char, order)
-            if split != m_factor:
-                raise InternalInvariantError(
-                    "root-splitting count disagrees with the stride-relation degree")
-            factors.append(CyclicFactor(order, coord, char, witness,
-                                        split, root, marker, m_factor))
-        if repair is None:
-            return tuple(factors), LatticeBasis(n, rows, field)
-        rows.append(repair)
-        rows = _hermite_rows(k, entries, rows)
-    raise InternalInvariantError("relation lattice failed to stabilize")
+    rows = lattice.rows
+    if not rows:
+        return ()
+    d_mat, u_mat, v_mat = smith_normal_form(lattice.vectors())
+    coord_mat = unimodular_inverse(v_mat)
+    factors = []
+    for u in range(len(rows)):
+        order = d_mat[u][u]
+        coord = tuple(coord_mat[u])
+        char = _entry_power(field, entries, coord)
+        witness = _combine_witnesses(field, rows, u_mat[u])
+        if apply_sigma(k, witness) / witness != char ** order:
+            raise InternalInvariantError(
+                "Smith-combined witness does not witness its relation")
+        split, root, marker = _split_witness(k, char, order, witness)
+        m_factor = _stride_degree(k, char, order)
+        if split != m_factor:
+            raise InternalInvariantError(
+                "root-splitting count disagrees with the stride-relation degree")
+        factors.append(CyclicFactor(order, coord, char, witness,
+                                    split, root, marker, m_factor))
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +430,12 @@ class PVPresentation:
 
     ``caveats`` lists everything the finite searches could not certify
     beyond their bounds (for example a presentation exponent that exceeds
-    the invariant degree).  ``idempotents`` is the full orbit e_0..e_{ell-1}
-    whenever it is explicit, [1] when ell = 1, and None when only partial
-    information is available.  ``complete_radius`` is the sup-norm radius
+    the invariant degree).  ``idempotents`` is the full orbit e_0..e_{ell-1},
+    [1] when ell = 1.  The builders always write the orbit down and always
+    set ``constants_ext_degree`` = 1: the splits of a saturated lattice are
+    pairwise coprime (``_cyclic_factors``), so the Fourier idempotents need
+    no constants beyond C.  A presentation built by hand may carry None,
+    which ``decompose`` refuses.  ``complete_radius`` is the sup-norm radius
     up to which every relation vector is proven to lie in ``lattice``: the
     builders decide the whole box of radius ``search_bound``, and any other
     construction claims nothing (0).
@@ -467,9 +479,10 @@ def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
         e_i = prod_f (1/d_f) sum_{j<d_f} marker_f^{i j} W_f^j,
 
     a constant combination of the ell = prod d_f normal-formed products
-    prod W_f^{j_f}; the d_f are pairwise coprime here (``split_product ==
-    ell``), so i -> (i mod d_f) runs once through every index by CRT.  Four
-    certificates, none of them a product of two orbit elements:
+    prod W_f^{j_f}; the d_f are pairwise coprime (``_build_multiplicative``
+    refuses shared primes), so i -> (i mod d_f) runs once through every
+    index by CRT.  Four certificates, none of them a product of two orbit
+    elements:
 
     * W^d = 1 and sigma(W) = marker W, one normal form each per factor;
     * the character sums sum_{j<d} marker^{u j} = d [u = 0] for u < d, which
@@ -523,25 +536,28 @@ def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
 
 def _torsion_beyond_box(k: DiffField, entries, lattice: LatticeBasis,
                         m_max: int) -> list:
-    """Caveats for entries whose constant ratio is a root of unity of order
-    above ``m_max``, modulo q^Z for the dilation.
+    """Caveats for entries whose constant ratio has torsion exponent above
+    ``m_max``, modulo q^Z for the dilation.
 
     Write an entry as a = c x^k sigma(h)/h.  A shift quotient has
     leading-coefficient ratio 1, so c is the leading-coefficient ratio of a
     and c^m = 1 whenever a^m is a quotient.  A dilation quotient has
     lowest-coefficient ratio in q^Z, so c is the lowest-coefficient ratio of
-    a and c^m lies in q^Z.  For rational q, c is first divided by the one
-    power of q that can leave a root of unity (``_mod_q``), which changes
-    no torsion exponent.  When c is then a root of unity, so is c^m, and q
-    is not one, so again c^m = 1.  Either way the order of c divides every
-    torsion exponent m of the entry, and an order above ``m_max`` puts
-    them all outside the search box.  Every root of unity of Q(zeta_N) has
-    order dividing lcm(2, N), so nothing is computed when that bound is
-    already inside the box, nor for an entry whose torsion the lattice
-    already holds inside the box.
+    a and c^m lies in q^Z.  For rational q, N(c)^m = N(q)^t then fixes
+    t/m = a/b in lowest terms (``_q_exponent``), so b divides m, and
+    c^m = q^t says (c^b / q^a)^(m/b) = 1: the least m is b times the order
+    of c^b / q^a (``_mod_q``), and c^b / q^a must be a root of unity.  When
+    c itself is a root of unity (any q), so is c^m, and q is not one, so
+    again c^m = 1.  Either way that exponent divides every torsion exponent
+    of the entry, and one above ``m_max`` puts them all outside the search
+    box.  Every root of unity of Q(zeta_N) has order dividing lcm(2, N), so
+    when b = 1 is certain (the shift, irrational q) nothing is computed
+    while that bound is inside the box; nor is anything computed for an
+    entry whose torsion the lattice already holds inside the box.
     """
     cap = lcm(2, k.constants_conductor)
-    if cap <= m_max:
+    rational_q = k.sigma.kind == "qshift" and k.sigma.q.is_rational()
+    if cap <= m_max and not rational_q:
         return []
     end = "leading" if k.sigma.kind == "shift" else "lowest"
     caveats = []
@@ -555,15 +571,26 @@ def _torsion_beyond_box(k: DiffField, entries, lattice: LatticeBasis,
         else:
             c = _strip_x(a.num).nth(0) / _strip_x(a.den).nth(0)
         u = _constant_as_cyclo(c)
-        if u is not None and end == "lowest" and k.sigma.q.is_rational():
-            u = _mod_q(u, k.sigma.q)
+        b = 1
+        if u is not None and rational_q:
+            b = _q_exponent(u, k.sigma.q).denominator
+            u = _mod_q(u ** b, k.sigma.q)
         order = None if u is None else bounded_multiplicative_order(u, cap)
-        if order is not None and order > m_max:
+        if order is not None and b * order > m_max:
             caveats.append(
-                f"entry {i + 1} has {end}-coefficient ratio of order {order} "
-                f"above --m-max {m_max}; torsion of that order lies outside "
-                "the search box and may be reported as free")
+                f"entry {i + 1} has {end}-coefficient ratio of order "
+                f"{b * order} above --m-max {m_max}; torsion of that order "
+                "lies outside the search box and may be reported as free")
     return caveats
+
+
+def _q_exponent(c: CycloNum, q: CycloNum) -> Fraction:
+    """The j with N(c) = N(q)^j at a prime where q has a nonzero valuation
+    (one exists, as q is no root of unity); q rational.  The norm is taken
+    over the conductor n of c, so N(q) = q^phi(n)."""
+    qf = q.rational_value()
+    p = _uneven_prime(qf)
+    return Fraction(_padic(c.norm(), p), euler_phi(c.conductor) * _padic(qf, p))
 
 
 def _mod_q(c: CycloNum, q: CycloNum) -> CycloNum | None:
@@ -571,15 +598,10 @@ def _mod_q(c: CycloNum, q: CycloNum) -> CycloNum | None:
     there is none; q rational.
 
     A root of unity has norm +-1, so c = zeta q^j forces N(c) = N(q)^j,
-    and j is read off the valuations at a prime where q has a nonzero one
-    (one exists, as q is no root of unity).  The norm is taken over the
-    conductor n of c, so N(q) = q^phi(n).
+    and j is ``_q_exponent``; a fractional j leaves no root of unity.
     """
-    qf = q.rational_value()
-    p = _uneven_prime(qf)
-    vq = euler_phi(c.conductor) * _padic(qf, p)
-    j, rem = divmod(_padic(c.norm(), p), vq)
-    return None if rem else c / q ** j
+    j = _q_exponent(c, q)
+    return None if j.denominator > 1 else c / q ** j.numerator
 
 
 def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
@@ -588,40 +610,32 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
         raise ZeroInput("search bound must be at least 1")
     entries = system.entries
     n = len(entries)
-    lattice0 = relation_lattice(k, list(entries), m_max)
-    factors, lattice = _cyclic_factors(k, entries, lattice0)
+    lattice = relation_lattice(k, list(entries), m_max)
+    factors = _cyclic_factors(k, entries, lattice)
     ideal = SigmaIdeal.from_lattice(k, entries, lattice.rows, system.var_names())
     ell = 1
     m_inv = 1
-    split_product = 1
     caveats = []
     for f in factors:
-        ell = lcm(ell, f.split)
+        # coprime splits, as saturation guarantees (``_cyclic_factors``),
+        # make the orbit of the Fourier idempotents run through all ell
+        if gcd(ell, f.split) > 1:
+            raise InternalInvariantError(
+                "splitting markers share a prime; the relation lattice is "
+                "not saturated")
+        ell *= f.split
         m_inv = lcm(m_inv, f.m_factor)
-        split_product *= f.split
         if f.m_factor < f.order:
             caveats.append(
                 f"presentation exponent {f.order} exceeds the invariant degree "
                 f"{f.m_factor}; the reported m follows the degree")
     caveats += _torsion_beyond_box(k, entries, lattice, m_max)
-    if split_product == ell:
-        constants_ext_degree = 1
-        idempotents = _orbit_idempotents(k, ideal, factors, ell, n)
-    else:
-        # independent markers of non-coprime orders: the orbit of any one
-        # component is shorter than ell and explicit idempotents would need
-        # new constants.  Unreachable for complete lattices (the box scan
-        # always sees the mixing vector), kept as an honest degradation.
-        constants_ext_degree = split_product // ell
-        idempotents = None
-        caveats.append(
-            "component orbit is not transitive; idempotents omitted and the "
-            f"constants of the ring extend the base by degree {constants_ext_degree}")
     return PVPresentation(
         field=k, system=system, ideal=ideal, ell=ell, m_inv=m_inv,
-        krull_dim=n - lattice.rank(), constants_ext_degree=constants_ext_degree,
-        idempotents=idempotents, search_bound=m_max, lattice=lattice,
-        factors=factors, caveats=tuple(caveats), complete_radius=m_max)
+        krull_dim=n - lattice.rank(), constants_ext_degree=1,
+        idempotents=_orbit_idempotents(k, ideal, factors, ell, n),
+        search_bound=m_max, lattice=lattice, factors=factors,
+        caveats=tuple(caveats), complete_radius=m_max)
 
 
 def build_pv_scalar(k: DiffField, a, m_max: int = DEFAULT_SEARCH_BOUND) -> PVPresentation:
@@ -750,9 +764,9 @@ def check_simple(p: PVPresentation, degree_bound: int) -> bool:
     ``complete_radius + 1 .. degree_bound`` makes the negative answer a
     bounded certificate; the scan is ``relation_lattice``'s own.  Shells up
     to ``complete_radius`` are skipped because ``relation_lattice`` already
-    decided each of their vectors with that same deterministic scan: a
-    vector there is in the lattice or is not a sigma-quotient, and the
-    cyclic-factor step only adds relations, so a rescan could only agree.
+    decided each of their vectors with that same deterministic scan, and
+    the builders present its lattice as it is: a vector there is in the
+    lattice or is not a sigma-quotient, so a rescan could only agree.
     """
     if degree_bound < 1:
         raise ZeroInput("degree bound must be at least 1")
@@ -760,8 +774,6 @@ def check_simple(p: PVPresentation, degree_bound: int) -> bool:
         raise UnsupportedShape(
             "simplicity scan covers diagonal shapes only, one-entry "
             "diagonals included")
-    if p.idempotents is None and p.ell > 1:
-        return False
     shells = range(p.complete_radius + 1, degree_bound + 1)
     missed = _relation_scan(p.field, p.system.entries, shells, p.lattice.contains)
     return next(missed, None) is None

@@ -87,9 +87,11 @@ class GroupDesc:
     descriptions compares coefficient values across constant fields, so a
     description is unchanged by pure base change.
     ``constants_extension_trivial`` reports whether the presentation needed
-    no constants extension beyond the declared field; when it is False the
-    lattice-based identification is reported but not certified to agree
-    with the points-based one.
+    no constants extension beyond the declared field.  The builders always
+    give degree 1 and an explicit orbit (``PVPresentation``), so it is True
+    for every built ring; only a presentation made by hand can make it
+    False, and then the lattice-based identification is reported but not
+    certified to agree with the points-based one.
     """
 
     torus_rank: int

@@ -8,6 +8,10 @@ Four questions get decided here, each with a checked witness:
   relation_lattice  all integer vectors (m_i), |m_i| <= m_max, with
                     prod a_i^{m_i} a sigma-quotient, as a lattice basis
 
+``torsion_order`` is a public certifier for callers and tests; the engine
+no longer calls it, since the Smith orders of the saturated lattice from
+``relation_lattice`` are already the exact torsion orders.
+
 Each is written once for a generic sigma: sigma^j acts on polynomials
 only through ``SigmaSpec.translate``, and ``dispersion`` reads the same way
 for both kinds.  The few facts that depend on the kind sit next to the step
@@ -381,6 +385,12 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
     ``_relation_scan`` says.  The final basis is canonicalized to row
     Hermite form with witnesses recombined through the unimodular
     transform.
+
+    The result is the span L_B of the relation vectors of the box B, and
+    for n <= 3 it is saturated: every relation vector in its rational span
+    lies in it (the lemma in ``engine._cyclic_factors``).  So the Smith
+    orders of the basis are exact torsion orders, and a relation past the
+    box can be missing only along a direction the span does not reach.
     """
     a = [k.coerce(ai) for ai in a_list]
     n = len(a)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -39,6 +39,7 @@ from pvkit.groups import (
     weak_pv_compare,
 )
 from pvkit.laurent import LaurentPoly
+from pvkit.solve import torsion_order
 
 TRANSPORT_NAMES = (
     "scalar-order-two",
@@ -139,6 +140,12 @@ def test_06_invariant_routes_agree_and_count_components():
         assert p.constants_ext_degree == 1
         assert p.idempotents is not None
         assert len(p.idempotents) == p.ell == p.m_inv
+        # the box lattice is saturated, so each Smith order is the exact
+        # torsion order of its character and the splits are coprime
+        for f in p.factors:
+            assert torsion_order(p.field, f.character, f.order).order == f.order
+        for f, g in itertools.combinations(p.factors, 2):
+            assert gcd(f.split, g.split) == 1
     # enlarging the constants further does not move the invariants
     for name in TRANSPORT_NAMES:
         p = conftest.presentation(name)

@@ -139,3 +139,11 @@ def test_sigma_power_is_canonical_without_a_gcd(make_field):
                               k.sigma.translate(f.den, j))
 
     check()
+
+
+def test_k_field_is_built_once_per_field():
+    k = DiffField(SigmaSpec.shift(), CycloField(3))
+    assert k.k_field is k.k_field
+    assert k.one() is k.k_field.one
+    # equality still compares the defining data, not the cached field
+    assert k == DiffField(SigmaSpec.shift(), CycloField(3))

@@ -395,6 +395,43 @@ class TestCommands:
         assert presentation["krull_dim"] == 0
         assert report["group"]["description"] == "finite part Z/13"
 
+    @pytest.mark.parametrize("q, system, order, ell, description", [
+        # a = sqrt2 zeta13 (sqrt2 = zeta8 + zeta8^7), q = 2: N(a) = N(2)^(1/2)
+        # over Q(zeta104), so a^v in 2^Z needs v = 2t and then
+        # a^(2t) = 2^t zeta13^(2t) asks 13 | t: 26 | v.  The generator is
+        # Y^26 - x^13, as sigma(x^13)/x^13 = 2^13 = a^26, and x^13 has the
+        # 13th root x with marker a^2 x / sigma(x) = zeta13^2, so
+        # ell = m_inv = 13 below the exponent 26
+        ("2", "scalar((zeta(8)+zeta(8)^7)*zeta(13))", 26, 13,
+         "finite part Z/26"),
+        # a = 2, q = 2^13: N(a) = N(q)^(1/13), so 13 | v, and a^13 = q is
+        # sigma(x)/x; x has no proper root, so ell = m_inv = 1
+        ("8192", "scalar(2)", 13, 1, "finite part Z/13"),
+    ], ids=["sqrt2*zeta13", "2 with q=2^13"])
+    def test_qshift_caveat_reads_a_fractional_power_of_q(
+            self, capsys, q, system, order, ell, description):
+        qshift = ["group", "--sigma", "qshift", "--q", q, "--system",
+                  system, "--output", "json"]
+        code, out, _ = run_cli(qshift, capsys)
+        assert code == 0
+        presentation = json.loads(out)["presentation"]
+        assert presentation["krull_dim"] == 1
+        assert presentation["caveats"] == [
+            f"entry 1 has lowest-coefficient ratio of order {order} above "
+            "--m-max 12; torsion of that order lies outside the search box "
+            "and may be reported as free"]
+        code, out, _ = run_cli(qshift + ["--m-max", str(order)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        presentation = report["presentation"]
+        assert presentation["caveats"] == [
+            f"presentation exponent {order} exceeds the invariant degree "
+            f"{ell}; the reported m follows the degree"]
+        assert presentation["ell"] == ell
+        assert presentation["m_inv"] == ell
+        assert presentation["krull_dim"] == 0
+        assert report["group"]["description"] == description
+
     def test_qshift_caveat_reads_the_lowest_coefficients(self, capsys):
         # q = 2, a = zeta13 (2x+1)/(x+1) = zeta13 sigma(x+1)/(x+1): the
         # lowest coefficients give c = zeta13 of order 13, while the

@@ -31,12 +31,14 @@ from fractions import Fraction
 
 import pytest
 
+from pvkit import engine
 from pvkit.arith.cyclo import CycloField, CycloNum
 from pvkit.base import DiffField, SigmaSpec, apply_sigma, apply_sigma_power
 from pvkit.engine import (
     DiffSystem,
     PVPresentation,
     SigmaIdeal,
+    _cyclic_factors,
     _mod_q,
     _orbit_idempotents,
     build_pv_diagonal,
@@ -1005,3 +1007,30 @@ class TestContractExtendRoundTrip:
 def test_mod_q_divides_out_the_power_of_q_the_norm_fixes(c, q, want):
     got = _mod_q(c, CycloNum.from_rational(q))
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The one Smith pass relies on a saturated lattice and refuses any other
+
+
+def test_cyclic_factors_refuses_a_lattice_that_is_not_saturated():
+    # a = -1 has torsion order 2, so (2) is a relation and the hand-built
+    # lattice (4) misses it; its Smith order 4 is not minimal, the split
+    # marker (-1)^1 of the 4th root 1 of the witness is no primitive 4th
+    # root of unity, and the pass raises instead of repairing to (2)
+    k = shift_field()
+    lattice = LatticeBasis(1, [((4,), k.one())], k.k_field)
+    with pytest.raises(InternalInvariantError, match="not primitive"):
+        _cyclic_factors(k, (k.coerce(-1),), lattice)
+
+
+def test_builder_refuses_splits_that_share_a_prime(monkeypatch):
+    # for diag(-1, -1) the relation lattice is {v : v1 + v2 even}; the
+    # hand-built (2, 0), (0, 2) misses (1, 1), and both of its factors
+    # split in two with marker -1.  Fourier idempotents over C need
+    # coprime splits, so the build raises instead of degrading
+    k = shift_field()
+    fake = LatticeBasis(2, [((2, 0), k.one()), ((0, 2), k.one())], k.k_field)
+    monkeypatch.setattr(engine, "relation_lattice", lambda *args: fake)
+    with pytest.raises(InternalInvariantError, match="share a prime"):
+        build_pv_diagonal(k, [-1, -1])

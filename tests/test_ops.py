@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pvkit.arith.cyclo import CycloField, CycloNum, QQ
 from pvkit.arith.poly import Poly
 from pvkit.arith.ops import (
+    _divisors,
     _qshift_resultant,
     _shift_resultant,
     dispersion,
@@ -213,3 +214,8 @@ def test_candidate_resultants_match_sympy(p_coeffs, r_coeffs):
              sylvester_det(r_expr.subs(x, s * x), p_expr))):
         want = sp.Poly(sp.expand(theirs), s).all_coeffs()[::-1]
         assert ours == _p(*[Fraction(int(c.p), int(c.q)) for c in want])
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 13, 36, 97, 360])
+def test_divisors_ascending(n):
+    assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]

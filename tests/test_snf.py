@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -178,3 +179,57 @@ def test_fraction_det_stays_exact():
     a = [[10**9, 1], [1, 10**9]]
     assert int_det(a) == 10**18 - 1
     assert Fraction(int_det(a)) == Fraction(10**18 - 1)
+
+
+# ------------------------------------------------------------ box saturation
+# The engine factors the relation lattice in one Smith pass because of a
+# lemma (``pvkit.engine._cyclic_factors``): for L in Z^n with n <= 3 and B
+# the sup-norm ball of radius M, the span L_B of L cap B is saturated in L,
+# L_B = L cap span_Q(L_B).  Equivalently, written in the coordinates of a
+# basis of L, the rows of L_B have Smith invariant factors all 1.
+
+
+def _box_span_in_lattice_coordinates(rows, radius):
+    """HNF rows of span(L cap B) written in an HNF basis of L = span(rows)."""
+    basis, _ = hermite_normal_form(rows)
+    n = len(rows[0])
+    inside = [list(v) for v in product(range(-radius, radius + 1), repeat=n)
+              if any(v) and in_lattice(basis, list(v))]
+    if not inside:
+        return []
+    span, _ = hermite_normal_form(inside)
+    coords = []
+    for row in span:
+        c, residue = hnf_reduce(basis, row)
+        assert not any(residue)
+        coords.append(c)
+    return coords
+
+
+lattice_gens = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-12, max_value=12), min_size=n, max_size=n),
+        min_size=1,
+        max_size=3,
+    )
+)
+
+
+@given(lattice_gens, st.integers(min_value=1, max_value=5))
+@settings(max_examples=150, deadline=None)
+def test_box_span_is_saturated_up_to_three_dimensions(rows, radius):
+    coords = _box_span_in_lattice_coordinates(rows, radius)
+    if coords:
+        assert all(f == 1 for f in invariant_factors(coords))
+
+
+def test_box_span_need_not_be_saturated_in_four_dimensions():
+    # the hypothesis n <= 3 is needed: b1, b2, b3 below lie in the box of
+    # radius 2, and L = <b1, b2, b3, (b1 + b2 + b3)/2>; each of the four
+    # vectors (+-b1 +-b2 +-b3)/2 has an entry 3, one per coordinate, and no
+    # other vector of the half class fits the box, so L_B = <b1, b2, b3>
+    # has index 2 in L
+    b1, b2, b3 = [2, 2, 2, -2], [2, 2, -2, 2], [2, -2, 2, 2]
+    half = [(x + y + z) // 2 for x, y, z in zip(b1, b2, b3)]
+    coords = _box_span_in_lattice_coordinates([b1, b2, b3, half], 2)
+    assert invariant_factors(coords) == [1, 1, 2]
