@@ -111,11 +111,49 @@ def _rational_slice_integer_roots(coeffs: list[Fraction]) -> set[int]:
     if not ints:
         return roots
     const = abs(ints[0])
-    for d in _divisors(const):
-        for cand in (d, -d):
-            if _int_poly_eval(ints, cand) == 0:
-                roots.add(cand)
+    bound = _root_bound(ints)
+    d = 1
+    while d <= bound and d * d <= const:
+        if const % d == 0:
+            for mag in (d, const // d):
+                if mag <= bound:
+                    for cand in (mag, -mag):
+                        if _int_poly_eval(ints, cand) == 0:
+                            roots.add(cand)
+        d += 1
     return roots
+
+
+def _root_bound(ints: list[int]) -> int:
+    """Fujiwara's bound in integers: B >= |z| for every complex root z of
+    the polynomial with ascending coefficients ints, lc != 0.  B is
+    2 * max_i ceil(|a_(n-i) / a_n|^(1/i)).
+
+    >>> _root_bound([-6, 1, 1])  # (t - 2)(t + 3)
+    6
+    """
+    n = len(ints) - 1
+    lead = abs(ints[-1])
+    best = 0
+    for i in range(1, n + 1):
+        a = abs(ints[n - i])
+        if a:
+            best = max(best, _iroot_ceil(-(-a // lead), i))
+    return 2 * best
+
+
+def _iroot_ceil(m: int, i: int) -> int:
+    """The least r >= 0 with r^i >= m, for m >= 0 and i >= 1."""
+    if m < 2:
+        return m
+    # Newton's iteration from above for the floor of the i-th root
+    r = 1 << -(-m.bit_length() // i)
+    while True:
+        nxt = ((i - 1) * r + m // r ** (i - 1)) // i
+        if nxt >= r:
+            break
+        r = nxt
+    return r if r ** i >= m else r + 1
 
 
 def _divisors(n: int) -> list[int]:
@@ -158,9 +196,16 @@ def dispersion(p: Poly, r: Poly, sigma) -> int | None:
 
 def dispersion_with_flag(p: Poly, r: Poly, sigma) -> tuple[int | None, bool]:
     """Like dispersion, plus a flag saying the candidate set was provably
-    complete (always true for shift; true for q-shift with rational q).
+    complete (always true for shift; true for q-shift with rational q)."""
+    js, complete = dispersion_set(p, r, sigma)
+    return (js[-1] if js else None), complete
 
-    Dispersion depends only on the root sets, so it is taken of the
+
+def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
+    """Every j >= 0 with gcd(p, sigma^j(r)) != 1, ascending, and the flag of
+    ``dispersion_with_flag``.
+
+    The set depends only on the root sets, so it is taken of the
     square-free parts p / gcd(p, p').  Only the candidate set depends on
     the kind of sigma: the integer roots of a resultant in t for the shift,
     a p-adic bound or a bounded window for the q-dilation.  Every candidate
@@ -172,17 +217,14 @@ def dispersion_with_flag(p: Poly, r: Poly, sigma) -> tuple[int | None, bool]:
         # strip shared x-powers: they meet at every j and carry no orbit data
         p, r = _strip_x(p), _strip_x(r)
     if p.degree() == 0 or r.degree() == 0:
-        return None, True
+        return [], True
     p, r = _square_free(p), _square_free(r)
     if sigma.kind == "shift":
         candidates, complete = _shift_candidates(p, r), True
     else:
         candidates, complete = _qshift_candidates(p, r, p.field.coerce(sigma.q))
-    best = None
-    for j in sorted(candidates):
-        if j >= 0 and p.gcd(sigma.translate(r, j)).degree() > 0:
-            best = j
-    return best, complete
+    return [j for j in sorted(candidates)
+            if j >= 0 and p.gcd(sigma.translate(r, j)).degree() > 0], complete
 
 
 def _square_free(p: Poly) -> Poly:

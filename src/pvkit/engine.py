@@ -52,7 +52,7 @@ from .errors import (
     ZeroInput,
 )
 from .laurent import BinomialNF, LaurentPoly
-from .snf import smith_normal_form, unimodular_inverse
+from .snf import hermite_normal_form, smith_normal_form, unimodular_inverse
 from .solve import (
     LatticeBasis,
     _combine_witnesses,
@@ -553,7 +553,9 @@ def _torsion_beyond_box(k: DiffField, entries, lattice: LatticeBasis,
     box.  Every root of unity of Q(zeta_N) has order dividing lcm(2, N), so
     when b = 1 is certain (the shift, irrational q) nothing is computed
     while that bound is inside the box; nor is anything computed for an
-    entry whose torsion the lattice already holds inside the box.
+    entry whose axis e_i lies in the rational span of the lattice: the
+    lattice is saturated (the lemma in ``_cyclic_factors``), so it then
+    holds the entry's whole torsion line and its orders are exact.
     """
     cap = lcm(2, k.constants_conductor)
     rational_q = k.sigma.kind == "qshift" and k.sigma.q.is_rational()
@@ -562,9 +564,10 @@ def _torsion_beyond_box(k: DiffField, entries, lattice: LatticeBasis,
     end = "leading" if k.sigma.kind == "shift" else "lowest"
     caveats = []
     n = len(entries)
+    rows = lattice.vectors()
     for i, a in enumerate(entries):
-        if any(lattice.contains([m * (j == i) for j in range(n)])
-               for m in range(1, m_max + 1)):
+        axis = [int(j == i) for j in range(n)]
+        if len(hermite_normal_form(rows + [axis])[0]) == len(rows):
             continue
         if end == "leading":
             c = a.lc_ratio()

@@ -19,7 +19,15 @@ they change: the shift's leading-coefficient condition (a filter in the
 peel, the relation scan and ``torsion_order``) and exact leftover 1, the
 dilation's origin filter (in the peel; the relation scan walks it as
 x-adic valuation zero), its constant leftover (a power of q, read off by
-a discrete log) and its poles at x = 0 in ``solve_add``.
+a discrete log), and in ``solve_add`` its poles at x = 0 and its Laurent
+part, where only the constant term is not a sigma-difference.
+
+``solve_add`` is Abramov's reduction (S. A. Abramov, USSR Comput. Math.
+Math. Phys. 15, 1975) and solves no linear system.  It takes one
+self-dispersion set of den(b), then moves poles along their sigma-orbits
+with gcds and translates until no two share an orbit; b is a
+sigma-difference iff the proper part left over is zero and the Laurent
+part is summable.  The telescoped moves are the witness.
 
 The relation scan generates only the exponent vectors that meet the exact
 conditions linear in the vector (degree balance zero, and for the
@@ -34,12 +42,19 @@ be a bug in this module, never a property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .arith.cyclo import CycloNum, bounded_multiplicative_order
-from .arith.ops import _padic, _strip_x, _uneven_prime, dispersion
-from .arith.poly import Poly, RatFunc
+from .arith.ops import (
+    _padic,
+    _strip_x,
+    _uneven_prime,
+    dispersion,
+    dispersion_set,
+)
+from .arith.poly import Poly, RatFunc, _is_zero
 from .base import DiffField, SigmaSpec, apply_sigma, apply_sigma_power
 from .errors import DimensionTooLarge, InternalInvariantError, ZeroInput
 from .snf import hermite_normal_form, hnf_reduce, in_lattice
@@ -244,32 +259,44 @@ def _discrete_log(z: CycloNum, q: CycloNum) -> int | None:
 def solve_add(k: DiffField, b) -> RatFunc | None:
     """Decide whether b = sigma(f) - f for some f in k, exactly.
 
-    A universal denominator V is built from the self-dispersion of den(b)
-    (every pole of f lies on the backward sigma-orbit of a pole of b, with
-    multiplicity no larger than the worst b-pole ahead of it), which turns
-    the question into a finite linear system over the constants.  The
+    Abramov's reduction (S. A. Abramov, "The rational component of the
+    solution of a first-order linear recurrence relation with a rational
+    right side", USSR Comput. Math. Math. Phys. 15, 1975).  b is split into
+    a Laurent part and a proper part a/d with d(0) != 0 for the dilation
+    (``_split_add``).  Poles of the proper part are moved down their
+    sigma-orbits onto other poles (``_move_poles``); each move changes b by
+    a sigma-difference whose telescoped pieces make up the witness.  Once
+    no two poles share an orbit the proper part is summable only if it is
+    zero.  The Laurent part is summed termwise (``_sum_laurent``).  The
     witness is normalized so the constant term of its polynomial part is
     zero, making it unique: ker(sigma - id) on k is the constants.
+
+    For the shift, 1/(x(x+1)(x+2)) has poles 0, -1, -2 on one orbit.  The
+    pole at 0 is moved to -2 (j = 2), then the one at -1 (j = 1); the
+    residues left at -2 cancel, and the telescoped pieces sum to
+    f = -1/(2x(x+1)).  The lone pole of 1/x has nowhere to go, so 1/x is
+    refused.
+
+    >>> from pvkit.base import DiffField, SigmaSpec
+    >>> k = DiffField(SigmaSpec.shift())
+    >>> x = k.x()
+    >>> k.format(solve_add(k, 1 / (x * (x + 1) * (x + 2))))
+    '(-1/2)/(x^2 + x)'
+    >>> solve_add(k, 1 / x) is None
+    True
     """
     b = k.coerce(b)
     field = k.k_field
     if b.is_zero():
         return field.zero
-    # a pole of b at x = 0 is fixed by the dilation and enters V as is
-    den_hat = b.den if k.sigma.kind == "shift" else _strip_x(b.den)
-    j_cap = dispersion(den_hat, den_hat, k.sigma)
-    v = Poly.x(field.inner) ** (b.den.degree() - den_hat.degree())
-    for j in range((-1 if j_cap is None else j_cap) + 1):
-        v = v * k.sigma.translate(den_hat, j).monic()
-    # the polynomial part of f runs one degree above that of b for the
-    # shift, where sigma(x^d) - x^d has degree d - 1; the dilation needs no
-    # slack, as sigma(x^d) - x^d = (q^d - 1) x^d keeps the degree (q is not
-    # a root of unity)
-    slack = 1 if k.sigma.kind == "shift" else 0
-    bound = v.degree() + max(b.degree_balance(), 0) + slack
-    f = _solve_add_linear(k, b, v, bound)
-    if f is None:
+    laurent, low, a, d = _split_add(k, b)
+    rest, f = _move_poles(k, RatFunc._reduced(a, d))
+    if not rest.is_zero():
         return None
+    g = _sum_laurent(k, laurent, low)
+    if g is None:
+        return None
+    f = f + g
     # strip the free additive constant: zero the constant term of the
     # polynomial part
     quot, _ = divmod(f.num, f.den)
@@ -279,68 +306,110 @@ def solve_add(k: DiffField, b) -> RatFunc | None:
     return f
 
 
-def _solve_add_linear(k: DiffField, b: RatFunc, v: Poly, bound: int):
-    """Solve sigma(u/v) - u/v = b for u polynomial of degree <= bound."""
-    inner = k.k_field.inner
-    v_s = k.sigma.translate(v, 1)
-    x = Poly.x(inner)
-    x_s = k.sigma.translate(x, 1)
-    # sigma(u) * v * den_b  -  u * sigma(v) * den_b  =  num_b * v * sigma(v)
-    cols = []
-    mono = Poly.one(inner)
-    mono_s = Poly.one(inner)
-    for _ in range(bound + 1):
-        cols.append(mono_s * v * b.den - mono * v_s * b.den)
-        mono = mono * x
-        mono_s = mono_s * x_s
-    rhs_poly = b.num * v * v_s
-    height = max([c.degree() for c in cols] + [rhs_poly.degree()]) + 1
-    rows = [[c.nth(d) for c in cols] for d in range(height)]
-    rhs = [rhs_poly.nth(d) for d in range(height)]
-    sol = _linear_solve(rows, rhs, inner.coerce(1))
-    if sol is None:
-        return None
-    u = Poly(inner, sol)
-    return RatFunc(u, v)
+def _split_add(k: DiffField, b: RatFunc):
+    """(p, e, a, d) with b = p / x^e + a / d, p and a polynomials,
+    deg a < deg d, d monic and coprime to a; for the dilation d(0) != 0,
+    and e = 0 for the shift.
+
+    Both parts are sigma-stable, so b is summable iff each part is.  The
+    dilation's poles at x = 0 are split off with one xgcd: s x^e + t d = 1
+    gives a = num * s mod d.
+    """
+    num, den = b.num, b.den
+    d = den if k.sigma.kind == "shift" else _strip_x(den)
+    e = den.degree() - d.degree()
+    if not e:
+        p, a = divmod(num, d)
+        return p, 0, a, d
+    x_e = den.exact_div(d)
+    _, s, _ = x_e.xgcd(d)
+    a = num * s % d
+    return (num - a * x_e).exact_div(d), e, a, d
 
 
-def _linear_solve(rows, rhs, one):
-    """Gaussian elimination over any exact field whose elements support
-    +, -, *, / and is_zero(); returns one solution (free unknowns zero)
-    or None when inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    zero = one - one
-    pivot_row_of = [-1] * n
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        pivot = None
-        for i in range(row, m):
-            if not aug[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
+def _move_poles(k: DiffField, rest: RatFunc) -> tuple[RatFunc, RatFunc]:
+    """(rest', f) with rest = rest' + sigma(f) - f and no two poles of the
+    proper fraction rest' in one sigma-orbit.
+
+    The distances j > 0 between poles in one orbit are the self-dispersion
+    set of den(rest), taken once: moving a pole only lands it on a pole
+    already there, so the set never grows.  For each j, descending, the
+    poles whose sigma^j-image (beta - j for the shift, beta / q^j for the
+    dilation) is also a pole, the roots of sigma^-j(g) for
+    g = gcd(d, sigma^j(d)), are split off with their full multiplicity as
+    T = c/U and replaced by sigma^j(T), whose poles are those images:
+    T = sigma^j(T) - (sigma - 1) sum_{i<j} sigma^i(T).  One move per j
+    suffices: by then no two poles are k apart for any k > j, so no chain
+    of poles j apart has three members (its ends would be 2j apart).  Every
+    pole is moved, a landing spot or neither, and no two poles are left
+    j apart.
+    """
+    sigma = k.sigma
+    f = k.k_field.zero
+    if rest.is_zero():
+        return rest, f
+    # for an irrational q the set comes from the same bounded window as
+    # the peel's dispersions
+    distances, _ = dispersion_set(rest.den, rest.den, sigma)
+    for j in reversed([j for j in distances if j > 0]):
+        a, d = rest.num, rest.den
+        g = d.gcd(sigma.translate(d, j))
+        if g.degree() == 0:
             continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = one / aug[row][col]
-        aug[row] = [entry * inv for entry in aug[row]]
-        for i in range(m):
-            if i != row and not aug[i][col].is_zero():
-                factor = aug[i][col]
-                aug[i] = [a - factor * p for a, p in zip(aug[i], aug[row])]
-        pivot_row_of[col] = row
-        row += 1
-    for i in range(row, m):
-        if not aug[i][-1].is_zero():
+        u, v = _part_at(d, sigma.translate(g, -j))
+        # a/d = c/u + (a - c v)/(u v), with c = a t mod u for s u + t v = 1
+        _, _, t = u.xgcd(v)
+        c = a * t % u
+        part = RatFunc._reduced(c, u)
+        for i in range(j):
+            f = f - apply_sigma_power(k, part, i)
+        rest = (RatFunc._reduced((a - c * v).exact_div(u), v)
+                + apply_sigma_power(k, part, j))
+        if rest.is_zero():
+            break
+    return rest, f
+
+
+def _part_at(d: Poly, h: Poly) -> tuple[Poly, Poly]:
+    """(u, d / u) with u the factor of d at the roots of h, each with its
+    full multiplicity in d."""
+    u = Poly.one(d.field)
+    g = d.gcd(h)
+    while g.degree() > 0:
+        u = u * g
+        d = d.exact_div(g)
+        g = d.gcd(g)
+    return u, d
+
+
+def _sum_laurent(k: DiffField, p: Poly, e: int) -> RatFunc | None:
+    """f with sigma(f) - f = p / x^e, or None.
+
+    Shift (e = 0): top-down, as sigma(x^(m+1)) - x^(m+1) has leading term
+    (m+1) x^m.  Dilation: sigma(x^m) - x^m = (q^m - 1) x^m, so every
+    coefficient but that of x^0 is divided by q^m - 1, and a nonzero
+    x^0 coefficient is not summable.
+    """
+    inner = k.k_field.inner
+    if k.sigma.kind == "shift":
+        out = Poly.zero(inner)
+        while not p.is_zero():
+            m = p.degree() + 1
+            lead = p.lc() * inner.coerce(Fraction(1, m))
+            term = Poly(inner, [inner.zero] * m + [lead])
+            out = out + term
+            p = p - (term.shift_arg(1) - term)
+        return k.coerce(out)
+    q = inner.coerce(k.sigma.q)
+    coeffs = []
+    for i, c in enumerate(p.coeffs):
+        if _is_zero(c):
+            coeffs.append(c)
+        elif i == e:
             return None
-    sol = [zero] * n
-    for col in range(n):
-        if pivot_row_of[col] >= 0:
-            sol[col] = aug[pivot_row_of[col]][-1]
-    return sol
+        else:
+            coeffs.append(c / (q ** (i - e) - inner.one))
+    return RatFunc(Poly(inner, coeffs), Poly.x(inner) ** e)
 
 
 # ---------------------------------------------------------------------------

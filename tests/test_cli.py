@@ -342,6 +342,28 @@ class TestCommands:
         assert report["presentation"]["caveats"] == []
         assert report["group"]["description"] == f"finite part Z/{order}"
 
+    def test_torsion_held_by_the_lattice_is_not_caveated(self, capsys):
+        # a = -zeta13^7 = zeta26^27 and b = -zeta13^4 = zeta26^21 both have
+        # order 26 above the default bound, but a^v1 b^v2 = 1 iff
+        # 27 v1 + 21 v2 = v1 - 5 v2 = 0 mod 26, spanned by (5, 1) and (-1, 5)
+        # inside the box.  Both axes lie in the rational span of that
+        # saturated lattice, so 26 e1 and 26 e2 are in it: the answer is
+        # exact and no entry gets a caveat.
+        code, out, _ = run_cli(["group", "--system",
+                                "diag(-zeta(13)^7,-zeta(13)^4)",
+                                "--output", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        presentation = report["presentation"]
+        assert presentation["search_bound"] == 12
+        assert presentation["caveats"] == []
+        assert presentation["ell"] == 26
+        assert presentation["m_inv"] == 26
+        assert presentation["krull_dim"] == 0
+        assert presentation["simple_check"]["simple"] is True
+        assert report["group"]["description"] == "finite part Z/26"
+        assert report["group"]["finite_orders"] == [26]
+
     def test_qshift_torsion_above_the_default_bound_is_caveated(self, capsys):
         # q = 2, a = zeta13: a^v is sigma(g)/g iff zeta13^v is in 2^Z (a
         # dilation quotient with no x-adic part is q^k h(qx)/h(x), h(0) != 0,

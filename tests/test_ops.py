@@ -11,7 +11,9 @@ from pvkit.arith.cyclo import CycloField, CycloNum, QQ
 from pvkit.arith.poly import Poly
 from pvkit.arith.ops import (
     _divisors,
+    _iroot_ceil,
     _qshift_resultant,
+    _root_bound,
     _shift_resultant,
     dispersion,
     dispersion_with_flag,
@@ -42,6 +44,52 @@ def test_integer_roots_examples():
     p = _p(0, 1) * _p(-5, 1) * _p(-1, 2)
     assert integer_roots(p) == {0, 5}
     assert integer_roots(_p(Fraction(1, 2), 1)) == set()
+
+
+@given(roots=st.lists(st.integers(-12, 12), min_size=1, max_size=4),
+       scale=st.integers(1, 6),
+       extra=st.sampled_from([(1,), (1, 0, 1), (-1, 2), (-2, 0, 1),
+                              (3, -1, 5)]))
+@settings(max_examples=80, deadline=None)
+def test_integer_roots_match_brute_force(roots, scale, extra):
+    # scale * prod (t - r) * extra, where extra has no integer root.  Every
+    # complex root of a product is a root of a factor, so none has
+    # |t| > 12, and the brute force evaluates every integer up to 13
+    p = _p(scale) * _p(*extra)
+    for r in roots:
+        p = p * _p(-r, 1)
+    brute = {t for t in range(-13, 14) if p.eval(QQ.coerce(t)) == 0}
+    assert brute == set(roots)
+    assert integer_roots(p) == brute
+
+
+@pytest.mark.parametrize("roots", [(10 ** 12, -3), (10 ** 12, 1),
+                                   (-(10 ** 12), 7, 0)])
+def test_integer_roots_with_one_large_root(roots):
+    # the large root r pairs with the small divisor a_0 / r of the
+    # constant term, which the bounded divisor loop reaches
+    p = _p(1)
+    for r in roots:
+        p = p * _p(-r, 1)
+    assert integer_roots(p) == set(roots)
+
+
+def test_root_bound_is_fujiwaras():
+    # (t - 2)(t + 3) = t^2 + t - 6: 2 * max(ceil(1), ceil(sqrt 6)) = 6
+    assert _root_bound([-6, 1, 1]) == 6
+    # 2t - 10^6: 2 * ceil(10^6 / 2)
+    assert _root_bound([-(10 ** 6), 2]) == 10 ** 6
+    # t^3 - 27: 2 * ceil(27^(1/3)) = 6, and 3 is the root
+    assert _root_bound([-27, 0, 0, 1]) == 6
+    # t^2 + 2: 2 * ceil(sqrt 2) = 4
+    assert _root_bound([2, 0, 1]) == 4
+
+
+@given(m=st.integers(0, 10 ** 30), i=st.integers(1, 7))
+def test_iroot_ceil_is_the_least_root(m, i):
+    r = _iroot_ceil(m, i)
+    assert r ** i >= m
+    assert r == 0 or (r - 1) ** i < m
 
 
 def test_integer_roots_rationality_guard():

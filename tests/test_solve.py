@@ -4,11 +4,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pvkit.arith import CycloField, CycloNum, RatFunc
-from pvkit.base import DiffField, SigmaSpec, apply_sigma, apply_sigma_power
+from pvkit.arith import CycloField, CycloNum, Poly, RatFunc
+from pvkit.arith.poly import RatFuncField
+from pvkit.base import (
+    DiffField,
+    SigmaSpec,
+    apply_sigma,
+    apply_sigma_power,
+    is_constant,
+)
 from pvkit.errors import DimensionTooLarge, ZeroInput
 from pvkit.snf import hermite_normal_form
 from pvkit.solve import (
@@ -23,6 +30,8 @@ from pvkit.solve import (
     solve_mult,
     torsion_order,
 )
+
+from dense_add import dense_solve_add
 
 
 def shift_field(conductor: int = 1) -> DiffField:
@@ -343,6 +352,151 @@ def test_add_round_trip_on_sigma_differences(num, den, kind):
     g = solve_add(k, b)
     assert g is not None
     assert apply_sigma(k, g) - g == b
+
+
+def _product(factors, one):
+    out = one
+    for f in factors:
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_add_rising_factorial_chain_witness(n):
+    # b = 1/(x(x+1)...(x+n-1)) and f = -1/((n-1) x(x+1)...(x+n-2)):
+    # sigma(f) - f = -(x - (x+n-1)) / ((n-1) x(x+1)...(x+n-1)) = b.  The
+    # normalized witness is unique, so it is pinned by value.
+    k = shift_field()
+    x = k.x()
+    den = _product([x + i for i in range(n)], k.one())
+    want = -1 / ((n - 1) * _product([x + i for i in range(n - 1)], k.one()))
+    assert solve_add(k, 1 / den) == want
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_add_q_chain_witness(n):
+    # q = 2 and den = (x-1)(x-2)...(x-2^(n-1)).  f = c/((x-2)...(x-2^(n-1)))
+    # has sigma(f) = c 2^(1-n)/((x-1)...(x-2^(n-2))), so
+    # sigma(f) - f = c (2^(1-n) - 1) x / den: b = x/den takes
+    # c = 1/(2^(1-n) - 1).  b = 1/den is refused: sigma(f) - f vanishes at
+    # x = 0 for every f regular there, and 1/den does not.
+    k = qshift_field(2)
+    x = k.x()
+    den = _product([x - 2 ** i for i in range(n)], k.one())
+    c = 1 / (Fraction(1, 2 ** (n - 1)) - 1)
+    want = c / _product([x - 2 ** i for i in range(1, n)], k.one())
+    assert solve_add(k, x / den) == want
+    assert solve_add(k, 1 / den) is None
+
+
+def _field_for(kind, constants):
+    """A DiffField over Q, Q(zeta_3) or the tower Q(t1)."""
+    if constants == "tower":
+        inner = RatFuncField(CycloField(1), "t1")
+    else:
+        inner = CycloField(3 if constants == "zeta3" else 1)
+    sigma = (SigmaSpec.shift() if kind == "shift"
+             else SigmaSpec.qshift(CycloField(1).coerce(2)))
+    return DiffField(sigma=sigma, constants=inner)
+
+
+def _constant(k, constants, a, b):
+    """a + b*w, with w = zeta_3 or t1 (or 1 over Q)."""
+    inner = k.constants
+    if constants == "tower":
+        t = RatFunc(Poly(inner.inner, (0, 1)), Poly(inner.inner, (1,)))
+        return inner.coerce(a) + inner.coerce(b) * t
+    w = CycloNum.zeta(3) if constants == "zeta3" else inner.one
+    return inner.coerce(a) + inner.coerce(b) * inner.coerce(w)
+
+
+@st.composite
+def _sigma_differences(draw, constants_choices=("qq", "zeta3", "tower"),
+                       max_factors=3, max_degree=12):
+    """(k, f): the poles of f are sigma^s(p)^e for s in 0..3 and e in 1..2,
+    up to ``max_factors`` such factors of total degree <= ``max_degree``,
+    with p linear or, over Q and Q(zeta_3), quadratic.  Arithmetic over
+    the tower is slow, so its f stays small."""
+    kind = draw(st.sampled_from(["shift", "qshift"]))
+    constants = draw(st.sampled_from(constants_choices))
+    k = _field_for(kind, constants)
+    x = k.x()
+    # for the dilation, x is fixed up to a constant and brings poles at 0
+    bases = ([x, x + Fraction(1, 2), x * x + 1] if kind == "shift"
+             else [x, x - 1, x - 3, x * x + 1])
+    if constants == "tower":
+        bases = bases[:2]
+    factors = draw(st.lists(
+        st.tuples(st.sampled_from(bases), st.integers(0, 3),
+                  st.integers(1, 2)),
+        min_size=1, max_size=2 if constants == "tower" else max_factors))
+    den = k.one()
+    for base, s, mult in factors:
+        den = den * apply_sigma_power(k, base, s) ** mult
+    assume(den.num.degree() <= max_degree)
+    coeffs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+                           min_size=1, max_size=3))
+    num = k.zero()
+    for i, (a, b) in enumerate(coeffs):
+        num = num + k.coerce(_constant(k, constants, a, b)) * x ** i
+    return k, num / den
+
+
+@given(case=_sigma_differences())
+@settings(max_examples=60, deadline=None)
+def test_add_round_trip_on_shift_related_poles(case):
+    # b = sigma(f) - f comes back as f, up to the additive constant, for
+    # repeated shift-related factors over Q, Q(zeta_3) and Q(t1)
+    k, f = case
+    b = apply_sigma(k, f) - f
+    g = solve_add(k, b)
+    assert g is not None
+    assert apply_sigma(k, g) - g == b
+    assert is_constant(k, g - f)
+
+
+@given(case=_sigma_differences(), extra=st.integers(0, 1),
+       mult=st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_add_refuses_a_pole_alone_on_its_orbit(case, extra, mult):
+    # b + 1/p^e with the sigma-orbit of p holding no pole of b: after every
+    # pole of b is moved, 1/p^e stays alone on its orbit and is no
+    # sigma-difference
+    k, f = case
+    x = k.x()
+    if k.sigma.kind == "shift":
+        p = [x + Fraction(1, 3), x * x + 2][extra]
+    else:
+        p = [x - 5, x * x + 3][extra]
+    b = apply_sigma(k, f) - f
+    assert solve_add(k, b + 1 / p ** mult) is None
+
+
+@st.composite
+def _small_rhs(draw):
+    """(k, b) over Q or Q(zeta_3): half the time a sigma-difference, else
+    an arbitrary b with a small denominator."""
+    # the dense solver's system grows with the square of the degree
+    case = draw(_sigma_differences(constants_choices=("qq", "zeta3"),
+                                   max_factors=2, max_degree=4))
+    k, f = case
+    if draw(st.booleans()):
+        return k, apply_sigma(k, f) - f
+    x = k.x()
+    num = k.coerce(draw(st.integers(-3, 3))) + draw(st.integers(-2, 2)) * x
+    den = draw(st.sampled_from([x, x + 1, x * (x + 2), (x - 1) * (x - 2),
+                                (x - 1) ** 2 * (x - 2), x * x + 1]))
+    return k, num / den + draw(st.integers(-2, 2))
+
+
+@given(case=_small_rhs())
+@settings(max_examples=40, deadline=None)
+def test_add_agrees_with_the_dense_solver(case):
+    # the dense universal-denominator solver (tests/dense_add.py) decides
+    # the same question by linear algebra; both return the normalized,
+    # unique witness, or both refuse
+    k, b = case
+    assert solve_add(k, b) == dense_solve_add(k, b)
 
 
 # ------------------------------------------------------------- torsion_order
