@@ -1,6 +1,7 @@
-"""Named polynomial operations: resultant, integer roots, dispersion. These
-are the primitives the rational-solution machinery is assembled from, next
-to the gcd and substitutions of ``Poly``; everything is exact.
+"""Named polynomial operations: resultant, integer roots, dispersion, factor
+refinement. These are the primitives the rational-solution machinery is
+assembled from, next to the gcd and substitutions of ``Poly``; everything
+is exact.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from math import gcd as int_gcd
 
 from ..errors import NonRationalCoefficients, ZeroInput
 from .cyclo import CycloNum
-from .poly import Poly, RatFunc, _is_zero
+from .poly import Poly, RatFunc, RatFuncField, _is_zero
 
 
 def resultant(a: Poly, b: Poly):
@@ -156,6 +157,32 @@ def _iroot_ceil(m: int, i: int) -> int:
     return r if r ** i >= m else r + 1
 
 
+def coprime_basis(items, gcd, unit) -> list:
+    """Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15,
+    1993): pairwise coprime non-units, each item a product of their powers,
+    for integers or polynomials (``gcd`` and ``unit`` say which).  Nothing
+    is factored: two elements sharing g become g and the two cofactors.
+
+    >>> from math import gcd
+    >>> sorted(coprime_basis([12, 18], gcd, lambda a: a == 1))
+    [2, 3]
+    """
+    basis, work = [], list(items)
+    while work:
+        a = work.pop()
+        if unit(a):
+            continue
+        for i, b in enumerate(basis):
+            g = gcd(a, b)
+            if not unit(g):
+                del basis[i]
+                work += [g, a // g, b // g]
+                break
+        else:
+            basis.append(a)
+    return basis
+
+
 def _divisors(n: int) -> list[int]:
     """The positive divisors of n >= 1, ascending."""
     low, high = [], []
@@ -218,7 +245,10 @@ def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
         p, r = _strip_x(p), _strip_x(r)
     if p.degree() == 0 or r.degree() == 0:
         return [], True
+    p, r = _descend(p, r)
     p, r = _square_free(p), _square_free(r)
+    if p.degree() == r.degree() == 1:
+        return _linear_dispersion(p, r, sigma)
     if sigma.kind == "shift":
         candidates, complete = _shift_candidates(p, r), True
     else:
@@ -227,8 +257,57 @@ def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
             if j >= 0 and p.gcd(sigma.translate(r, j)).degree() > 0], complete
 
 
+def _descend(p: Poly, r: Poly) -> tuple[Poly, Poly]:
+    """p and r over the cyclotomic floor of a constants tower when all their
+    coefficients lie there (the roots are the same, and the resultants and
+    gcds need no rational-function arithmetic), else as they are."""
+    floor = p.field
+    while isinstance(floor, RatFuncField):
+        floor = floor.inner
+    low = [[_constant_as_cyclo(c) for c in s.coeffs] for s in (p, r)]
+    if floor is p.field or any(c is None for cs in low for c in cs):
+        return p, r
+    return Poly(floor, low[0]), Poly(floor, low[1])
+
+
+def _constant_as_cyclo(value) -> CycloNum | None:
+    """Walk a constants-tower element down to its cyclotomic floor; None
+    when any layer is genuinely transcendental."""
+    while isinstance(value, RatFunc):
+        if not value.is_const():
+            return None
+        value = value.const_value()
+    return value if isinstance(value, CycloNum) else None
+
+
+def _linear_dispersion(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
+    """``dispersion_set`` of linear p, r from their roots alpha, beta: j =
+    beta - alpha (shift), or q^j = beta / alpha found as
+    ``_qshift_candidates`` would from res_x(r(u x), p(x)) = r1 p0 u - p1 r0."""
+    alpha, beta = -p.nth(0) / p.lc(), -r.nth(0) / r.lc()
+    if sigma.kind == "shift":
+        gap = beta - alpha
+        j = _as_fraction(gap) if _value_is_rational(gap) else Fraction(-1)
+        return ([int(j)] if j.denominator == 1 and j >= 0 else []), True
+    q, z = p.field.coerce(sigma.q), beta / alpha
+    if all(_value_is_rational(c)
+           for c in (q, r.lc() * p.nth(0), p.lc() * r.nth(0))):
+        qv, zv = _as_fraction(q), _as_fraction(z)
+        prime = _uneven_prime(qv)
+        j, rem = divmod(_padic(zv, prime), _padic(qv, prime))
+        return ([j] if not rem and j >= 0 and qv ** j == zv else []), True
+    power = p.field.one
+    for j in range(_QSHIFT_SCAN_CAP + 1):
+        if power == z:
+            return [j], False
+        power = power * q
+    return [], False
+
+
 def _square_free(p: Poly) -> Poly:
     """p / gcd(p, p'): the roots of p, each once."""
+    if p.degree() < 2:
+        return p
     dp = Poly(p.field, [c * i for i, c in enumerate(p.coeffs)][1:])
     return p.exact_div(p.gcd(dp))
 

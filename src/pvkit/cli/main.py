@@ -62,12 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
                                   'rationals, x, zeta(N), + - * / ^')
             cmd.add_argument("--m-max", type=int, default=DEFAULT_M_MAX,
                              dest="m_max",
-                             help="torsion/lattice search bound "
+                             help="relation search bound for constants "
+                                  "with no rational power "
                                   f"(default {DEFAULT_M_MAX})")
             cmd.add_argument("--degree-bound", type=int,
                              default=DEFAULT_DEGREE_BOUND,
                              dest="degree_bound",
-                             help="simplicity-scan bound "
+                             help="simplicity-check bound "
                                   f"(default {DEFAULT_DEGREE_BOUND})")
         if name == "basechange":
             cmd.add_argument("--adjoin", default=None,

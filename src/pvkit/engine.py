@@ -37,11 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
-from .arith.cyclo import CycloNum, bounded_multiplicative_order, euler_phi
-from .arith.ops import _divisors, _padic, _strip_x, _uneven_prime
+from .arith.ops import _divisors
 from .arith.poly import RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power, is_constant
 from .errors import (
@@ -52,13 +51,11 @@ from .errors import (
     ZeroInput,
 )
 from .laurent import BinomialNF, LaurentPoly
-from .snf import hermite_normal_form, smith_normal_form, unimodular_inverse
+from .snf import smith_normal_form, unimodular_inverse
 from .solve import (
     LatticeBasis,
     _combine_witnesses,
-    _constant_as_cyclo,
     _entry_power,
-    _relation_scan,
     relation_lattice,
     solve_add,
     solve_mult,
@@ -82,20 +79,6 @@ __all__ = [
 ]
 
 DEFAULT_SEARCH_BOUND = 12
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +286,8 @@ class CyclicFactor:
 
 def _stride_product(k: DiffField, b: RatFunc, s: int, step: int) -> RatFunc:
     """prod_{i<s} sigma^{i*step}(b)."""
-    acc = b
-    for i in range(1, s):
-        acc = acc * apply_sigma_power(k, b, i * step)
-    return acc
+    return prod((apply_sigma_power(k, b, i * step) for i in range(1, s)),
+                start=b)
 
 
 def _stride_degree(k: DiffField, char: RatFunc, order: int, step: int = 1) -> int:
@@ -333,9 +314,8 @@ def _assert_primitive_root_of_unity(k: DiffField, w: RatFunc, d: int) -> None:
         raise InternalInvariantError("splitting marker is not a constant")
     if w ** d != one:
         raise InternalInvariantError("splitting marker is not a d-th root of unity")
-    for p in _prime_divisors(d):
-        if w ** (d // p) == one:
-            raise InternalInvariantError("splitting marker is not primitive")
+    if any(w ** e == one for e in _divisors(d)[:-1]):
+        raise InternalInvariantError("splitting marker is not primitive")
 
 
 def _split_witness(k: DiffField, char: RatFunc, order: int, witness: RatFunc):
@@ -361,31 +341,16 @@ def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
     one Smith pass.
 
     The lattice must be saturated: every relation vector in its rational
-    span lies in it.  ``relation_lattice`` returns L_B, the span of the
-    relation vectors of the sup-norm box B of radius M, and for n <= 3 that
-    is saturated in the full relation lattice L:
-
-    Lemma.  For L in Z^n with n <= 3, L_B = L cap span_Q(L_B).
-
-    Proof.  Take independent b_1..b_r in L cap B of least r-volume.  A
-    nonzero class of (L cap span_Q L_B)/<b> has a representative
-    w = sum c_i b_i with c_i in (-1/2, 1/2].  If sum |c_i| <= 1, then
-    |w| <= M, and swapping w for a b_j with c_j != 0 scales the volume by
-    |c_j| <= 1/2, against minimality.  For a class of order m, the mean of
-    sum_i |rep(t c_i)| over t = 1..m-1 is at most r m / (4 (m - 1)), and at
-    most 1 when m = 3, so when m >= 3 or r <= 2 some multiple of the class
-    falls in the first case.  That leaves m = 2, r = 3 and
-    c = (1/2, 1/2, 1/2): the class holds the four vectors
-    (+-b_1 +-b_2 +-b_3)/2 up to sign, and a coordinate can push at most
-    the one whose signs all agree with it past M, so with n <= 3
-    coordinates one of the four lies in B, and swapping it in halves the
-    volume again.  So the quotient is trivial.
+    span lies in it.  ``relation_lattice`` gives that by construction: an
+    exact lattice is the full relation lattice L, and the span of a bounded
+    search is L cap its rational span (the lemma at
+    ``solve._residue_rows``, for n <= 3).
 
     Hence, with coord_u the Smith coordinates and d_u the Smith orders:
 
     * no order can shrink: a relation t coord_u with t < d_u would lie in
-      L cap span_Q(L_B) but not in L_B, so each d_u is the exact torsion
-      order of its character;
+      the rational span of the lattice but not in it, so each d_u is the
+      exact torsion order of its character;
     * no two splits share a prime p: the sigma-fixed
       W_f^{j d_f / p} W_g^{-d_g / p} of two markers of order divisible by
       p would give such a relation vector too.
@@ -435,10 +400,8 @@ class PVPresentation:
     set ``constants_ext_degree`` = 1: the splits of a saturated lattice are
     pairwise coprime (``_cyclic_factors``), so the Fourier idempotents need
     no constants beyond C.  A presentation built by hand may carry None,
-    which ``decompose`` refuses.  ``complete_radius`` is the sup-norm radius
-    up to which every relation vector is proven to lie in ``lattice``: the
-    builders decide the whole box of radius ``search_bound``, and any other
-    construction claims nothing (0).
+    which ``decompose`` refuses.  ``search_bound`` bounds only a search
+    among constants with no rational power (``lattice.exact`` False).
     """
 
     field: DiffField
@@ -454,7 +417,6 @@ class PVPresentation:
     factors: tuple = ()
     caveats: tuple = ()
     unipotent_solution: Optional[RatFunc] = None
-    complete_radius: int = 0
 
 
 @dataclass(eq=False)
@@ -534,79 +496,6 @@ def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
     return orbit
 
 
-def _torsion_beyond_box(k: DiffField, entries, lattice: LatticeBasis,
-                        m_max: int) -> list:
-    """Caveats for entries whose constant ratio has torsion exponent above
-    ``m_max``, modulo q^Z for the dilation.
-
-    Write an entry as a = c x^k sigma(h)/h.  A shift quotient has
-    leading-coefficient ratio 1, so c is the leading-coefficient ratio of a
-    and c^m = 1 whenever a^m is a quotient.  A dilation quotient has
-    lowest-coefficient ratio in q^Z, so c is the lowest-coefficient ratio of
-    a and c^m lies in q^Z.  For rational q, N(c)^m = N(q)^t then fixes
-    t/m = a/b in lowest terms (``_q_exponent``), so b divides m, and
-    c^m = q^t says (c^b / q^a)^(m/b) = 1: the least m is b times the order
-    of c^b / q^a (``_mod_q``), and c^b / q^a must be a root of unity.  When
-    c itself is a root of unity (any q), so is c^m, and q is not one, so
-    again c^m = 1.  Either way that exponent divides every torsion exponent
-    of the entry, and one above ``m_max`` puts them all outside the search
-    box.  Every root of unity of Q(zeta_N) has order dividing lcm(2, N), so
-    when b = 1 is certain (the shift, irrational q) nothing is computed
-    while that bound is inside the box; nor is anything computed for an
-    entry whose axis e_i lies in the rational span of the lattice: the
-    lattice is saturated (the lemma in ``_cyclic_factors``), so it then
-    holds the entry's whole torsion line and its orders are exact.
-    """
-    cap = lcm(2, k.constants_conductor)
-    rational_q = k.sigma.kind == "qshift" and k.sigma.q.is_rational()
-    if cap <= m_max and not rational_q:
-        return []
-    end = "leading" if k.sigma.kind == "shift" else "lowest"
-    caveats = []
-    n = len(entries)
-    rows = lattice.vectors()
-    for i, a in enumerate(entries):
-        axis = [int(j == i) for j in range(n)]
-        if len(hermite_normal_form(rows + [axis])[0]) == len(rows):
-            continue
-        if end == "leading":
-            c = a.lc_ratio()
-        else:
-            c = _strip_x(a.num).nth(0) / _strip_x(a.den).nth(0)
-        u = _constant_as_cyclo(c)
-        b = 1
-        if u is not None and rational_q:
-            b = _q_exponent(u, k.sigma.q).denominator
-            u = _mod_q(u ** b, k.sigma.q)
-        order = None if u is None else bounded_multiplicative_order(u, cap)
-        if order is not None and b * order > m_max:
-            caveats.append(
-                f"entry {i + 1} has {end}-coefficient ratio of order "
-                f"{b * order} above --m-max {m_max}; torsion of that order "
-                "lies outside the search box and may be reported as free")
-    return caveats
-
-
-def _q_exponent(c: CycloNum, q: CycloNum) -> Fraction:
-    """The j with N(c) = N(q)^j at a prime where q has a nonzero valuation
-    (one exists, as q is no root of unity); q rational.  The norm is taken
-    over the conductor n of c, so N(q) = q^phi(n)."""
-    qf = q.rational_value()
-    p = _uneven_prime(qf)
-    return Fraction(_padic(c.norm(), p), euler_phi(c.conductor) * _padic(qf, p))
-
-
-def _mod_q(c: CycloNum, q: CycloNum) -> CycloNum | None:
-    """c / q^j for the one j that can make it a root of unity, or None if
-    there is none; q rational.
-
-    A root of unity has norm +-1, so c = zeta q^j forces N(c) = N(q)^j,
-    and j is ``_q_exponent``; a fractional j leaves no root of unity.
-    """
-    j = _q_exponent(c, q)
-    return None if j.denominator > 1 else c / q ** j.numerator
-
-
 def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
     k = system.field
     if m_max < 1:
@@ -632,13 +521,16 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
             caveats.append(
                 f"presentation exponent {f.order} exceeds the invariant degree "
                 f"{f.m_factor}; the reported m follows the degree")
-    caveats += _torsion_beyond_box(k, entries, lattice, m_max)
+    if not lattice.exact:
+        caveats.append(
+            "constants with no rational power were searched for relations "
+            f"only up to --m-max {m_max}; a relation past it would be missed")
     return PVPresentation(
         field=k, system=system, ideal=ideal, ell=ell, m_inv=m_inv,
         krull_dim=n - lattice.rank(), constants_ext_degree=1,
         idempotents=_orbit_idempotents(k, ideal, factors, ell, n),
         search_bound=m_max, lattice=lattice, factors=factors,
-        caveats=tuple(caveats), complete_radius=m_max)
+        caveats=tuple(caveats))
 
 
 def build_pv_scalar(k: DiffField, a, m_max: int = DEFAULT_SEARCH_BOUND) -> PVPresentation:
@@ -759,27 +651,20 @@ def decompose(p: PVPresentation) -> list:
 
 
 def check_simple(p: PVPresentation, degree_bound: int) -> bool:
-    """Scan for a relation the presentation missed, up to the given bound.
-
-    The quotient by a complete relation lattice is simple; a relation
-    vector outside the lattice whose character product is a sigma-quotient
-    produces a proper stable subideal.  Scanning sup-norm shells
-    ``complete_radius + 1 .. degree_bound`` makes the negative answer a
-    bounded certificate; the scan is ``relation_lattice``'s own.  Shells up
-    to ``complete_radius`` are skipped because ``relation_lattice`` already
-    decided each of their vectors with that same deterministic scan, and
-    the builders present its lattice as it is: a vector there is in the
-    lattice or is not a sigma-quotient, so a rescan could only agree.
-    """
+    """Whether the presentation's lattice holds every relation, so that
+    no relation outside it cuts out a proper stable subideal: True for an
+    exact lattice, and for any other whether it contains
+    ``relation_lattice`` at ``degree_bound``."""
     if degree_bound < 1:
         raise ZeroInput("degree bound must be at least 1")
     if p.system.shape != "diagonal":
         raise UnsupportedShape(
             "simplicity scan covers diagonal shapes only, one-entry "
             "diagonals included")
-    shells = range(p.complete_radius + 1, degree_bound + 1)
-    missed = _relation_scan(p.field, p.system.entries, shells, p.lattice.contains)
-    return next(missed, None) is None
+    if p.lattice.exact:
+        return True
+    found = relation_lattice(p.field, p.system.entries, degree_bound)
+    return all(p.lattice.contains(v) for v in found.vectors())
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,8 @@ class NonRationalCoefficients(PvkitError):
 
 
 class DimensionTooLarge(PvkitError):
-    """Diagonal systems are supported up to n = 3.
-
-    n <= 3 is the hypothesis of the saturation lemma
-    (``engine._cyclic_factors``): in up to three dimensions the relation
-    vectors of a sup-norm box span a saturated sublattice, which the one
-    Smith pass of the engine relies on.
-    """
+    """A bounded relation search covers up to n = 3 characters, the
+    hypothesis of the saturation lemma at ``solve._residue_rows``."""
 
     code = "dimension-too-large"
 

@@ -325,3 +325,17 @@ def lattice_index(sub: list[list[int]], sup: list[list[int]]) -> int:
     if det == 0:
         raise InternalInvariantError("rank collapsed in index computation")
     return abs(det)
+
+
+def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
+    """Hermite basis of {m : sum_i m_i rows_i = 0} for integer rows of one
+    length: the rows of the Hermite form of [rows | I] that vanish on the
+    left block.
+
+    >>> integer_kernel([[2], [3]])
+    [[3, -2]]
+    """
+    width, n = (len(rows[0]) if rows else 0), len(rows)
+    h, _ = hermite_normal_form([list(r) + [int(i == j) for j in range(n)]
+                                for i, r in enumerate(rows)])
+    return [row[width:] for row in h if not any(row[:width])]

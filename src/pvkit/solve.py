@@ -5,22 +5,21 @@ Four questions get decided here, each with a checked witness:
   solve_mult        is r a sigma^s-quotient, i.e. sigma^s(f) = r*f, f in k*?
   solve_add         is b a sigma-difference, i.e. sigma(f) - f = b, f in k?
   torsion_order     least m >= 1 with a^m a sigma-quotient
-  relation_lattice  all integer vectors (m_i), |m_i| <= m_max, with
-                    prod a_i^{m_i} a sigma-quotient, as a lattice basis
+  relation_lattice  all integer vectors (m_i) with prod a_i^{m_i} a
+                    sigma-quotient, as a lattice basis
 
-``torsion_order`` is a public certifier for callers and tests; the engine
-no longer calls it, since the Smith orders of the saturated lattice from
-``relation_lattice`` are already the exact torsion orders.
+``torsion_order`` is a public certifier for callers and tests; the Smith
+orders of ``relation_lattice`` are the engine's exact torsion orders.
 
 Each is written once for a generic sigma: sigma^j acts on polynomials
 only through ``SigmaSpec.translate``, and ``dispersion`` reads the same way
 for both kinds.  The few facts that depend on the kind sit next to the step
-they change: the shift's leading-coefficient condition (a filter in the
-peel, the relation scan and ``torsion_order``) and exact leftover 1, the
-dilation's origin filter (in the peel; the relation scan walks it as
-x-adic valuation zero), its constant leftover (a power of q, read off by
-a discrete log), and in ``solve_add`` its poles at x = 0 and its Laurent
-part, where only the constant term is not a sigma-difference.
+they change: the shift's leading-coefficient condition and exact leftover
+1, the dilation's origin filter and its constant leftover (a power of q,
+read off by a discrete log), the normalization of factors (monic, or
+constant term 1 with x split off), and in ``solve_add`` the dilation's
+poles at x = 0 and its Laurent part, where only the constant term is not a
+sigma-difference.
 
 ``solve_add`` is Abramov's reduction (S. A. Abramov, USSR Comput. Math.
 Math. Phys. 15, 1975) and solves no linear system.  It takes one
@@ -29,11 +28,10 @@ with gcds and translates until no two share an orbit; b is a
 sigma-difference iff the proper part left over is zero and the Laurent
 part is summable.  The telescoped moves are the witness.
 
-The relation scan generates only the exponent vectors that meet the exact
-conditions linear in the vector (degree balance zero, and for the
-dilation x-adic valuation zero), shell by shell; the lattice membership
-and the shift's leading-coefficient ratio are tested on each generated
-vector, and ``solve_mult`` decides the rest.
+``relation_lattice`` reads L off a factor basis closed under sigma: the
+exponent sums of each sigma-orbit, the valuations of the constants and one
+discrete log in the roots of unity, each an integer kernel.  Only constants
+with no rational power leave a bounded search, and the result says so.
 
 Every witness is re-substituted into its defining equation before it is
 returned; a failure there raises InternalInvariantError because it would
@@ -41,23 +39,26 @@ be a bug in this module, never a property of the input.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .arith.cyclo import CycloNum, bounded_multiplicative_order
 from .arith.ops import (
+    _constant_as_cyclo,
     _padic,
     _strip_x,
     _uneven_prime,
+    coprime_basis,
     dispersion,
     dispersion_set,
 )
 from .arith.poly import Poly, RatFunc, _is_zero
 from .base import DiffField, SigmaSpec, apply_sigma, apply_sigma_power
 from .errors import DimensionTooLarge, InternalInvariantError, ZeroInput
-from .snf import hermite_normal_form, hnf_reduce, in_lattice
+from .snf import hermite_normal_form, hnf_reduce, in_lattice, integer_kernel, matmul
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,14 @@ class TorsionCert:
 
 class LatticeBasis:
     """Basis (in row Hermite form) of the lattice of exponent vectors m
-    with prod a_i^{m_i} a sigma-quotient, each row carrying its witness."""
+    with prod a_i^{m_i} a sigma-quotient, each row carrying its witness;
+    ``exact`` unless a bounded search decided a constant condition."""
 
-    def __init__(self, dim: int, rows, field):
+    def __init__(self, dim: int, rows, field, exact: bool = False):
         self.dim = dim
         self.rows = list(rows)  # [(tuple exponent vector, RatFunc witness)]
         self._field = field
+        self.exact = exact
 
     def vectors(self) -> list[list[int]]:
         return [list(v) for v, _ in self.rows]
@@ -103,8 +106,7 @@ class LatticeBasis:
         return _combine_witnesses(self._field, self.rows, coeffs)
 
     def __repr__(self):
-        vecs = [list(v) for v, _ in self.rows]
-        return f"LatticeBasis(dim={self.dim}, rows={vecs})"
+        return f"LatticeBasis(dim={self.dim}, rows={self.vectors()})"
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +202,7 @@ def _solve_mult_peel(k: DiffField, r: RatFunc, step: int) -> RatFunc | None:
 
 
 def _monic_num(f: RatFunc) -> RatFunc:
-    lead = f.num.lc()
-    return f / lead
-
-
-def _constant_as_cyclo(value) -> CycloNum | None:
-    """Walk a constants-tower element down to its cyclotomic floor; None
-    when any layer is genuinely transcendental."""
-    while isinstance(value, RatFunc):
-        if not value.is_const():
-            return None
-        value = value.const_value()
-    if isinstance(value, CycloNum):
-        return value
-    return None
+    return f / f.num.lc()
 
 
 def _discrete_log(z: CycloNum, q: CycloNum) -> int | None:
@@ -444,180 +433,215 @@ def torsion_order(k: DiffField, a, m_max: int, step: int = 1) -> TorsionCert | N
 
 
 def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
-    """Lattice of all exponent vectors (|entries| <= m_max) under which the
-    characters a_list multiply into a sigma-quotient.
+    """Lattice L of the exponent vectors m with prod a_i^{m_i} a
+    sigma-quotient, in row Hermite form, each row with a checked witness.
 
-    Vectors are scanned shell by shell in the sup-norm, skipping anything
-    already generated, so discovered relations are inclusion-minimal; only
-    vectors whose product has degree balance zero (and for the dilation
-    x-adic valuation zero) are generated, the rest are tested as
-    ``_relation_scan`` says.  The final basis is canonicalized to row
-    Hermite form with witnesses recombined through the unimodular
-    transform.
-
-    The result is the span L_B of the relation vectors of the box B, and
-    for n <= 3 it is saturated: every relation vector in its rational span
-    lies in it (the lemma in ``engine._cyclic_factors``).  So the Smith
-    orders of the basis are exact torsion orders, and a relation past the
-    box can be missing only along a direction the span does not reach.
+    Over one coprime basis closed under sigma (``_orbit_basis``), a_i =
+    c_i x^{v_i} prod_b b^{e_ib} with every b monic (shift; v_i = 0) or of
+    constant term 1 (dilation), which sigma keeps.  So m lies in L iff m is
+    in the integer kernel L0 of the exponent sums over each sigma-orbit
+    and of the v_i, and prod c_i^{m_i} is 1 (shift) or some q^t.  That is
+    exact when each constant L0 involves, and q, has a rational M-th
+    power, M = lcm(2, N) for constants Q(zeta_N) (``_constant_rows``);
+    others, such as 1 + sqrt(2), are searched for |m_i| <= m_max
+    (``_residue_rows``), inexact.  Witnesses are telescopes (``_witness``),
+    re-checked; ``solve_mult`` never runs.  An entry that the degree
+    balance and the valuation alone pin to m_i = 0 gets no factor basis.
     """
     a = [k.coerce(ai) for ai in a_list]
-    n = len(a)
+    if any(ai.is_zero() for ai in a):
+        raise ZeroInput("characters must be nonzero")
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    field, n = k.k_field, len(a)
+    parts = [_normal_parts(k, ai) for ai in a]
+    pin = [[num.degree() - den.degree(), v] for _, v, num, den in parts]
+    free = integer_kernel(pin)
+    basis, orbit = _orbit_basis(k, [
+        p for i, (*_, num, den) in enumerate(parts)
+        if any(r[i] for r in free) for p in (num, den)])
+    exps = [[_multiplicity(num, b) - _multiplicity(den, b) for b in basis]
+            for *_, num, den in parts]
+    reps = sorted({rep for rep, _ in orbit})
+    l0 = integer_kernel([
+        [sum(e for e, (rep, _) in zip(row, orbit) if rep == r) for r in reps]
+        + p for row, p in zip(exps, pin)])
+    consts = [c for c, *_ in parts]
+    rows = _constant_rows(k, consts, l0)
+    exact = rows is not None
+    rows = rows if exact else _residue_rows(k, consts, l0, m_max)
+    out = []
+    for row in hermite_normal_form(rows)[0]:
+        vec = tuple(row[:n])
+        g = _witness(k, basis, orbit, exps, vec, row[n])
+        if apply_sigma(k, g) / g != _entry_power(field, a, vec):
+            raise InternalInvariantError(
+                "telescoped witness does not witness its relation")
+        out.append((vec, g))
+    return LatticeBasis(n, out, field, exact)
+
+
+def _normal(k: DiffField, p: Poly) -> Poly:
+    """p monic (shift) or of constant term 1 (dilation), as sigma keeps."""
+    return (p.monic() if k.sigma.kind == "shift"
+            else p * (p.field.one / p.nth(0)))
+
+
+def _normal_parts(k: DiffField, a: RatFunc):
+    """(c, v, num, den) with a = c x^v num/den, num and den ``_normal``,
+    x-free for the dilation, and v = 0 for the shift."""
+    if k.sigma.kind == "shift":
+        return a.lc_ratio(), 0, a.num.monic(), a.den
+    num, den = _strip_x(a.num), _strip_x(a.den)
+    v = a.num.degree() - num.degree() - a.den.degree() + den.degree()
+    return num.nth(0) / den.nth(0), v, _normal(k, num), _normal(k, den)
+
+
+def _multiplicity(p: Poly, b: Poly) -> int:
+    """The largest e with b^e dividing p, for b of positive degree."""
+    e = 0
+    while not p % b:
+        p, e = p // b, e + 1
+    return e
+
+
+def _orbit_basis(k: DiffField, polys):
+    """(basis, orbit): coprime ``_normal`` polynomials, each of ``polys`` a
+    product of their powers, with gcd(b, sigma^d c) = 1 or b = sigma^d c;
+    orbit[i] = (rep, d >= 0) with basis[i] = sigma^d(basis[rep]).
+
+    Factor refinement; then each d of ``dispersion_set(b, c)`` that is no
+    full match splits b and c at g = gcd(b, sigma^d c) and sigma^-d(g),
+    and refinement runs again (Gerhard, Giesbrecht, Storjohann and Zima,
+    ISSAC 2003); self-pairs go first, as their splits often leave only
+    linear pairs.  Each split adds an element, so this ends.  Then every
+    element meets each lower one of its orbit, the lowest at the largest d.
+    """
+    sigma = k.sigma
+    basis = list(polys)
+    while True:
+        basis = [_normal(k, b) for b in
+                 coprime_basis(basis, Poly.gcd, lambda p: p.degree() < 1)]
+        n = len(basis)
+        orbit, pieces = [(i, 0) for i in range(n)], []
+        for i, j in [(i, i) for i in range(n)] + [
+                (i, j) for i in range(n) for j in range(n) if i != j]:
+            if pieces and i != j:
+                break
+            b, c = basis[i], basis[j]
+            for d in dispersion_set(b, c, sigma)[0]:
+                if b == sigma.translate(c, d):
+                    orbit[i] = max(orbit[i], (j, d), key=lambda o: o[1])
+                else:
+                    g = b.gcd(sigma.translate(c, d))
+                    pieces += [g, sigma.translate(g, -d)]
+        if not pieces:
+            return basis, orbit
+        basis += pieces
+
+
+def _constant_rows(k: DiffField, consts, l0):
+    """Rows (m, t) spanning the m in l0 with prod c_i^{m_i} = q^t (t = 0
+    for the shift), or None when a constant that l0 involves, or q, has no
+    rational M-th power, M = lcm(2, N).
+
+    With g = (c_1, ..., c_n, 1/q) this is prod g^(m, t) = 1.  Its M-th
+    power asks the valuations of the rationals g^M, over a coprime basis of
+    their integers (no integer is factored), to cancel: a kernel.  On it
+    prod g^(m, t) lies in mu_M, and a discrete log adds one congruence.
+    """
+    if not l0:
+        return []
+    shift = k.sigma.kind == "shift"
+    n, big = len(consts), lcm(2, k.constants_conductor)
+    one = CycloNum.from_rational(1)
+    gens = [_constant_as_cyclo(c) if any(r[i] for r in l0) else one
+            for i, c in enumerate(consts)]
+    base = [list(r) for r in l0]
+    if not shift:
+        gens.append(k.sigma.q.inverse())
+        base = [r + [0] for r in base] + [[0] * n + [1]]
+    if any(g is None or not (g ** big).is_rational() for g in gens):
+        return None
+    gammas = [(g ** big).rational_value() for g in gens]
+    primes = coprime_basis([abs(x.numerator) for x in gammas]
+                           + [x.denominator for x in gammas],
+                           gcd, lambda v: v == 1)
+    vals = [[_padic(x, p) for p in primes] for x in gammas]
+    w1 = matmul(integer_kernel(matmul(base, vals)), base)
+    table = [CycloNum.zeta(big) ** e for e in range(big)]
+    rhos = [prod((g ** e for g, e in zip(gens, w)), start=one) for w in w1]
+    if any(rho not in table for rho in rhos):
+        raise InternalInvariantError(
+            "constant product on the valuation kernel is no root of unity")
+    logs = [[table.index(rho)] for rho in rhos] + [[big]]
+    rows = matmul([r[:-1] for r in integer_kernel(logs)], w1)
+    return [r + [0] for r in rows] if shift else rows
+
+
+def _residue_rows(k: DiffField, consts, l0, m_max: int) -> list:
+    """Rows (m, t) for every m in l0 with |m_i| <= m_max, first nonzero
+    entry positive, and prod c_i^{m_i} = q^t (t = 0 for the shift): the
+    relation vectors of the box B.  For n <= 3 their span L_B is saturated
+    in L, which ``engine._cyclic_factors`` needs, so n > 3 is refused.
+
+    Lemma.  For L in Z^n with n <= 3, L_B = L cap span_Q(L_B).
+
+    Proof.  Take independent b_1..b_r in L cap B of least r-volume.  A
+    nonzero class of (L cap span_Q L_B)/<b> has a representative
+    w = sum c_i b_i with c_i in (-1/2, 1/2].  If sum |c_i| <= 1, then
+    |w| <= M, and swapping w for a b_j with c_j != 0 scales the volume by
+    |c_j| <= 1/2, against minimality.  For a class of order m, the mean of
+    sum_i |rep(t c_i)| over t = 1..m-1 is at most r m / (4 (m - 1)), and at
+    most 1 when m = 3, so when m >= 3 or r <= 2 some multiple of the class
+    falls in the first case.  That leaves m = 2, r = 3 and
+    c = (1/2, 1/2, 1/2): the class holds the four vectors
+    (+-b_1 +-b_2 +-b_3)/2 up to sign, and a coordinate can push at most
+    the one whose signs all agree with it past M, so with n <= 3
+    coordinates one of the four lies in B, and swapping it in halves the
+    volume again.  So the quotient is trivial.
+    """
+    n = len(consts)
     if n > 3:
         raise DimensionTooLarge(
             f"relation search is tuned for <= 3 characters, got {n}")
-    for ai in a:
-        if ai.is_zero():
-            raise ZeroInput("characters must be nonzero")
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    found: list[tuple[tuple[int, ...], RatFunc]] = []
-    hnf_rows: list[list[int]] = []
-
-    def known(vec) -> bool:
-        # read as each vector comes up, so the skip sees every relation
-        # found so far
-        return bool(hnf_rows) and in_lattice(hnf_rows, list(vec))
-
-    for vec, witness in _relation_scan(k, a, range(1, m_max + 1), known):
-        found.append((vec, witness))
-        hnf_rows, _ = hermite_normal_form([list(v) for v, _ in found])
-    rows = _hermite_rows(k, a, found)
-    if len(rows) != len(found):
-        raise InternalInvariantError("relation scan admitted a dependent vector")
-    return LatticeBasis(dim=n, rows=rows, field=k.k_field)
+    box = range(-m_max, m_max + 1)
+    tables = [{m: c ** m for m in box} for c in consts]
+    rows = []
+    for vec in itertools.product(box, repeat=n):
+        if vec <= (0,) * n or not in_lattice(l0, list(vec)):
+            continue
+        z = _constant_as_cyclo(prod((t[m] for m, t in zip(vec, tables)),
+                                    start=k.constants.one))
+        if z is None:
+            continue
+        t = ((0 if z == 1 else None) if k.sigma.kind == "shift"
+             else _discrete_log(z, k.sigma.q))
+        if t is not None:
+            rows.append(list(vec) + [t])
+    return rows
 
 
-def _relation_scan(k: DiffField, entries, shells, known):
-    """Yield (vec, witness) for every vector on the given sup-norm shells
-    that ``known`` does not cover and under which the entries multiply into
-    a sigma-quotient, in scan order.
-
-    Exact necessary conditions of ``solve_mult`` that are linear in the
-    vector are walked, not tested: ``_orthogonal_shell`` generates only the
-    vectors under which the product has degree balance zero and, for the
-    dilation, x-adic valuation zero (sigma(f)/f is a unit at the origin).
-    Each walked vector is then tested against ``known`` and, for the
-    shift, against the leading-coefficient ratio 1, before ``solve_mult``.
-    The ratio of a vector is one product per entry out of a table of the
-    powers u^m, |m| <= the largest shell, of each entry's ratio u.
-    """
-    if not shells:
-        return
-    field = k.k_field
-    columns = [[a.degree_balance() for a in entries]]
-    tables = None
-    if k.sigma.kind == "shift":
-        one = k.constants.one
-        top = max(shells)
-        tables = [_power_table(a.lc_ratio(), one, top) for a in entries]
-    else:
-        columns.append([_x_order(a.num) - _x_order(a.den) for a in entries])
-    for shell in shells:
-        for vec in _orthogonal_shell(len(entries), shell, columns):
-            if known(vec):
-                continue
-            if tables is not None:
-                prod_lc = None
-                for m, table in zip(vec, tables):
-                    if m and table is not None:
-                        u_m = table[top + m]
-                        prod_lc = u_m if prod_lc is None else prod_lc * u_m
-                if prod_lc is not None and prod_lc != one:
-                    continue
-            sol = solve_mult(k, _entry_power(field, entries, vec))
-            if sol is not None:
-                yield vec, sol.witness
-
-
-def _power_table(u, one, top: int) -> list | None:
-    """[u^-top, ..., u^top], so that u^m sits at index top + m; None when
-    u = 1, whose powers are all 1."""
-    if u == one:
-        return None
-    up, down = [u], [u.inverse()]
-    for _ in range(top - 1):
-        up.append(up[-1] * u)
-        down.append(down[-1] * down[0])
-    return down[::-1] + [one] + up
-
-
-def _x_order(p: Poly) -> int:
-    """ord_x of a nonzero polynomial."""
-    return p.degree() - _strip_x(p).degree()
-
-
-def _orthogonal_shell(n: int, s: int, columns):
-    """Vectors v in Z^n with sup norm exactly s, first nonzero entry
-    positive and v . c = 0 for every integer column c, in lexicographic
-    order (each generated lattice line once).
-
-    Entries are fixed left to right.  A prefix is cut as soon as entries in
-    [-s, s] after it can no longer bring some dot product back to zero, and
-    the last entry that any column touches is solved from its dot product
-    instead of looped over.
-    """
-    if s < 1:
-        return
-    cols = [tuple(c) for c in columns if any(c)]
-    last = max((i for c in cols for i, ci in enumerate(c) if ci), default=-1)
-    solver = next((j for j, c in enumerate(cols) if c[last]), None)
-    # reach[i][j]: the largest |dot with cols[j]| entries i.. can still add
-    reach = [[s * sum(abs(ci) for ci in c[i:]) for c in cols]
-             for i in range(n + 1)]
-
-    def walk(prefix, dots, full):
-        i = len(prefix)
-        if i == n:
-            if full:
-                yield prefix
-            return
-        if i == last:
-            v, rem = divmod(-dots[solver], cols[solver][i])
-            values = () if rem else (v,)
-        elif i == n - 1 and not full:
-            values = (-s, s)
-        else:
-            values = range(-s, s + 1)
-        for v in values:
-            if abs(v) > s or (v < 0 and not any(prefix)):
-                continue
-            nxt = [d + v * c[i] for d, c in zip(dots, cols)]
-            if all(abs(d) <= r for d, r in zip(nxt, reach[i + 1])):
-                yield from walk(prefix + (v,), nxt, full or abs(v) == s)
-
-    yield from walk((), [0] * len(cols), False)
+def _witness(k: DiffField, basis, orbit, exps, vec, t: int) -> RatFunc:
+    """The f with sigma(f)/f = prod a_i^{vec_i} and monic numerator: b =
+    sigma^d(r) of exponent E = sum_i vec_i e_ib gives T^E, T = r sigma(r)
+    ... sigma^(d-1)(r), as sigma(T)/T = b/r and each orbit's exponents sum
+    to zero; q^t is sigma(x^t)/x^t."""
+    f = k.x() ** t
+    for (rep, d), col in zip(orbit, zip(*exps)):
+        e = sum(m * c for m, c in zip(vec, col))
+        if d and e:
+            tele = prod(k.sigma.translate(basis[rep], i) for i in range(d))
+            f = f * k.coerce(tele) ** e
+    return _monic_num(f)
 
 
 def _entry_power(field, entries, vec) -> RatFunc:
     """prod entries_i^{vec_i}, skipping zero exponents."""
-    acc = field.one
-    for m, a in zip(vec, entries):
-        if m:
-            acc = acc * a ** m
-    return acc
+    return prod((a ** m for m, a in zip(vec, entries) if m), start=field.one)
 
 
 def _combine_witnesses(field, rows, coeffs) -> RatFunc:
     """Witness of sum coeffs_i * v_i from the witnesses of rows (v_i, g_i)."""
-    acc = field.one
-    for c, (_, w) in zip(coeffs, rows):
-        if c:
-            acc = acc * w ** c
-    return _monic_num(acc)
-
-
-def _hermite_rows(k: DiffField, entries, rows) -> list:
-    """Hermite-canonicalize vector/witness pairs, recombining the witnesses
-    through the unimodular transform and re-checking each one.  Q-dependent
-    input rows are absorbed, so the result may be shorter than ``rows``."""
-    field = k.k_field
-    h, u = hermite_normal_form([list(v) for v, _ in rows])
-    out = []
-    for hrow, coeffs in zip(h, u):
-        g = _combine_witnesses(field, rows, coeffs)
-        if apply_sigma(k, g) / g != _entry_power(field, entries, hrow):
-            raise InternalInvariantError(
-                "recombined witness does not witness its relation")
-        out.append((tuple(hrow), g))
-    return out
+    return _monic_num(prod((w ** c for c, (_, w) in zip(coeffs, rows) if c),
+                           start=field.one))

@@ -323,23 +323,18 @@ class TestCommands:
                                                          system, order):
         # shift, a constant a: a^v is a quotient iff a^v = 1.  zeta13 has
         # order 13 and -zeta7 = zeta14^9 has order 14, both above the
-        # default --m-max 12, so the box misses L = order*Z and the group
-        # comes out free; the presentation says which order and which bound.
-        # A bound that reaches the order gives Z/order and no caveat.
+        # default --m-max 12; the order is a discrete log in the roots of
+        # unity, so the default bound gives Z/order with no caveat.
         code, out, _ = run_cli(["group", "--system", system,
                                 "--output", "json"], capsys)
         assert code == 0
-        presentation = json.loads(out)["presentation"]
-        assert presentation["search_bound"] == 12
-        assert presentation["caveats"] == [
-            f"entry 1 has leading-coefficient ratio of order {order} above "
-            "--m-max 12; torsion of that order lies outside the search box "
-            "and may be reported as free"]
-        code, out, _ = run_cli(["group", "--system", system, "--m-max",
-                                str(order), "--output", "json"], capsys)
-        assert code == 0
         report = json.loads(out)
-        assert report["presentation"]["caveats"] == []
+        presentation = report["presentation"]
+        assert presentation["search_bound"] == 12
+        assert presentation["caveats"] == []
+        assert presentation["ell"] == order
+        assert presentation["m_inv"] == order
+        assert presentation["krull_dim"] == 0
         assert report["group"]["description"] == f"finite part Z/{order}"
 
     def test_torsion_held_by_the_lattice_is_not_caveated(self, capsys):
@@ -364,32 +359,28 @@ class TestCommands:
         assert report["group"]["description"] == "finite part Z/26"
         assert report["group"]["finite_orders"] == [26]
 
+    def _qshift_exact(self, capsys, q, system):
+        code, out, _ = run_cli(["group", "--sigma", "qshift", "--q", q,
+                                "--system", system, "--output", "json"],
+                               capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["presentation"]["search_bound"] == 12
+        return report["presentation"], report["group"]["description"]
+
     def test_qshift_torsion_above_the_default_bound_is_caveated(self, capsys):
         # q = 2, a = zeta13: a^v is sigma(g)/g iff zeta13^v is in 2^Z (a
         # dilation quotient with no x-adic part is q^k h(qx)/h(x), h(0) != 0,
         # and a constant one is q^k), and zeta13^v is a root of unity while
         # 2 is not, so iff 13 | v.  L = 13Z: the group is Z/13 with ell =
-        # m_inv = 13 (marker zeta13), krull_dim 0, and the default box
-        # misses it.  A bound that reaches the order gives it, uncaveated.
-        qshift = ["group", "--sigma", "qshift", "--q", "2", "--system",
-                  "scalar(zeta(13))", "--output", "json"]
-        code, out, _ = run_cli(qshift, capsys)
-        assert code == 0
-        presentation = json.loads(out)["presentation"]
-        assert presentation["search_bound"] == 12
-        assert presentation["caveats"] == [
-            "entry 1 has lowest-coefficient ratio of order 13 above --m-max "
-            "12; torsion of that order lies outside the search box and may "
-            "be reported as free"]
-        code, out, _ = run_cli(qshift + ["--m-max", "13"], capsys)
-        assert code == 0
-        report = json.loads(out)
-        presentation = report["presentation"]
+        # m_inv = 13 (marker zeta13), krull_dim 0, at the default bound.
+        presentation, group = self._qshift_exact(capsys, "2",
+                                                 "scalar(zeta(13))")
         assert presentation["caveats"] == []
         assert presentation["ell"] == 13
         assert presentation["m_inv"] == 13
         assert presentation["krull_dim"] == 0
-        assert report["group"]["description"] == "finite part Z/13"
+        assert group == "finite part Z/13"
 
     @pytest.mark.parametrize("system", ["scalar(2*zeta(13))",
                                         "scalar(zeta(13)/4)"])
@@ -397,75 +388,72 @@ class TestCommands:
         # q = 2, a = 2^j zeta13 (j = 1, -2): a^v = 2^(jv) zeta13^v is in 2^Z
         # iff zeta13^v is, iff 13 | v, since zeta13^v is a root of unity and
         # 2 is not.  L = 13Z: the group is Z/13 with ell = m_inv = 13 and
-        # krull_dim 0, and the default box misses it.  The norm over
-        # Q(zeta13) reads j: N(a) = 2^(12j) = N(2)^j.
-        qshift = ["group", "--sigma", "qshift", "--q", "2", "--system",
-                  system, "--output", "json"]
-        code, out, _ = run_cli(qshift, capsys)
-        assert code == 0
-        assert json.loads(out)["presentation"]["caveats"] == [
-            "entry 1 has lowest-coefficient ratio of order 13 above --m-max "
-            "12; torsion of that order lies outside the search box and may "
-            "be reported as free"]
-        code, out, _ = run_cli(qshift + ["--m-max", "13"], capsys)
-        assert code == 0
-        report = json.loads(out)
-        presentation = report["presentation"]
+        # krull_dim 0.  The 2-adic valuation takes the power of q off.
+        presentation, group = self._qshift_exact(capsys, "2", system)
         assert presentation["caveats"] == []
         assert presentation["ell"] == 13
         assert presentation["m_inv"] == 13
         assert presentation["krull_dim"] == 0
-        assert report["group"]["description"] == "finite part Z/13"
+        assert group == "finite part Z/13"
 
     @pytest.mark.parametrize("q, system, order, ell, description", [
-        # a = sqrt2 zeta13 (sqrt2 = zeta8 + zeta8^7), q = 2: N(a) = N(2)^(1/2)
-        # over Q(zeta104), so a^v in 2^Z needs v = 2t and then
-        # a^(2t) = 2^t zeta13^(2t) asks 13 | t: 26 | v.  The generator is
-        # Y^26 - x^13, as sigma(x^13)/x^13 = 2^13 = a^26, and x^13 has the
-        # 13th root x with marker a^2 x / sigma(x) = zeta13^2, so
-        # ell = m_inv = 13 below the exponent 26
+        # a = sqrt2 zeta13 (sqrt2 = zeta8 + zeta8^7), q = 2: a^v in 2^Z
+        # needs v = 2t, as a^2 = 2 zeta13^2, and then a^(2t) = 2^t
+        # zeta13^(2t) asks 13 | t: 26 | v.  The generator is Y^26 - x^13,
+        # as sigma(x^13)/x^13 = 2^13 = a^26, and x^13 has the 13th root x
+        # with marker a^2 x / sigma(x) = zeta13^2, so ell = m_inv = 13
+        # below the exponent 26
         ("2", "scalar((zeta(8)+zeta(8)^7)*zeta(13))", 26, 13,
          "finite part Z/26"),
-        # a = 2, q = 2^13: N(a) = N(q)^(1/13), so 13 | v, and a^13 = q is
+        # a = 2, q = 2^13: 2^v = 2^(13 t) asks 13 | v, and a^13 = q is
         # sigma(x)/x; x has no proper root, so ell = m_inv = 1
         ("8192", "scalar(2)", 13, 1, "finite part Z/13"),
     ], ids=["sqrt2*zeta13", "2 with q=2^13"])
     def test_qshift_caveat_reads_a_fractional_power_of_q(
             self, capsys, q, system, order, ell, description):
-        qshift = ["group", "--sigma", "qshift", "--q", q, "--system",
-                  system, "--output", "json"]
-        code, out, _ = run_cli(qshift, capsys)
-        assert code == 0
-        presentation = json.loads(out)["presentation"]
-        assert presentation["krull_dim"] == 1
-        assert presentation["caveats"] == [
-            f"entry 1 has lowest-coefficient ratio of order {order} above "
-            "--m-max 12; torsion of that order lies outside the search box "
-            "and may be reported as free"]
-        code, out, _ = run_cli(qshift + ["--m-max", str(order)], capsys)
-        assert code == 0
-        report = json.loads(out)
-        presentation = report["presentation"]
+        presentation, group = self._qshift_exact(capsys, q, system)
         assert presentation["caveats"] == [
             f"presentation exponent {order} exceeds the invariant degree "
             f"{ell}; the reported m follows the degree"]
         assert presentation["ell"] == ell
         assert presentation["m_inv"] == ell
         assert presentation["krull_dim"] == 0
-        assert report["group"]["description"] == description
+        assert group == description
 
     def test_qshift_caveat_reads_the_lowest_coefficients(self, capsys):
         # q = 2, a = zeta13 (2x+1)/(x+1) = zeta13 sigma(x+1)/(x+1): the
         # lowest coefficients give c = zeta13 of order 13, while the
         # leading ones give 2 zeta13, which is no root of unity
+        presentation, group = self._qshift_exact(
+            capsys, "2", "scalar(zeta(13)*(2*x+1)/(x+1))")
+        assert presentation["caveats"] == []
+        assert presentation["ell"] == 13
+        assert presentation["krull_dim"] == 0
+        assert group == "finite part Z/13"
+
+    def test_four_entries_and_a_bounded_residue(self, capsys):
+        # q = 11: 2, 3, 5 and 7 are independent modulo 11^Z, a torus of
+        # rank 4.  The units 1 + sqrt(2) and 3 + 2 sqrt(2) = (1 + sqrt(2))^2
+        # have no rational power: their relation (2, -1) comes from the
+        # bounded search, and the caveat names the bound
         code, out, _ = run_cli(
-            ["group", "--sigma", "qshift", "--q", "2", "--system",
-             "scalar(zeta(13)*(2*x+1)/(x+1))", "--output", "json"], capsys)
+            ["group", "--system", "diag(2, 3, 5, 7)", "--sigma", "qshift",
+             "--q", "11", "--output", "json"], capsys)
         assert code == 0
-        assert json.loads(out)["presentation"]["caveats"] == [
-            "entry 1 has lowest-coefficient ratio of order 13 above --m-max "
-            "12; torsion of that order lies outside the search box and may "
-            "be reported as free"]
+        report = json.loads(out)
+        assert report["presentation"]["krull_dim"] == 4
+        assert report["presentation"]["caveats"] == []
+        assert report["group"]["description"] == "torus of rank 4"
+        code, out, _ = run_cli(
+            ["group", "--system",
+             "diag(1+zeta(8)+zeta(8)^7, 3+2*zeta(8)+2*zeta(8)^7)",
+             "--output", "json"], capsys)
+        assert code == 0
+        presentation = json.loads(out)["presentation"]
+        assert presentation["generators"] == ["-1 + Y1^2*Y2^-1"]
+        assert presentation["caveats"] == [
+            "constants with no rational power were searched for relations "
+            "only up to --m-max 12; a relation past it would be missed"]
 
     def test_basechange_transcendental(self, capsys):
         code, out, _ = run_cli(
@@ -589,8 +577,8 @@ class TestExitCodes:
         (["basechange", "--system", "scalar(-1)"], 1),
         (["basechange", "--system", "scalar(-1)", "--adjoin", "w(3)"], 1),
         (["check-connection", "--system", "scalar(2)", "--u", "1"], 1),
-        (["group", "--system", "diag(2, 3, 5, 7)", "--sigma", "qshift",
-          "--q", "11"], 2),
+        (["group", "--system",
+          "diag(1+zeta(8)+zeta(8)^7, 2, 3, 5)"], 2),
         (["check-connection", "--sigma", "qshift", "--q", "2",
           "--system", "unipotent(1)", "--u", "1", "--v", "1"], 2),
     ])

@@ -25,7 +25,6 @@ sigma-quotient recurrences before the engine existed:
 
 import dataclasses
 import functools
-import itertools
 import random
 from fractions import Fraction
 
@@ -39,7 +38,6 @@ from pvkit.engine import (
     PVPresentation,
     SigmaIdeal,
     _cyclic_factors,
-    _mod_q,
     _orbit_idempotents,
     build_pv_diagonal,
     build_pv_scalar,
@@ -61,7 +59,7 @@ from pvkit.errors import (
 )
 from pvkit.laurent import BinomialNF, LaurentPoly
 from pvkit.snf import unimodular_inverse
-from pvkit.solve import LatticeBasis, relation_lattice, solve_mult, torsion_order
+from pvkit.solve import LatticeBasis, solve_mult, torsion_order
 
 
 def shift_field(conductor=1):
@@ -759,75 +757,6 @@ class TestCheckSimple:
         with pytest.raises(ZeroInput):
             check_simple(build_pv_scalar(k, -1), 0)
 
-    def test_builders_record_the_proven_radius(self):
-        k = shift_field()
-        assert build_pv_scalar(k, -1, m_max=5).complete_radius == 5
-        assert build_pv_diagonal(k, [-1, k.x()], m_max=3).complete_radius == 3
-
-    def test_no_rescan_inside_the_proven_radius(self, monkeypatch):
-        k = shift_field()
-        p = build_pv_diagonal(k, [-1, -(k.x() + 1) / k.x()])
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("vector scanned inside the proven radius")
-
-        # every vector outside this lattice fails the scan's filters, so
-        # only the lattice question shows whether a shell was rescanned
-        monkeypatch.setattr(p.lattice, "contains", refuse)
-        monkeypatch.setattr("pvkit.solve.solve_mult", refuse)
-        assert check_simple(p, 6) is True
-        assert check_simple(p, p.search_bound) is True
-
-    def test_scans_only_the_shells_beyond_the_proven_radius(self, monkeypatch):
-        k = shift_field()
-        x = k.x()
-        entries = [k.coerce(-1), -(x + 1) / x, x]
-        p = build_pv_diagonal(k, entries, m_max=2)
-        asked, seen = [], []
-        contains = p.lattice.contains
-
-        def ask(vec):
-            asked.append(tuple(vec))
-            return contains(vec)
-
-        def record(kk, r, step=1):
-            seen.append(r)
-            return solve_mult(kk, r, step=step)
-
-        monkeypatch.setattr(p.lattice, "contains", ask)
-        monkeypatch.setattr("pvkit.solve.solve_mult", record)
-        assert check_simple(p, 3) is True
-        # the walk generates only the shell-3 vectors of degree balance
-        # zero, so the lattice is asked about exactly those with no x
-        balanced = [
-            vec for vec in itertools.product(range(-3, 4), repeat=3)
-            if max(map(abs, vec)) == 3
-            and next(c for c in vec if c) > 0 and vec[2] == 0]
-        assert asked == balanced
-        # each of them outside the lattice has leading-coefficient ratio
-        # -1, so none reaches solve_mult
-        assert seen == []
-
-    def test_qshift_scan_never_solves_a_nonzero_valuation(self, monkeypatch):
-        # q = 2: x has valuation 1, so the walk keeps v1 = 0 where the
-        # degree balance v1 + 2 v3 = 0 alone would let (2, 0, -1) through
-        k = qshift_field(2)
-        x = k.x()
-        entries = [x, k.coerce(-1), x**2 + 1]
-        p = build_pv_diagonal(k, entries, m_max=2)
-        seen = []
-
-        def record(kk, r, step=1):
-            seen.append(r)
-            return solve_mult(kk, r, step=step)
-
-        monkeypatch.setattr("pvkit.solve.solve_mult", record)
-        assert relation_lattice(k, entries, 4).vectors() == [[0, 2, 0]]
-        assert check_simple(p, 4) is True
-        assert seen
-        assert all(not r.num.nth(0).is_zero() and not r.den.nth(0).is_zero()
-                   for r in seen)
-
 
 # ---------------------------------------------------------------------------
 # Build validation
@@ -844,27 +773,34 @@ class TestBuildValidation:
             build_pv_diagonal(k, (k.one(), k.zero()))
 
     def test_dimension_cap(self):
+        # the cap holds only where a bounded search decides the constants:
+        # 1, 2, 3, 4 are rational, so 2^m2 3^m3 4^m4 = 1 is read off the
+        # valuations, L = <e1, (0, 2, 0, -1)> and Z^4/L = Z^2; with the
+        # unit 1 + sqrt(2) among four entries the search is refused
         k = shift_field()
+        p = build_pv_diagonal(k, (1, 2, 3, 4))
+        assert p.lattice.vectors() == [[1, 0, 0, 0], [0, 2, 0, -1]]
+        assert p.krull_dim == 2 and p.caveats == ()
+        k8 = shift_field(conductor=8)
+        z = CycloNum.zeta(8)
         with pytest.raises(DimensionTooLarge):
-            build_pv_diagonal(k, (1, 2, 3, 4))
+            build_pv_diagonal(k8, (k8.coerce(1 + z + z ** 7), 2, 3, 5))
 
     def test_search_bound_must_be_positive(self):
         with pytest.raises(ZeroInput):
             build_pv_scalar(shift_field(), -1, m_max=0)
 
     def test_torsion_beyond_bound_is_reported_free(self):
-        # order 8 torsion with search bound 5: the relation is out of reach,
-        # the build degenerates to the free answer and says so
+        # order 8 torsion with search bound 5: zeta8^m = 1 iff 8 | m is a
+        # discrete log in mu_8, so the bound does not enter
         k = shift_field(conductor=8)
         z8 = k.coerce(CycloNum.zeta(8))
         p = build_pv_scalar(k, z8, m_max=5)
-        assert p.krull_dim == 1
-        assert p.lattice.rank() == 0
+        assert p.krull_dim == 0
+        assert p.lattice.vectors() == [[8]]
+        assert p.ell == p.m_inv == 8
         assert p.search_bound == 5
-        assert p.caveats == (
-            "entry 1 has leading-coefficient ratio of order 8 above --m-max 5; "
-            "torsion of that order lies outside the search box and may be "
-            "reported as free",)
+        assert p.caveats == ()
 
     def test_decompose_requires_explicit_idempotents(self):
         k = shift_field()
@@ -983,30 +919,6 @@ class TestContractExtendRoundTrip:
             lifted = ideal_extend(k, list(canon.generators))
             again = ideal_contract(k, lifted)
             assert list(again.generators) == list(canon.generators)
-
-
-@pytest.mark.parametrize("c, q, want", [
-    # 2 zeta13 = zeta13 * 2^1; N(2 zeta13) = 2^12 = N(2)^1
-    (CycloNum.zeta(13) * 2, 2, CycloNum.zeta(13)),
-    # zeta13 / 4 = zeta13 * 2^-2, and for q = 1/2 the same value is q^2 zeta13
-    (CycloNum.zeta(13) / 4, 2, CycloNum.zeta(13)),
-    (CycloNum.zeta(13) / 4, Fraction(1, 2), CycloNum.zeta(13)),
-    # -8 = -1 * 2^3 over Q; 3 zeta4 has N = 9 of 2-adic valuation 0, so
-    # j = 0 and it comes back as it is, for the order test to refuse
-    (CycloNum.from_rational(-8), 2, CycloNum.from_rational(-1)),
-    (CycloNum.zeta(4) * 3, 2, CycloNum.zeta(4) * 3),
-    # 2 + 2i = 2^(3/2) times a unit: N = 8 over Q(i), N(2) = 4
-    ((CycloNum.zeta(4) + 1) * 2, 2, None),
-    # sqrt2 = zeta8 + zeta8^7 has N = 4 over Q(zeta8), N(2) = 16: j = 1/2
-    (CycloNum.zeta(8) + CycloNum.zeta(8) ** 7, 2, None),
-    # 12 zeta3 = zeta3 * 2^2 * 3 passes the 2-adic test; the quotient 3
-    # zeta3 is then no root of unity, which the order test finds
-    (CycloNum.zeta(3) * 12, 2, CycloNum.zeta(3) * 3),
-], ids=["2zeta13", "zeta13/4", "zeta13/4 q=1/2", "-8", "3i", "2+2i",
-        "sqrt2", "12zeta3"])
-def test_mod_q_divides_out_the_power_of_q_the_norm_fixes(c, q, want):
-    got = _mod_q(c, CycloNum.from_rational(q))
-    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,19 @@ from sympy.polys.subresultants_qq_zz import sylvester
 from hypothesis import given, settings, strategies as st
 
 from pvkit.arith.cyclo import CycloField, CycloNum, QQ
-from pvkit.arith.poly import Poly
+from pvkit.arith.poly import Poly, RatFuncField
+from pvkit.arith import ops
 from pvkit.arith.ops import (
     _divisors,
     _iroot_ceil,
+    _qshift_candidates,
     _qshift_resultant,
     _root_bound,
+    _shift_candidates,
     _shift_resultant,
+    coprime_basis,
     dispersion,
+    dispersion_set,
     dispersion_with_flag,
     integer_roots,
     resultant,
@@ -267,3 +272,83 @@ def test_candidate_resultants_match_sympy(p_coeffs, r_coeffs):
 @pytest.mark.parametrize("n", [1, 2, 12, 13, 36, 97, 360])
 def test_divisors_ascending(n):
     assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+# ------------------------------------------ dispersion: fast path, descent
+
+
+def _resultant_route(p, r, sigma):
+    """dispersion_set through the interpolated resultant, whatever the
+    degrees: the candidates, then one gcd per candidate."""
+    if sigma.kind == "shift":
+        candidates, complete = _shift_candidates(p, r), True
+    else:
+        p, r = ops._strip_x(p), ops._strip_x(r)
+        candidates, complete = _qshift_candidates(
+            p, r, p.field.coerce(sigma.q))
+    return [j for j in sorted(candidates)
+            if j >= 0 and p.gcd(sigma.translate(r, j)).degree() > 0], complete
+
+
+_linear_roots = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@given(alpha=_linear_roots, beta=_linear_roots, j=st.integers(-3, 5),
+       scales=st.tuples(_units, _units), twist=st.booleans(),
+       sigma=st.sampled_from(["shift", 2, Fraction(1, 2), 3, "2 zeta3"]))
+@settings(max_examples=80, deadline=None)
+def test_linear_dispersion_matches_the_resultant_route(alpha, beta, j, scales,
+                                                       twist, sigma):
+    # two linear factors, half the time with a root j translates away;
+    # twist multiplies both roots by zeta3, which makes the dilation's
+    # resultant irrational and sends it to the bounded window
+    field = CycloField(3)
+    if sigma == "shift":
+        spec = SigmaSpec.shift()
+        beta = alpha + j if j >= 0 else beta
+    else:
+        q = (CycloNum.zeta(3) * 2 if sigma == "2 zeta3"
+             else CycloNum.from_rational(sigma))
+        spec = SigmaSpec.qshift(q)
+        beta = field.coerce(alpha) * q ** j if j >= 0 else beta
+    root_scale = CycloNum.zeta(3) if twist else CycloNum.from_rational(1)
+    p = Poly(field, (-field.coerce(alpha) * root_scale, 1)) * scales[0]
+    r = Poly(field, (-field.coerce(beta) * root_scale, 1)) * scales[1]
+    assert dispersion_set(p, r, spec) == _resultant_route(p, r, spec)
+
+
+def test_tower_dispersion_descends_to_the_cyclotomic_floor(monkeypatch):
+    # rational polynomials over Q(t1): the same sets as over Q, and every
+    # resultant is taken over the cyclotomic floor
+    tower = RatFuncField(QQ, "t1")
+    pairs = [((0, 1, 0, 1), (10, 6, 1)), ((2, 3, 1), (0, 0, 1, 1)),
+             ((1, 0, 1), (5, 4, 1))]
+    seen = []
+    real = ops.resultant
+
+    def record(a, b):
+        seen.append(a.field)
+        return real(a, b)
+
+    for sigma in (SigmaSpec.shift(), SigmaSpec.qshift(2)):
+        for pc, rc in pairs:
+            p, r = Poly(QQ, pc), Poly(QQ, rc)
+            low = dispersion_set(p, r, sigma)
+            monkeypatch.setattr(ops, "resultant", record)
+            high = dispersion_set(Poly(tower, pc), Poly(tower, rc), sigma)
+            monkeypatch.setattr(ops, "resultant", real)
+            assert high == low
+    assert seen and all(f == QQ for f in seen)
+
+
+def test_coprime_basis_refines_without_factoring():
+    from math import gcd
+
+    big = 1000000007 * 9999999967
+    basis = coprime_basis([big * 12, 18, 9999999967], gcd, lambda a: a == 1)
+    assert sorted(basis) == [2, 3, 1000000007, 9999999967]
+    x = _p(0, 1)
+    polys = coprime_basis([x * x * _p(1, 1), x * _p(1, 1) ** 3],
+                          Poly.gcd, lambda p: p.degree() < 1)
+    assert len(polys) == 2
+    assert any(p == x for p in polys) and any(p == _p(1, 1) for p in polys)

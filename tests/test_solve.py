@@ -23,8 +23,6 @@ from pvkit.solve import (
     MultSolution,
     TorsionCert,
     _discrete_log,
-    _orthogonal_shell,
-    _power_table,
     relation_lattice,
     solve_add,
     solve_mult,
@@ -646,8 +644,16 @@ def test_lattice_errors():
     k = shift_field()
     with pytest.raises(ZeroInput):
         relation_lattice(k, [k.zero()], 4)
+    with pytest.raises(ValueError):
+        relation_lattice(k, [k.one()], 0)
+    # four trivial characters: every vector is a relation, read off exactly
+    basis = relation_lattice(k, [k.one()] * 4, 4)
+    assert basis.exact and basis.vectors() == [
+        [int(i == j) for j in range(4)] for i in range(4)]
+    # the bounded search for a unit like 1 + sqrt(2) keeps the n <= 3 cap
+    k8 = shift_field(conductor=8)
     with pytest.raises(DimensionTooLarge):
-        relation_lattice(k, [k.one()] * 4, 4)
+        relation_lattice(k8, [k8.coerce(_one_plus_sqrt2()), 2, 3, 5], 4)
 
 
 def test_lattice_row_sums_recombine():
@@ -667,42 +673,7 @@ def test_lattice_row_sums_recombine():
         assert apply_sigma(k, g) / g == prod
 
 
-# ------------------------------------------------- the relation scan's walk
-
-
-def _cube_shell(n: int, s: int, columns):
-    """Shell s of Z^n read off the whole cube, the oracle of the walk:
-    sup norm exactly s, first nonzero entry positive, orthogonal to every
-    column, in lexicographic order."""
-    for vec in itertools.product(range(-s, s + 1), repeat=n):
-        if max(abs(c) for c in vec) != s:
-            continue
-        if next((c for c in vec if c != 0), 0) <= 0:
-            continue
-        if all(sum(v * c for v, c in zip(vec, col)) == 0 for col in columns):
-            yield vec
-
-
-@given(
-    case=st.integers(1, 3).flatmap(lambda n: st.tuples(
-        st.just(n),
-        st.integers(0, 6),
-        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
-                 max_size=3),
-    ))
-)
-@settings(max_examples=300, deadline=None)
-def test_orthogonal_shell_matches_the_cube(case):
-    n, s, columns = case
-    assert list(_orthogonal_shell(n, s, columns)) == list(
-        _cube_shell(n, s, columns))
-
-
-def test_orthogonal_shell_solves_a_constrained_entry_before_a_free_one():
-    # the last constrained entry is the first; the other two are free
-    walked = list(_orthogonal_shell(3, 2, [[2, 0, 0]]))
-    assert walked == list(_cube_shell(3, 2, [[2, 0, 0]]))
-    assert walked[0] == (0, 0, 2) and len(walked) == 8
+# ------------------------------------------- cross-checks against the box
 
 
 def _box_lattice(k: DiffField, entries, m: int) -> list[list[int]]:
@@ -746,27 +717,139 @@ def test_lattice_matches_the_brute_force_box(k, entries, m):
         k, entries, m)
 
 
-
-@pytest.mark.parametrize("u", [CycloNum.zeta(5) * 2, -CycloNum.zeta(12),
-                               CycloNum.from_rational(Fraction(-3, 7))],
-                         ids=["2 zeta5", "-zeta12", "-3/7"])
-@pytest.mark.parametrize("top", [1, 2, 12])
-def test_power_table_holds_every_power(u, top):
-    # the lc filter reads u^m at index top + m for every |m| <= top
-    one = CycloField(u.conductor).one
-    table = _power_table(u, one, top)
-    assert len(table) == 2 * top + 1
-    for m in range(-top, top + 1):
-        assert table[top + m] == u ** m
+def _one_plus_sqrt2() -> CycloNum:
+    # sqrt(2) = zeta8 + zeta8^7, so 1 + sqrt(2) is a unit of Q(zeta_8) of
+    # infinite order: no power of it is rational
+    z = CycloNum.zeta(8)
+    return 1 + z + z ** 7
 
 
-def test_power_table_over_a_tower_and_of_one():
-    from pvkit.arith import RatFuncField
+_BOX_CONSTANTS = {"qq": 1, "zeta3": 3, "i": 4}
 
-    ct = RatFuncField(CycloField(3), "t")
-    t = ct.coerce(RatFunc.x(CycloField(3)))
-    u = (t + 1) / (t * 2)
-    table = _power_table(u, ct.one, 3)
-    assert [table[3 + m] for m in range(-3, 4)] == [u ** m for m in range(-3, 4)]
-    assert _power_table(ct.one, ct.one, 3) is None
-    assert _power_table(CycloField(4).one, CycloField(4).one, 5) is None
+
+@st.composite
+def _box_systems(draw):
+    """(k, entries): 1..3 characters c * prod p^e, with c a small rational
+    times a root of unity of the constants, and p drawn from shifted,
+    repeated and quadratic factors (sigma-translates of x, x + 1/2 and
+    x^2 + 1, or for the dilation of x - 1 and x^2 + 1, and x itself)."""
+    sigma = draw(st.sampled_from(["shift", 2, 3, Fraction(1, 2)]))
+    conductor = _BOX_CONSTANTS[draw(st.sampled_from(sorted(_BOX_CONSTANTS)))]
+    k = (shift_field(conductor) if sigma == "shift"
+         else qshift_field(sigma, conductor))
+    x = k.x()
+    bases = ([x, x + Fraction(1, 2), x * x + 1] if sigma == "shift"
+             else [x, x - 1, x * x + 1])
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = k.coerce(draw(st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2)])))
+        c = c * k.coerce(CycloNum.zeta(conductor)) ** draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(0, 2))):
+            base = apply_sigma_power(k, draw(st.sampled_from(bases)),
+                                     draw(st.integers(0, 2)))
+            c = c * base ** draw(st.sampled_from([-2, -1, 1, 2]))
+        entries.append(c)
+    return k, entries
+
+
+@given(case=_box_systems())
+@settings(max_examples=60, deadline=None)
+def test_exact_lattice_holds_the_brute_force_box(case):
+    # every vector of the box that solve_mult certifies lies in the exact
+    # lattice, and when the lattice's own basis fits in the box the two
+    # Hermite forms agree
+    k, entries = case
+    m = 2
+    basis = relation_lattice(k, entries, m)
+    assert basis.exact
+    box = _box_lattice(k, entries, m)
+    assert all(basis.contains(v) for v in box)
+    if all(abs(c) <= m for v in basis.vectors() for c in v):
+        assert hermite_normal_form(basis.vectors())[0] == box
+    for vec, g in basis.rows:
+        assert g.num.is_monic()
+        prod = k.one()
+        for a, e in zip(entries, vec):
+            prod = prod * a ** e
+        assert apply_sigma(k, g) / g == prod
+
+
+def _check_rows(k, entries, basis):
+    for vec, g in basis.rows:
+        prod = k.one()
+        for a, e in zip(entries, vec):
+            prod = prod * a ** e
+        assert apply_sigma(k, g) / g == prod
+        assert solve_mult(k, prod).witness == g
+
+
+def test_lattice_with_four_and_five_entries():
+    # shift: 2^a 3^b 6^c (-1)^d = 1 asks a = b = -c and d even, and
+    # (x+1)/x = sigma(x)/x is a relation on its own
+    k = shift_field()
+    x = k.x()
+    entries = [k.coerce(2), k.coerce(3), k.coerce(6), k.coerce(-1),
+               (x + 1) / x]
+    basis = relation_lattice(k, entries, 1)
+    assert basis.exact
+    assert basis.vectors() == [[1, 1, -1, 0, 0], [0, 0, 0, 2, 0],
+                               [0, 0, 0, 0, 1]]
+    _check_rows(k, entries, basis)
+    # q = 2: x has valuation 1 and x^2 + 1 an orbit of its own, so only
+    # 2^a (-1)^b in 2^Z is left, which asks b even
+    k = qshift_field(2)
+    x = k.x()
+    entries = [k.coerce(2), k.coerce(-1), x, x * x + 1]
+    basis = relation_lattice(k, entries, 1)
+    assert basis.vectors() == [[1, 0, 0, 0], [0, 2, 0, 0]]
+    assert basis.rows[0][1] == x
+    _check_rows(k, entries, basis)
+
+
+@pytest.mark.parametrize("c, q", [
+    (1000000007, None),
+    (1000000007 * 9999999967, None),
+    (1000000007 * 9999999967, 1000000007),
+], ids=["10^9+7", "two 10-digit primes", "two 10-digit primes q=10^9+7"])
+def test_large_prime_constants_are_not_factored(c, q):
+    # the valuations run over a coprime basis of the integers, so no
+    # integer is ever trial-divided
+    import time
+
+    k = shift_field() if q is None else qshift_field(q)
+    start = time.perf_counter()
+    basis = relation_lattice(k, [k.coerce(c)], 12)
+    assert time.perf_counter() - start < 1.0
+    assert basis.exact and basis.vectors() == []
+
+
+def test_residue_constants_are_searched_in_the_box():
+    # 1 + sqrt(2) and its square 3 + 2 sqrt(2) have no rational power, so
+    # the constant condition is searched for |m_i| <= m_max: it finds
+    # (2, -1) and says the basis is not exact
+    k = shift_field(conductor=8)
+    u = k.coerce(_one_plus_sqrt2())
+    basis = relation_lattice(k, [u, u * u], 12)
+    assert basis.vectors() == [[2, -1]]
+    assert not basis.exact
+    assert basis.rows[0][1] == k.one()
+    assert hermite_normal_form(basis.vectors())[0] == _box_lattice(
+        k, [u, u * u], 2)
+
+
+def test_lattice_runs_no_solve_mult(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("relation_lattice called solve_mult")
+
+    monkeypatch.setattr("pvkit.solve.solve_mult", refuse)
+    k = shift_field(conductor=8)
+    x = k.x()
+    z = k.coerce(CycloNum.zeta(8))
+    assert relation_lattice(k, [z * (x + 3) / x, k.coerce(-1), x], 12
+                            ).vectors() == [[4, 1, 0], [0, 2, 0]]
+    u = k.coerce(_one_plus_sqrt2())
+    assert relation_lattice(k, [u, u * u], 12).vectors() == [[2, -1]]
+    k = qshift_field(2)
+    x = k.x()
+    assert relation_lattice(k, [k.coerce(-4) * (2 * x - 1) / (x - 1)], 12
+                            ).vectors() == [[2]]
