@@ -225,18 +225,21 @@ def dispersion_with_flag(p: Poly, r: Poly, sigma) -> tuple[int | None, bool]:
     """Like dispersion, plus a flag saying the candidate set was provably
     complete (always true for shift; true for q-shift with rational q)."""
     js, complete = dispersion_set(p, r, sigma)
+    js = [j for j in js if j >= 0]
     return (js[-1] if js else None), complete
 
 
 def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
-    """Every j >= 0 with gcd(p, sigma^j(r)) != 1, ascending, and the flag of
-    ``dispersion_with_flag``.
+    """Every integer j with gcd(p, sigma^j(r)) != 1, ascending, and the
+    flag of ``dispersion_with_flag``.
 
-    The set depends only on the root sets, so it is taken of the
-    square-free parts p / gcd(p, p').  Only the candidate set depends on
-    the kind of sigma: the integer roots of a resultant in t for the shift,
-    a p-adic bound or a bounded window for the q-dilation.  Every candidate
-    is then verified the same way.
+    j runs over both signs, so one call answers for both orders of the
+    pair: the set of (r, p) is the negated set of (p, r).  The set depends
+    only on the root sets, so it is taken of the square-free parts
+    p / gcd(p, p').  Only the candidate set depends on the kind of sigma:
+    the integer roots of one resultant in t for the shift, valuations of
+    one resultant's coefficients or a window |j| <= 128 for the
+    q-dilation.  Every candidate is then verified the same way.
     """
     if p.is_zero() or r.is_zero():
         raise ZeroInput("dispersion of the zero polynomial")
@@ -254,7 +257,7 @@ def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
     else:
         candidates, complete = _qshift_candidates(p, r, p.field.coerce(sigma.q))
     return [j for j in sorted(candidates)
-            if j >= 0 and p.gcd(sigma.translate(r, j)).degree() > 0], complete
+            if p.gcd(sigma.translate(r, j)).degree() > 0], complete
 
 
 def _descend(p: Poly, r: Poly) -> tuple[Poly, Poly]:
@@ -282,25 +285,30 @@ def _constant_as_cyclo(value) -> CycloNum | None:
 
 def _linear_dispersion(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
     """``dispersion_set`` of linear p, r from their roots alpha, beta: j =
-    beta - alpha (shift), or q^j = beta / alpha found as
-    ``_qshift_candidates`` would from res_x(r(u x), p(x)) = r1 p0 u - p1 r0."""
+    beta - alpha (shift), or q^j = beta / alpha, read off one valuation
+    (``_uneven_base``) when ``_qshift_candidates`` would see a rational
+    res_x(r(u x), p(x)) = r1 p0 u - p1 r0, else searched in the window
+    |j| <= 128."""
     alpha, beta = -p.nth(0) / p.lc(), -r.nth(0) / r.lc()
     if sigma.kind == "shift":
         gap = beta - alpha
-        j = _as_fraction(gap) if _value_is_rational(gap) else Fraction(-1)
-        return ([int(j)] if j.denominator == 1 and j >= 0 else []), True
+        j = _as_fraction(gap) if _value_is_rational(gap) else None
+        return ([int(j)] if j is not None and j.denominator == 1 else []), True
     q, z = p.field.coerce(sigma.q), beta / alpha
     if all(_value_is_rational(c)
            for c in (q, r.lc() * p.nth(0), p.lc() * r.nth(0))):
         qv, zv = _as_fraction(q), _as_fraction(z)
-        prime = _uneven_prime(qv)
-        j, rem = divmod(_padic(zv, prime), _padic(qv, prime))
-        return ([j] if not rem and j >= 0 and qv ** j == zv else []), True
-    power = p.field.one
+        base = _uneven_base(qv, [zv])
+        j, rem = divmod(_padic(zv, base), _padic(qv, base))
+        return ([j] if not rem and qv ** j == zv else []), True
+    up = down = p.field.one
+    inverse = up / q
     for j in range(_QSHIFT_SCAN_CAP + 1):
-        if power == z:
+        if up == z:
             return [j], False
-        power = power * q
+        if down == z:
+            return [-j], False
+        up, down = up * q, down * inverse
     return [], False
 
 
@@ -340,8 +348,8 @@ def _shift_resultant(p: Poly, r: Poly) -> Poly:
 
 
 def _shift_candidates(p: Poly, r: Poly) -> set[int]:
-    """Integer roots j >= 0 of res_x(p(x), r(x + t))."""
-    return {j for j in _integer_roots_any(_shift_resultant(p, r)) if j >= 0}
+    """Integer roots j of res_x(p(x), r(x + t)), of either sign."""
+    return _integer_roots_any(_shift_resultant(p, r))
 
 
 def _strip_x(p: Poly) -> Poly:
@@ -365,55 +373,42 @@ def _qshift_resultant(p: Poly, r: Poly) -> Poly:
 
 
 def _qshift_candidates(p: Poly, r: Poly, q) -> tuple[set[int], bool]:
-    """Candidates j >= 0 with q^j = beta / alpha for roots alpha of p and
-    beta of r: exponents read off the p-adic valuations of the coefficients
-    of res_x(r(u x), p(x)) when q and that resultant are rational, else the
-    bounded window 0.._QSHIFT_SCAN_CAP, and the flag says so."""
+    """Candidates j with q^j = beta / alpha for roots alpha of p and beta
+    of r, and the flag of ``dispersion_with_flag``.
+
+    For rational q and a rational R(u) = res_x(r(u x), p(x)) = sum c_i u^i,
+    let v be the valuation at an element e of a coprime basis of every
+    integer involved with v(q) != 0 (``_uneven_base``).  The strict
+    ultrametric step holds for v as for a prime: once the denominators are
+    cleared, every term is +-1 times a product of basis powers, coprime to
+    each other, so if v(a) < v(b) then e^(v(a) + 1) divides b but not a,
+    nor a + b.  At a root u = q^j of R the least v(c_i) + i j v(q) is
+    therefore taken twice, and j = (v(c_i) - v(c_k)) / ((k - i) v(q)) for
+    some i < k.  Otherwise the window |j| <= 128 is all there is, and the
+    flag says so.
+    """
     coeffs = _qshift_resultant(p, r).coeffs
-    rationals = []
-    for c in coeffs:
-        if not _value_is_rational(c):
-            rationals = None
-            break
-        rationals.append(_as_fraction(c))
-    q_rat = _value_is_rational(q)
-    if rationals is not None and q_rat:
+    if _value_is_rational(q) and all(_value_is_rational(c) for c in coeffs):
         qv = _as_fraction(q)
-        prime = _uneven_prime(qv)
-        if prime is not None:
-            vq = _padic(qv, prime)
-            vals = [(i, _padic(c, prime)) for i, c in enumerate(rationals) if c != 0]
-            cands = set()
-            for i, vi in vals:
-                for k, vk in vals:
-                    if k == i:
-                        continue
-                    num = vi - vk
-                    den = (k - i) * vq
-                    if num % den == 0:
-                        j = num // den
-                        if j >= 0:
-                            cands.add(j)
-            return cands, True
-    # non-rational q: no effective bound on q-power roots; bounded scan
-    return set(range(_QSHIFT_SCAN_CAP + 1)), False
+        rationals = [_as_fraction(c) for c in coeffs]
+        base = _uneven_base(qv, rationals)
+        vq = _padic(qv, base)
+        vals = [(i, _padic(c, base)) for i, c in enumerate(rationals) if c]
+        return {(vi - vk) // ((k - i) * vq)
+                for n, (i, vi) in enumerate(vals) for k, vk in vals[n + 1:]
+                if (vi - vk) % ((k - i) * vq) == 0}, True
+    return set(range(-_QSHIFT_SCAN_CAP, _QSHIFT_SCAN_CAP + 1)), False
 
 
-def _uneven_prime(q: Fraction) -> int | None:
-    n = abs(q.numerator)
-    d = q.denominator
-    m = n * d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            if _padic(q, p) != 0:
-                return p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1 and _padic(q, m) != 0:
-        return m
-    return None
+def _uneven_base(q: Fraction, values) -> int:
+    """An element b of a coprime basis of the numerators and denominators
+    of q and the nonzero values with v_b(q) != 0, for q != +-1.  Each of
+    them is +-1 times a product of powers of the basis, so v_b is a
+    valuation on them, and no integer is factored."""
+    nums = [q] + [v for v in values if v]
+    ints = [abs(v.numerator) for v in nums] + [v.denominator for v in nums]
+    return next(b for b in coprime_basis(ints, int_gcd, lambda v: v == 1)
+                if _padic(q, b))
 
 
 def _padic(q: Fraction, p: int) -> int:

@@ -12,14 +12,24 @@ Four questions get decided here, each with a checked witness:
 orders of ``relation_lattice`` are the engine's exact torsion orders.
 
 Each is written once for a generic sigma: sigma^j acts on polynomials
-only through ``SigmaSpec.translate``, and ``dispersion`` reads the same way
-for both kinds.  The few facts that depend on the kind sit next to the step
-they change: the shift's leading-coefficient condition and exact leftover
-1, the dilation's origin filter and its constant leftover (a power of q,
-read off by a discrete log), the normalization of factors (monic, or
-constant term 1 with x split off), and in ``solve_add`` the dilation's
-poles at x = 0 and its Laurent part, where only the constant term is not a
-sigma-difference.
+only through ``SigmaSpec.translate``, and ``dispersion_set`` reads the same
+way for both kinds.  The few facts that depend on the kind sit next to the
+step they change: the normalization of factors (monic, or constant term 1
+with x split off, ``_normal_parts``), the constant a quotient may carry (1,
+or a power of q read off by a discrete log), and in ``solve_add`` the
+dilation's poles at x = 0 and its Laurent part, where only the constant
+term is not a sigma-difference.
+
+``solve_mult`` and ``relation_lattice`` read one structure: a coprime
+factor basis closed under sigma (``_orbit_basis``), whose elements fall
+into classes of exact sigma-translates of one representative.  A product
+is a sigma^s-quotient iff its constant passes and its exponents sum to
+zero over each class and residue of the offset mod s; the witness is a
+product of telescopes of the representatives (``_witness``).
+``relation_lattice`` takes the integer kernel of those sums for many
+characters at once, plus the valuations of the constants and one discrete
+log in the roots of unity.  Only constants with no rational power leave a
+bounded search, and the result says so.
 
 ``solve_add`` is Abramov's reduction (S. A. Abramov, USSR Comput. Math.
 Math. Phys. 15, 1975) and solves no linear system.  It takes one
@@ -27,11 +37,6 @@ self-dispersion set of den(b), then moves poles along their sigma-orbits
 with gcds and translates until no two share an orbit; b is a
 sigma-difference iff the proper part left over is zero and the Laurent
 part is summable.  The telescoped moves are the witness.
-
-``relation_lattice`` reads L off a factor basis closed under sigma: the
-exponent sums of each sigma-orbit, the valuations of the constants and one
-discrete log in the roots of unity, each an integer kernel.  Only constants
-with no rational power leave a bounded search, and the result says so.
 
 Every witness is re-substituted into its defining equation before it is
 returned; a failure there raises InternalInvariantError because it would
@@ -45,18 +50,17 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .arith.cyclo import CycloNum, bounded_multiplicative_order
+from .arith.cyclo import CycloNum
 from .arith.ops import (
     _constant_as_cyclo,
     _padic,
     _strip_x,
-    _uneven_prime,
+    _uneven_base,
     coprime_basis,
-    dispersion,
     dispersion_set,
 )
 from .arith.poly import Poly, RatFunc, _is_zero
-from .base import DiffField, SigmaSpec, apply_sigma, apply_sigma_power
+from .base import DiffField, apply_sigma, apply_sigma_power
 from .errors import DimensionTooLarge, InternalInvariantError, ZeroInput
 from .snf import hermite_normal_form, hnf_reduce, in_lattice, integer_kernel, matmul
 
@@ -116,89 +120,47 @@ class LatticeBasis:
 def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
     """Decide whether r = sigma^step(f)/f for some f in k*, exactly.
 
-    Strategy: the pole/zero multiset of a sigma-quotient telescopes, so
-    matching roots of num and den along the sigma^step-orbit (found through
-    the dispersion) peel off a partial witness V; what remains of r after
-    the peel must be trivial -- exactly 1 for the shift, a constant equal to
-    an exact power of q^step for the q-dilation (absorbed by a power of x).
+    r = c x^v num/den as ``_normal_parts`` splits it.  sigma^step(f)/f has
+    degree balance 0, for the dilation no root or pole at x = 0 (v = 0),
+    and constant c = 1 (shift) or q^(step t) (dilation), so those are
+    tested first.  Then r is a quotient iff, over the factor basis of num
+    and den closed under sigma (``_orbit_basis``), the exponents sum to
+    zero over each class of elements sigma^d(rep) with one rep and one
+    d mod step; the witness is x^t times telescopes (``_witness``).
+
+    Proof of the class condition.  Within a class of two or more elements
+    no element holds two roots of one sigma-orbit: were its roots alpha
+    and sigma^e(alpha), e != 0, then b = sigma^d(c) would partly meet
+    sigma^(d + e)(c), and ``_orbit_basis`` leaves no partial match.  The
+    step-orbits of such a class's roots therefore meet sigma^d(rep)
+    exactly when d lies in one residue mod step, and a lone element
+    contributes its exponent times its number of roots there.  A divisor
+    on an infinite orbit is sigma^step(D) - D iff it sums to zero on each
+    step-orbit.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
     r = k.coerce(r)
     if r.is_zero():
         raise ZeroInput("a sigma-quotient is a unit; r = 0 is malformed")
-    # degree balance: deg num - deg den is sigma-invariant on f, so any
-    # quotient sigma^s(f)/f has balance zero
-    if r.degree_balance() != 0:
+    c, v, num, den = _normal_parts(k, r)
+    if v or num.degree() != den.degree():
         return None
-    f = _solve_mult_peel(k, r, step)
-    if f is None:
+    if k.sigma.kind == "shift":
+        t = 0 if c == c ** 0 else None
+    else:
+        z = _constant_as_cyclo(c)
+        t = None if z is None else _discrete_log(z, k.sigma.q ** step)
+    if t is None:
         return None
-    f = _monic_num(f)
+    basis, orbit = _orbit_basis(k, [num, den])
+    exps = [_multiplicity(num, b) - _multiplicity(den, b) for b in basis]
+    if any(_class_sums(orbit, exps, step)):
+        return None
+    f = _witness(k, basis, orbit, [exps], (1,), t, step)
     if apply_sigma_power(k, f, step) / f != r:
         raise InternalInvariantError("multiplicative witness failed re-check")
     return MultSolution(witness=f, step=step)
-
-
-def _solve_mult_peel(k: DiffField, r: RatFunc, step: int) -> RatFunc | None:
-    field = k.k_field
-    shift = k.sigma.kind == "shift"
-    if shift:
-        # shifting the argument preserves leading coefficients, so any
-        # quotient sigma^s(f)/f has lc ratio exactly 1; the peel cannot
-        # repair a constant mismatch, so refuse before paying for dispersions
-        lcr = r.lc_ratio()
-        if lcr != lcr ** 0:
-            return None
-    elif r.num.nth(0).is_zero() or r.den.nth(0).is_zero():
-        # sigma(f)/f is a unit at the origin (orbits of 0 stay at 0), so an
-        # r with a root or pole at x = 0 is never a quotient
-        return None
-    # the dispersions are taken for sigma^step as a spec, ``per`` of whose
-    # translates make one sigma^step: the unit shift with per = step, or
-    # q^step with per = 1, so that the bounded window of an irrational q
-    # counts sigma^step translates
-    spec, per = k.sigma, step
-    if not shift and step > 1:
-        spec, per = SigmaSpec.qshift(k.sigma.q ** step), 1
-
-    def peel(a: Poly, b: Poly):
-        # a root alpha of a against a root of b at sigma^{j*step}(alpha)
-        # contributes sigma^step(V)/V with V = prod_{i=1..j} G translated by
-        # sigma^{-i*step}; returns the reduced a, b and the product of the
-        # V.  The dilation scales leading coefficients, so factors are kept
-        # monic and the constant slack lands in the leftover
-        telescope = field.one
-        j_cap = dispersion(a, b, spec)
-        for j in range((j_cap or 0) // per, 0, -1):
-            g = a.gcd(spec.translate(b, j * per))
-            if g.degree() > 0:
-                a = a.exact_div(g)
-                b = b.exact_div(spec.translate(g, -j * per).monic())
-                for i in range(1, j + 1):
-                    telescope = telescope * field.coerce(
-                        spec.translate(g, -i * per).monic())
-        return a, b, telescope
-
-    num, den = r.num, r.den
-    v = field.one
-    while True:
-        num, den, forward = peel(num, den)
-        den, num, reverse = peel(den, num)
-        if forward == field.one and reverse == field.one:
-            break
-        v = v * forward / reverse
-    w = r * v / apply_sigma_power(k, v, step)
-    if shift:
-        # leading coefficients of sigma^s(f) and f agree, so the leftover
-        # must be exactly 1 -- no constant slack in the shift case
-        return v if w == field.one else None
-    # the leftover must be a constant: scaling arguments moves no constants
-    if not w.is_const():
-        return None
-    z = _constant_as_cyclo(w.const_value())
-    e = None if z is None else _discrete_log(z, k.sigma.q ** step)
-    return None if e is None else v * field.x() ** e
 
 
 def _monic_num(f: RatFunc) -> RatFunc:
@@ -209,25 +171,22 @@ def _discrete_log(z: CycloNum, q: CycloNum) -> int | None:
     """Exact e with q**e == z, or None.
 
     For rational q the answer is complete: q is not a root of unity, so
-    some prime valuation of q is nonzero and pins e down, after which one
-    exact power comparison confirms it.  For irrational q a bounded window
-    |e| <= 64 is scanned; exponents beyond it would need witness degrees
-    far outside anything this toolkit constructs.
+    some element of a coprime basis of the integers of q and z has a
+    nonzero valuation in q (``_uneven_base``) and pins e down, after which
+    one exact power comparison confirms it.  For irrational q a bounded
+    window |e| <= 64 is scanned; exponents beyond it would need witness
+    degrees far outside anything this toolkit constructs.
     """
     one = q ** 0
     if z == one:
         return 0
     if z.is_rational() and q.is_rational():
-        zf = z.rational_value()
-        qf = q.rational_value()
-        p = _uneven_prime(qf)
-        if p is not None:
-            vq = _padic(qf, p)
-            vz = _padic(zf, p) if zf != 0 else None
-            if vz is None or vz % vq != 0:
-                return None
-            e = vz // vq
-            return e if q ** e == z else None
+        zf, qf = z.rational_value(), q.rational_value()
+        if zf == 0:
+            return None
+        base = _uneven_base(qf, [zf])
+        e, rem = divmod(_padic(zf, base), _padic(qf, base))
+        return e if not rem and q ** e == z else None
     # one running power in each direction, +e tried before -e
     up = down = one
     q_inv = q.inverse()
@@ -337,8 +296,8 @@ def _move_poles(k: DiffField, rest: RatFunc) -> tuple[RatFunc, RatFunc]:
     f = k.k_field.zero
     if rest.is_zero():
         return rest, f
-    # for an irrational q the set comes from the same bounded window as
-    # the peel's dispersions
+    # for an irrational q the set comes from the bounded window of
+    # ``dispersion_set``, as for ``_orbit_basis``
     distances, _ = dispersion_set(rest.den, rest.den, sigma)
     for j in reversed([j for j in distances if j > 0]):
         a, d = rest.num, rest.den
@@ -414,18 +373,7 @@ def torsion_order(k: DiffField, a, m_max: int, step: int = 1) -> TorsionCert | N
         raise ZeroInput("torsion order of the zero function is malformed")
     if a.degree_balance() != 0:
         return None
-    stride = 1
-    if k.sigma.kind == "shift":
-        # shift quotients have leading-coefficient ratio exactly 1, so the
-        # lc ratio of a must be a root of unity and m a multiple of its
-        # order; in Q(zeta_N) every such order divides lcm(2, N)
-        u = _constant_as_cyclo(a.lc_ratio())
-        if u is None:
-            return None
-        stride = bounded_multiplicative_order(u, lcm(2, k.constants_conductor))
-        if stride is None:
-            return None
-    for m in range(stride, m_max + 1, stride):
+    for m in range(1, m_max + 1):
         sol = solve_mult(k, a ** m, step=step)
         if sol is not None:
             return TorsionCert(order=m, witness=sol.witness)
@@ -462,10 +410,8 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
         if any(r[i] for r in free) for p in (num, den)])
     exps = [[_multiplicity(num, b) - _multiplicity(den, b) for b in basis]
             for *_, num, den in parts]
-    reps = sorted({rep for rep, _ in orbit})
-    l0 = integer_kernel([
-        [sum(e for e, (rep, _) in zip(row, orbit) if rep == r) for r in reps]
-        + p for row, p in zip(exps, pin)])
+    l0 = integer_kernel([_class_sums(orbit, row) + p
+                         for row, p in zip(exps, pin)])
     consts = [c for c, *_ in parts]
     rows = _constant_rows(k, consts, l0)
     exact = rows is not None
@@ -507,37 +453,52 @@ def _multiplicity(p: Poly, b: Poly) -> int:
 
 def _orbit_basis(k: DiffField, polys):
     """(basis, orbit): coprime ``_normal`` polynomials, each of ``polys`` a
-    product of their powers, with gcd(b, sigma^d c) = 1 or b = sigma^d c;
-    orbit[i] = (rep, d >= 0) with basis[i] = sigma^d(basis[rep]).
+    product of their powers, with gcd(b, sigma^d c) = 1 or b = sigma^d c
+    for any two of them; orbit[i] = (rep, d >= 0) with basis[i] =
+    sigma^d(basis[rep]) and rep the lowest of its class.
 
-    Factor refinement; then each d of ``dispersion_set(b, c)`` that is no
-    full match splits b and c at g = gcd(b, sigma^d c) and sigma^-d(g),
-    and refinement runs again (Gerhard, Giesbrecht, Storjohann and Zima,
-    ISSAC 2003); self-pairs go first, as their splits often leave only
-    linear pairs.  Each split adds an element, so this ends.  Then every
-    element meets each lower one of its orbit, the lowest at the largest d.
+    Factor refinement; then each d of ``dispersion_set(b, c)`` for b
+    before c that is no full match splits b and c at g = gcd(b, sigma^d c)
+    and sigma^-d(g), and refinement runs again (Gerhard, Giesbrecht,
+    Storjohann and Zima, ISSAC 2003).  Each split adds an element, so this
+    ends.  The signed set of one unordered pair gives both orders, and an
+    element is never paired with itself: self-pairs change no class sum
+    and no witness.  For once every two elements are coprime or a full
+    match, two that meet one sigma-orbit are exact translates, so each
+    orbit's exponent sum is the number of the element's roots in it times
+    its class sum, zero iff the class sum is, whether or not one element
+    holds two roots of that orbit.
     """
     sigma = k.sigma
     basis = list(polys)
     while True:
         basis = [_normal(k, b) for b in
                  coprime_basis(basis, Poly.gcd, lambda p: p.degree() < 1)]
-        n = len(basis)
-        orbit, pieces = [(i, 0) for i in range(n)], []
-        for i, j in [(i, i) for i in range(n)] + [
-                (i, j) for i in range(n) for j in range(n) if i != j]:
-            if pieces and i != j:
-                break
+        orbit, pieces = [(i, 0) for i in range(len(basis))], []
+        for i, j in itertools.combinations(range(len(basis)), 2):
             b, c = basis[i], basis[j]
             for d in dispersion_set(b, c, sigma)[0]:
-                if b == sigma.translate(c, d):
+                moved = sigma.translate(c, d)
+                if b != moved:
+                    g = b.gcd(moved)
+                    pieces += [g, sigma.translate(g, -d)]
+                elif d > 0:
                     orbit[i] = max(orbit[i], (j, d), key=lambda o: o[1])
                 else:
-                    g = b.gcd(sigma.translate(c, d))
-                    pieces += [g, sigma.translate(g, -d)]
+                    orbit[j] = max(orbit[j], (i, -d), key=lambda o: o[1])
+            if pieces:
+                break
         if not pieces:
             return basis, orbit
         basis += pieces
+
+
+def _class_sums(orbit, row, step: int = 1) -> list[int]:
+    """The sums of the exponents in row over each class (rep, d mod step)
+    of ``_orbit_basis``, in one order for every row."""
+    keys = sorted({(rep, d % step) for rep, d in orbit})
+    return [sum(e for e, (rep, d) in zip(row, orbit) if (rep, d % step) == key)
+            for key in keys]
 
 
 def _constant_rows(k: DiffField, consts, l0):
@@ -622,16 +583,20 @@ def _residue_rows(k: DiffField, consts, l0, m_max: int) -> list:
     return rows
 
 
-def _witness(k: DiffField, basis, orbit, exps, vec, t: int) -> RatFunc:
-    """The f with sigma(f)/f = prod a_i^{vec_i} and monic numerator: b =
-    sigma^d(r) of exponent E = sum_i vec_i e_ib gives T^E, T = r sigma(r)
-    ... sigma^(d-1)(r), as sigma(T)/T = b/r and each orbit's exponents sum
-    to zero; q^t is sigma(x^t)/x^t."""
+def _witness(k: DiffField, basis, orbit, exps, vec, t: int,
+             step: int = 1) -> RatFunc:
+    """The f with sigma^step(f)/f = prod a_i^{vec_i} and monic numerator:
+    b = sigma^d(rep) of exponent E = sum_i vec_i e_ib gives T^E for the
+    telescope T = prod_{i < d // step} sigma^(d mod step + i step)(rep), as
+    sigma^step(T)/T = b / sigma^(d mod step)(rep) and the exponents of each
+    class (rep, d mod step) sum to zero; q^(step t) is
+    sigma^step(x^t)/x^t."""
     f = k.x() ** t
     for (rep, d), col in zip(orbit, zip(*exps)):
         e = sum(m * c for m, c in zip(vec, col))
-        if d and e:
-            tele = prod(k.sigma.translate(basis[rep], i) for i in range(d))
+        if d // step and e:
+            tele = prod(k.sigma.translate(basis[rep], d % step + i * step)
+                        for i in range(d // step))
             f = f * k.coerce(tele) ** e
     return _monic_num(f)
 

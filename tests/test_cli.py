@@ -300,6 +300,26 @@ class TestCommands:
         assert presentation["krull_dim"] == krull_dim
         assert report["group"]["description"] == description
 
+    # q = N = 1000000007 * 9999999967, a product of two primes that no
+    # valuation may trial-divide.  1 and 2 lie on different q-orbits, so
+    # (x-1)/(x-2) has no relation: a torus.  sigma(x - N) = N (x - 1), so
+    # (x-1)/(x-N) = sigma(g)/g with g = (x - N)/x: the trivial group.
+    @pytest.mark.parametrize("system,description", [
+        ("scalar((x-1)/(x-2))", "torus of rank 1"),
+        ("scalar((x-1)/(x-1000000007*9999999967))", "trivial group"),
+    ])
+    def test_large_prime_q_is_not_factored(self, system, description,
+                                           capsys):
+        import time
+
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["group", "--sigma", "qshift", "--q", "1000000007*9999999967",
+             "--system", system, "--output", "json"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["group"]["description"] == description
+
     def test_zeta13_at_a_bound_that_reaches_its_order(self, capsys):
         # shift, a = zeta13: a^v is a quotient iff zeta13^v = 1 (a constant
         # c is sigma(g)/g only for c = 1), iff 13 | v.  L = 13Z, so the group

@@ -287,7 +287,7 @@ def _resultant_route(p, r, sigma):
         candidates, complete = _qshift_candidates(
             p, r, p.field.coerce(sigma.q))
     return [j for j in sorted(candidates)
-            if j >= 0 and p.gcd(sigma.translate(r, j)).degree() > 0], complete
+            if p.gcd(sigma.translate(r, j)).degree() > 0], complete
 
 
 _linear_roots = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 4)])

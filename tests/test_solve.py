@@ -30,6 +30,7 @@ from pvkit.solve import (
 )
 
 from dense_add import dense_solve_add
+from peel_mult import peel_solve_mult
 
 
 def shift_field(conductor: int = 1) -> DiffField:
@@ -221,6 +222,84 @@ def test_mult_step_agrees_with_the_unit_step(witness, noise, scale, step, kind):
         if sol is not None:
             assert sol.witness == unit.witness
     if not noise and scale == 1:
+        _check_mult(k, r, sol, step)
+
+
+_PEEL_SIGMAS = ["shift", 2, 3, Fraction(1, 2), "2 zeta3"]
+
+
+@st.composite
+def _peel_cases(draw):
+    """(k, r, step): r = c * sigma^step(f)/f * noise over Q, Q(zeta_3) or
+    Q(t1).  f and the noise are products of sigma-translates of small
+    factors, repeated ones among them, and of factors holding two roots of
+    one orbit, x(x+2) and (x+1/2)(x+5/2) or (x-1)(x-q^2), which the noise
+    brings in with no partner; or the noise is a sigma^s-quotient, s =
+    1..3, whose offsets may miss the residues mod step.  c is a small
+    rational, or over Q(t1) may involve t1.  Half the cases are quotients,
+    with no noise and c = 1 or a power of q^step."""
+    sigma = draw(st.sampled_from(_PEEL_SIGMAS))
+    tower = sigma != "2 zeta3" and draw(st.booleans())
+    if tower:
+        constants = RatFuncField(CycloField(1), "t1")
+    else:
+        constants = CycloField(3 if sigma == "2 zeta3" else 1)
+    if sigma == "shift":
+        spec = SigmaSpec.shift()
+    else:
+        spec = SigmaSpec.qshift(CycloNum.zeta(3) * 2 if sigma == "2 zeta3"
+                                else CycloNum.from_rational(sigma))
+    k = DiffField(sigma=spec, constants=constants)
+    x = k.x()
+    if sigma == "shift":
+        bases = [x, x + Fraction(1, 2), x * (x + 2),
+                 (x + Fraction(1, 2)) * (x + Fraction(5, 2)), x * x + 1]
+    else:
+        bases = [x, x - 1, x - 3, (x - 1) * apply_sigma_power(k, x - 1, -2),
+                 x * x + 1]
+    if tower:
+        bases = bases[:4]
+
+    def product(min_size, max_size):
+        out = k.one()
+        for base, s, e in draw(st.lists(
+                st.tuples(st.sampled_from(bases), st.integers(0, 3),
+                          st.sampled_from([-2, -1, 1, 2])),
+                min_size=min_size, max_size=max_size)):
+            out = out * apply_sigma_power(k, base, s) ** e
+        return out
+
+    step = draw(st.integers(1, 3))
+    f = product(0, 2)
+    if draw(st.booleans()):
+        # a quotient, with a constant q^(step e) for the dilation
+        f = f * x ** (0 if sigma == "shift" else draw(st.integers(-1, 1)))
+        return k, apply_sigma_power(k, f, step) / f, step
+    # a lone factor, or a sigma^s-quotient, a sigma^step-quotient only
+    # for some s
+    g = product(1, 1)
+    noise = (g if draw(st.booleans())
+             else apply_sigma_power(k, g, draw(st.integers(1, 3))) / g)
+    c = k.coerce(draw(st.sampled_from([1, -1, 2, 4, Fraction(1, 2)])))
+    if tower and draw(st.booleans()):
+        t = RatFunc(Poly(constants.inner, (0, 1)),
+                    Poly(constants.inner, (1,)))
+        c = c * k.coerce(t + constants.one * draw(st.integers(0, 1)))
+    return k, c * apply_sigma_power(k, f, step) / f * noise, step
+
+
+@given(case=_peel_cases())
+@settings(max_examples=80, deadline=None)
+def test_mult_agrees_with_the_dispersion_peel(case):
+    # the dispersion peel (tests/peel_mult.py) decides the same question
+    # with no factor basis; both witnesses have a monic numerator, which
+    # makes them unique
+    k, r, step = case
+    sol = solve_mult(k, r, step=step)
+    want = peel_solve_mult(k, r, step)
+    assert (sol is None) == (want is None)
+    if sol is not None:
+        assert sol.witness == want
         _check_mult(k, r, sol, step)
 
 
@@ -731,15 +810,18 @@ _BOX_CONSTANTS = {"qq": 1, "zeta3": 3, "i": 4}
 def _box_systems(draw):
     """(k, entries): 1..3 characters c * prod p^e, with c a small rational
     times a root of unity of the constants, and p drawn from shifted,
-    repeated and quadratic factors (sigma-translates of x, x + 1/2 and
-    x^2 + 1, or for the dilation of x - 1 and x^2 + 1, and x itself)."""
+    repeated and quadratic factors (sigma-translates of x, x + 1/2,
+    x^2 + 1 and x(x + 2), or for the dilation of x - 1, x^2 + 1 and
+    (x - 1)(x - q^2), and x itself); x(x + 2) and (x - 1)(x - q^2) hold two
+    roots of one orbit."""
     sigma = draw(st.sampled_from(["shift", 2, 3, Fraction(1, 2)]))
     conductor = _BOX_CONSTANTS[draw(st.sampled_from(sorted(_BOX_CONSTANTS)))]
     k = (shift_field(conductor) if sigma == "shift"
          else qshift_field(sigma, conductor))
     x = k.x()
-    bases = ([x, x + Fraction(1, 2), x * x + 1] if sigma == "shift"
-             else [x, x - 1, x * x + 1])
+    bases = ([x, x + Fraction(1, 2), x * x + 1, x * (x + 2)]
+             if sigma == "shift" else
+             [x, x - 1, x * x + 1, (x - 1) * apply_sigma_power(k, x - 1, -2)])
     entries = []
     for _ in range(draw(st.integers(1, 3))):
         c = k.coerce(draw(st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2)])))
@@ -853,3 +935,24 @@ def test_lattice_runs_no_solve_mult(monkeypatch):
     x = k.x()
     assert relation_lattice(k, [k.coerce(-4) * (2 * x - 1) / (x - 1)], 12
                             ).vectors() == [[2]]
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_lattice_pairs_no_element_with_itself(monkeypatch, scale):
+    # x^12 + 1 and 2 x^12 + 2 share one basis element, and an element is
+    # never paired with itself, so no resultant is taken
+    from pvkit.arith import ops
+
+    calls = []
+    real = ops.resultant
+
+    def count(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(ops, "resultant", count)
+    k = shift_field()
+    a = k.x() ** 12 + 1
+    basis = relation_lattice(k, [a, scale * a], 12)
+    assert basis.vectors() == ([[1, -1]] if scale == 1 else [])
+    assert calls == []
