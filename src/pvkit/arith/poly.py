@@ -254,23 +254,29 @@ class Poly:
     # -- substitutions ------------------------------------------------------
 
     def shift_arg(self, c) -> "Poly":
-        """p(x + c)."""
+        """p(x + c), by the in-place Taylor shift on one coefficient list;
+        a constant is its own translate."""
+        if len(self.coeffs) <= 1:
+            return self
         c = self.field.coerce(c)
-        result = Poly.zero(self.field)
-        xc = Poly(self.field, (c, self.field.one))
-        for coeff in reversed(self.coeffs):
-            result = result * xc + coeff
-        return result
+        unit = c == self.field.one
+        cs = list(self.coeffs)
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] = cs[j] + (cs[j + 1] if unit else c * cs[j + 1])
+        return Poly._trusted(self.field, cs)
 
     def scale_arg(self, c) -> "Poly":
-        """p(c*x)."""
+        """p(c*x); a constant is its own image."""
+        if len(self.coeffs) <= 1:
+            return self
         c = self.field.coerce(c)
-        out = []
+        out = [self.coeffs[0]]
         power = self.field.one
-        for coeff in self.coeffs:
-            out.append(coeff * power)
+        for coeff in self.coeffs[1:]:
             power = power * c
-        return Poly(self.field, tuple(out))
+            out.append(coeff * power)
+        return Poly._trusted(self.field, out)
 
     def eval(self, point):
         """Horner evaluation; the point may live in a larger ring."""
@@ -358,8 +364,13 @@ class RatFunc:
     def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
         """num/den for a pair already known to be coprime, den nonzero: only
         makes the denominator monic."""
-        out = cls.__new__(cls)
-        out.num, out.den = _monic_den(num, den)
+        return cls._trusted(*_monic_den(num, den))
+
+    @classmethod
+    def _trusted(cls, num: Poly, den: Poly) -> "RatFunc":
+        """num/den already reduced: coprime, den monic."""
+        out = _new(cls)
+        out.num, out.den = num, den
         return out
 
     @classmethod
@@ -405,7 +416,8 @@ class RatFunc:
     # -- arithmetic ---------------------------------------------------------
 
     def _wrap(self, other) -> "RatFunc | None":
-        if isinstance(other, RatFunc) and other.field == self.field:
+        if isinstance(other, RatFunc) and (other.num.field is self.num.field
+                                           or other.field == self.field):
             return other
         if isinstance(other, Poly) and other.field == self.field:
             return RatFunc.from_poly(other)
@@ -423,7 +435,8 @@ class RatFunc:
         a, b = self.num, self.den
         # a monic denominator of degree 0 is 1, and multiplies nothing
         if b.degree() == 0:
-            return RatFunc._reduced(a + c if d.degree() == 0 else a * d + c, d)
+            return (RatFunc._trusted(a + c, b) if d.degree() == 0
+                    else RatFunc._reduced(a * d + c, d))
         if d.degree() == 0:
             return RatFunc._reduced(a + c * b, b)
         g = b.gcd(d)
@@ -455,7 +468,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._reduced(-self.num, self.den)
+        return RatFunc._trusted(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._wrap(other)
@@ -470,6 +483,8 @@ class RatFunc:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
+        if self.den.degree() == 0 == other.den.degree():
+            return RatFunc._trusted(self.num * other.num, self.den)
         return self._times(other.num, other.den)
 
     __rmul__ = __mul__
@@ -527,14 +542,10 @@ class RatFuncField:
         # this field; anything else embeds as a constant (recursing down the
         # tower). Lifting an element across towers is deliberately not done
         # here — the shapes are ambiguous — see lift_ratfunc in base code.
-        if isinstance(value, RatFunc):
-            if value.field == self.inner:
-                return value
-        elif isinstance(value, Poly):
-            if value.field == self.inner:
-                return RatFunc.from_poly(value)
-        else:
-            return RatFunc.const(self.inner, self.inner.coerce(value))
+        if isinstance(value, RatFunc) and value.field == self.inner:
+            return value
+        if isinstance(value, Poly) and value.field == self.inner:
+            return RatFunc.from_poly(value)
         return RatFunc.const(self.inner, self.inner.coerce(value))
 
     def x(self) -> RatFunc:

@@ -109,8 +109,9 @@ def apply_sigma(k: DiffField, f: RatFunc) -> RatFunc:
 
 def apply_sigma_power(k: DiffField, f: RatFunc, j: int) -> RatFunc:
     """sigma^j(f); j may be negative since sigma is invertible.  sigma is
-    an automorphism of C[x], so the translates stay coprime."""
-    if j == 0:
+    an automorphism of C[x], so the translates stay coprime, and it fixes C
+    pointwise, so a constant is returned as it is."""
+    if j == 0 or is_constant(k, f):
         return f
     return RatFunc._reduced(k.sigma.translate(f.num, j),
                             k.sigma.translate(f.den, j))

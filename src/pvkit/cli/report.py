@@ -36,9 +36,9 @@ from ..groups import (
     base_change,
     connection_matrix_check,
     functor_ideal,
-    group_transport_check,
     identify_group,
     weak_pv_compare,
+    _transported,
 )
 from ..laurent import LaurentPoly
 from .exprparse import expression_conductor, parse_expression
@@ -270,7 +270,9 @@ def _run_basechange(req: Request, report: dict) -> int:
         "before": _invariants_section(p, before),
         "after": _invariants_section(q, after),
         "constants_conductor_after": q.field.constants_conductor,
-        "transport_ok": group_transport_check(p, ext, q),
+        "transport_ok": _transported(before.coordinate_ideal,
+                                     after.coordinate_ideal, q.field,
+                                     before.coordinate_vars),
         "group_unchanged": before == after,
     }
     return EXIT_OK

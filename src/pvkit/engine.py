@@ -453,6 +453,7 @@ def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
     * sigma(e_{ell-1}) = e_0, which closes the cycle.
     """
     field = k.k_field
+    constants = k.constants
     one = LaurentPoly.one(field, nvars)
     if ell == 1:
         return [one]
@@ -469,17 +470,18 @@ def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
         if not ideal.normal_form(ideal.sigma_image(w) - w * f.marker).is_zero():
             raise InternalInvariantError("sigma does not scale W by its marker")
         # the u = 1 sum vanishes only if marker^d = 1, which then lets every
-        # later exponent be read mod d
-        powers = [f.marker ** j for j in range(d)]
+        # later exponent be read mod d; they are sums in C, as
+        # ``_split_witness`` asserts the marker constant
+        powers = [f.marker.const_value() ** j for j in range(d)]
         for u in range(d):
-            total = sum((powers[u * j % d] for j in range(d)), k.zero())
-            if total != k.coerce(d if u == 0 else 0):
+            total = sum((powers[u * j % d] for j in range(d)), constants.zero)
+            if total != constants.coerce(d if u == 0 else 0):
                 raise InternalInvariantError(
                     "marker character sums are not d [u = 0]")
         marker_powers.append(powers)
         basis = [(js + (j,), b * w ** j) for js, b in basis for j in range(d)]
     basis = [(js, ideal.normal_form(b)) for js, b in basis]
-    scale = k.coerce(Fraction(1, len(basis)))
+    scale = constants.coerce(Fraction(1, len(basis)))
     orbit = []
     for i in range(ell):
         e = LaurentPoly.zero(field, nvars)

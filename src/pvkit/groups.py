@@ -231,16 +231,12 @@ def _multiplicative_substitution(p: PVPresentation) -> list:
     n = ideal.nvars
     per_gen = []
     for gen in ideal.generators:
-        acc: dict = {}
+        # each (Y-residue, X-exponent) key occurs once; normal forms hold no 0
+        by_res: dict = {}
         for w, c in gen.terms.items():
             reduced = ideal.normal_form(LaurentPoly.monomial(field, n, w, c))
             for yr, cr in reduced.terms.items():
-                key = (yr, w)
-                acc[key] = acc.get(key, field.zero) + cr
-        by_res: dict = {}
-        for (yr, w), cc in acc.items():
-            if not cc.is_zero():
-                by_res.setdefault(yr, {})[w] = cc
+                by_res.setdefault(yr, {})[w] = cr
         per_gen.append(by_res)
     return per_gen
 
@@ -266,15 +262,8 @@ def _unipotent_substitution(p: PVPresentation) -> list:
                 per_x[xv] = per_x.get(xv, LaurentPoly.zero(field, 3)) + mono
         by_res: dict = {}
         for xv, poly in per_x.items():
-            reduced = ideal.normal_form(poly)
-            for yr, cr in reduced.terms.items():
-                by_res.setdefault(yr, {})[xv] = (
-                    by_res.get(yr, {}).get(xv, field.zero) + cr)
-        for yr in list(by_res):
-            by_res[yr] = {w: cc for w, cc in by_res[yr].items()
-                          if not cc.is_zero()}
-            if not by_res[yr]:
-                del by_res[yr]
+            for yr, cr in ideal.normal_form(poly).terms.items():
+                by_res.setdefault(yr, {})[xv] = cr
         per_gen.append(by_res)
     return per_gen
 
@@ -473,15 +462,19 @@ def group_transport_check(p: PVPresentation, ext: ConstantsExtensionDesc,
     """
     if changed.field != extend_field(p.field, ext):
         raise ValueError("changed is not a base change of p by ext")
-    old = functor_ideal(p)
-    new = functor_ideal(changed)
-    names = coordinate_var_names(p)
-    lifted = sorted((_lift_laurent(g, changed.field) for g in old),
+    return _transported(functor_ideal(p), functor_ideal(changed),
+                        changed.field, coordinate_var_names(p))
+
+
+def _transported(old, new, new_k: DiffField, names) -> bool:
+    """True iff the equations ``new`` over ``new_k`` lift ``old`` one by one."""
+    if old is None or new is None:
+        raise UnsupportedSubstitutionShape("no coordinate equations to transport")
+    lifted = sorted((_lift_laurent(g, new_k) for g in old),
                     key=lambda g: g.format(names))
     fresh = sorted(new, key=lambda g: g.format(names))
-    if len(lifted) != len(fresh):
-        return False
-    return all(a == b for a, b in zip(lifted, fresh))
+    return len(lifted) == len(fresh) and all(
+        a == b for a, b in zip(lifted, fresh))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,13 @@ ideal described by an exponent lattice with witnesses.
 This is the ambient algebra for solution-ring presentations: terms are
 exponent vectors in Z^n with RatFunc coefficients, and the supported
 ideals rewrite a monomial Y^v (v in the lattice) to its witness g_v.
+
+Arithmetic results are built by ``_trusted`` from one accumulated dict, as
+for ``Poly``; only the public ``__init__`` coerces.
 """
 from __future__ import annotations
+
+from operator import add
 
 from .arith.poly import RatFunc, RatFuncField, format_ratfunc
 from .base import apply_sigma
@@ -33,6 +38,16 @@ class LaurentPoly:
         self.terms = clean
 
     # constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field, nvars: int, terms: dict) -> "LaurentPoly":
+        """A result of arithmetic: ``terms`` maps int tuples of length
+        ``nvars`` to elements of ``field``; zeros are dropped, nothing is
+        coerced."""
+        out = object.__new__(cls)
+        out.field, out.nvars = field, nvars
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     @classmethod
     def zero(cls, field, nvars: int) -> "LaurentPoly":
@@ -81,22 +96,27 @@ class LaurentPoly:
     # arithmetic --------------------------------------------------------
 
     def _wrap(self, other):
-        if isinstance(other, LaurentPoly):
+        # a LaurentPoly over another field is coerced, as a constant is
+        if not isinstance(other, LaurentPoly):
+            return LaurentPoly.const(self.field, self.nvars, other)
+        if other.nvars != self.nvars:
+            raise ValueError("exponent arity mismatch")
+        if other.field is self.field or other.field == self.field:
             return other
-        return LaurentPoly.const(self.field, self.nvars, other)
+        return LaurentPoly(self.field, self.nvars, other.terms)
 
     def __add__(self, other):
         other = self._wrap(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, self.field.zero) + c
-        return LaurentPoly(self.field, self.nvars, out)
+            out[e] = c if e not in out else out[e] + c
+        return LaurentPoly._trusted(self.field, self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.field, self.nvars,
-                           {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.field, self.nvars,
+                                    {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -107,29 +127,30 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             c = self.field.coerce(other)
-            return LaurentPoly(self.field, self.nvars,
-                               {e: v * c for e, v in self.terms.items()})
+            return LaurentPoly._trusted(self.field, self.nvars,
+                                        {e: v * c for e, v in self.terms.items()})
+        other = self._wrap(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                out[e] = out.get(e, self.field.zero) + prod
-        return LaurentPoly(self.field, self.nvars, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = c1 * c2 if e not in out else out[e] + c1 * c2
+        return LaurentPoly._trusted(self.field, self.nvars, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("Laurent power of a general element needs n >= 0")
-        result = LaurentPoly.one(self.field, self.nvars)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return LaurentPoly.one(self.field, self.nvars) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -149,8 +170,8 @@ class LaurentPoly:
             for i, ei in enumerate(e):
                 if ei:
                     factor = factor * characters[i] ** ei
-            out[e] = out.get(e, self.field.zero) + factor
-        return LaurentPoly(self.field, self.nvars, out)
+            out[e] = factor  # sigma moves no exponent
+        return LaurentPoly._trusted(self.field, self.nvars, out)
 
     def map_coeffs(self, fn) -> "LaurentPoly":
         return LaurentPoly(self.field, self.nvars,
@@ -208,7 +229,7 @@ class BinomialNF:
         self._h = [list(v) for v, _ in self.rows]
 
     def reduce(self, p: LaurentPoly) -> LaurentPoly:
-        out = LaurentPoly.zero(self.field, self.nvars)
+        out = {}
         for e, c in p.terms.items():
             if self._h:
                 coeffs, res = hnf_reduce(self._h, list(e))
@@ -216,8 +237,8 @@ class BinomialNF:
                     if cf:
                         c = c * w ** cf
                 e = tuple(res)
-            out = out + LaurentPoly.monomial(self.field, self.nvars, e, c)
-        return out
+            out[e] = c if e not in out else out[e] + c
+        return LaurentPoly._trusted(self.field, self.nvars, out)
 
     def equal(self, p: LaurentPoly, q: LaurentPoly) -> bool:
         return self.reduce(p - q).is_zero()

@@ -55,6 +55,18 @@ def test_apply_sigma_power_examples():
     assert apply_sigma_power(kq, x, -2) == x / 4
 
 
+@pytest.mark.parametrize("j", [1, -1, 3, -3])
+@pytest.mark.parametrize("sigma", [SigmaSpec.shift(),
+                                   SigmaSpec.qshift(CycloNum.from_rational(2))],
+                         ids=["shift", "q=2"])
+def test_sigma_power_returns_a_constant_unchanged(sigma, j):
+    # sigma fixes C pointwise, so no translate is built
+    k = DiffField(sigma, CycloField(3))
+    for c in (k.zero(), k.one(), k.coerce(Fraction(-5, 3)),
+              k.coerce(2 * CycloNum.zeta(3) - 1)):
+        assert apply_sigma_power(k, c, j) is c
+
+
 def test_is_constant_examples():
     ks = DiffField(SigmaSpec.shift())
     assert is_constant(ks, ks.coerce(Fraction(5, 7)))

@@ -7,6 +7,7 @@ identical requests produce byte-identical stdout (timing goes to
 stderr only).
 """
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -25,7 +26,8 @@ from pvkit.cli.exprparse import expression_conductor, parse_expression
 from pvkit.cli.main import main
 from pvkit.cli.report import Request, parse_adjoin, parse_system, run
 from pvkit.errors import DivisionByZeroExpression, ParseError
-from pvkit.groups import base_change
+from pvkit.groups import base_change, functor_ideal, identify_group
+from pvkit.laurent import LaurentPoly
 
 
 def field(conductor=1):
@@ -247,6 +249,46 @@ class TestCommands:
         assert len(calls) == 1
         assert "transport_ok: true" in out
         assert "group_unchanged: true" in out
+
+    def test_basechange_reads_each_coordinate_ideal_once(self, capsys,
+                                                         monkeypatch):
+        # identify_group computes the ideal of each side; transport_ok
+        # compares those two and computes no third or fourth
+        calls = []
+
+        def counted(p):
+            calls.append(p.field.constants_conductor)
+            return functor_ideal(p)
+
+        monkeypatch.setattr("pvkit.groups.functor_ideal", counted)
+        monkeypatch.setattr("pvkit.cli.report.functor_ideal", counted)
+        code, out, _ = run_cli(
+            ["basechange", "--sigma", "shift", "--system", "scalar(-1)",
+             "--adjoin", "zeta(3)"], capsys)
+        assert code == 0
+        assert calls == [1, 3]
+        assert "transport_ok: true" in out
+
+    def test_basechange_transport_reads_the_after_ideal(self, capsys,
+                                                        monkeypatch):
+        # tamper with the ideal identify_group attaches to the changed side:
+        # -1 + X^2 becomes -1 + 2 X^2, which no lift of the original gives
+        def tampered(p):
+            desc = identify_group(p)
+            if p.field.constants_conductor == 1:
+                return desc
+            (g,) = desc.coordinate_ideal
+            bad = LaurentPoly(g.field, g.nvars,
+                              {e: c * (2 if e != (0,) else 1)
+                               for e, c in g.terms.items()})
+            return dataclasses.replace(desc, coordinate_ideal=(bad,))
+
+        monkeypatch.setattr("pvkit.cli.report.identify_group", tampered)
+        code, out, _ = run_cli(
+            ["basechange", "--sigma", "shift", "--system", "scalar(-1)",
+             "--adjoin", "zeta(3)"], capsys)
+        assert code == 0
+        assert "transport_ok: false" in out
 
     def test_basechange_leaves_relations_past_the_bound_alone(self, capsys):
         # (-1)^2 = 1 lies outside the box of radius 1, so neither side

@@ -281,6 +281,11 @@ class TestBaseChange:
         q = conftest.changed_presentation("scalar-order-two", "zeta3")
         with pytest.raises(ValueError):
             group_transport_check(p, conftest.EXTENSIONS["t1"], changed=q)
+        # an unextended or differently extended presentation is refused too
+        for wrong in (p, conftest.changed_presentation("scalar-order-two", "t1")):
+            with pytest.raises(ValueError, match="not a base change"):
+                group_transport_check(p, conftest.EXTENSIONS["zeta3"],
+                                      changed=wrong)
 
     def test_root_of_unity_merges_conductors(self):
         p = conftest.presentation("square-root-of-x")

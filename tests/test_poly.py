@@ -155,6 +155,37 @@ def test_shift_substitution_round_trips(p, c):
     assert p.shift_arg(c).shift_arg(-c) == p
 
 
+_T1 = RatFuncField(QQ, "t1")
+
+
+def _taylor_coeffs(field):
+    """Small coefficients over Q, Q(zeta_3) or Q(t1)."""
+    ints = st.integers(min_value=-3, max_value=3)
+    if field == CycloField(3):
+        return st.builds(lambda a, b: a + b * CycloNum.zeta(3), ints, ints)
+    if field == _T1:
+        t = RatFunc.x(QQ)
+        return st.builds(lambda a, b, d: (a + b * t) / (d * t + 1),
+                         ints, ints, ints)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@pytest.mark.parametrize("c", [1, -1, 3, -3, Fraction(1, 2)])
+@pytest.mark.parametrize("field", [QQ, CycloField(3), _T1],
+                         ids=["Q", "Q(zeta3)", "Q(t1)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_taylor_shift_and_scale_match_horner(field, c, data):
+    # Poly.eval is Horner's rule on Polys: an oracle that shares no code
+    # with the in-place Taylor shift
+    p = Poly(field, data.draw(st.lists(_taylor_coeffs(field), max_size=6)))
+    x = Poly.x(field)
+    assert p.shift_arg(c) == p.eval(x + c)
+    assert p.scale_arg(c) == p.eval(x * c)
+    if p.degree() <= 0:
+        assert p.shift_arg(c) is p and p.scale_arg(c) is p
+
+
 _Z3 = CycloField(3)
 _ZETA3 = CycloNum.zeta(3)
 # small factors, several shared, so that the operands of a random operation
