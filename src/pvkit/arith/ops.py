@@ -341,9 +341,13 @@ def _shift_resultant(p: Poly, r: Poly) -> Poly:
 
     R has degree deg p * deg r in t, so it is interpolated from its values
     at t = 0, 1, ..., deg p * deg r, each a resultant over the constants.
+    Each r(x + t) is one unit shift of the last, which needs only additions.
     """
-    values = [resultant(p, r.shift_arg(t))
-              for t in range(p.degree() * r.degree() + 1)]
+    shifted = r
+    values = [resultant(p, shifted)]
+    for _ in range(p.degree() * r.degree()):
+        shifted = shifted.shift_arg(1)
+        values.append(resultant(p, shifted))
     return _interpolate(values, 0, p.field)
 
 

@@ -255,10 +255,12 @@ class Poly:
 
     def shift_arg(self, c) -> "Poly":
         """p(x + c), by the in-place Taylor shift on one coefficient list;
-        a constant is its own translate."""
+        a constant, and any p at c = 0, is its own translate."""
         if len(self.coeffs) <= 1:
             return self
         c = self.field.coerce(c)
+        if c == self.field.zero:
+            return self
         unit = c == self.field.one
         cs = list(self.coeffs)
         for i in range(len(cs) - 1):
@@ -267,10 +269,12 @@ class Poly:
         return Poly._trusted(self.field, cs)
 
     def scale_arg(self, c) -> "Poly":
-        """p(c*x); a constant is its own image."""
+        """p(c*x); a constant, and any p at c = 1, is its own image."""
         if len(self.coeffs) <= 1:
             return self
         c = self.field.coerce(c)
+        if c == self.field.one:
+            return self
         out = [self.coeffs[0]]
         power = self.field.one
         for coeff in self.coeffs[1:]:

@@ -13,7 +13,6 @@ import time
 
 from .report import (
     COMMANDS,
-    DEFAULT_DEGREE_BOUND,
     DEFAULT_M_MAX,
     EXIT_USAGE,
     Request,
@@ -63,13 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--m-max", type=int, default=DEFAULT_M_MAX,
                              dest="m_max",
                              help="relation search bound for constants "
-                                  "with no rational power "
+                                  "with no rational power; a lattice it "
+                                  "limits carries a caveat "
                                   f"(default {DEFAULT_M_MAX})")
-            cmd.add_argument("--degree-bound", type=int,
-                             default=DEFAULT_DEGREE_BOUND,
-                             dest="degree_bound",
-                             help="simplicity-check bound "
-                                  f"(default {DEFAULT_DEGREE_BOUND})")
         if name == "basechange":
             cmd.add_argument("--adjoin", default=None,
                              help="zeta(N) for a root of unity, t(COUNT) "
@@ -105,7 +100,6 @@ def main(argv=None) -> int:
         u=getattr(ns, "u", None),
         v=getattr(ns, "v", None),
         m_max=getattr(ns, "m_max", DEFAULT_M_MAX),
-        degree_bound=getattr(ns, "degree_bound", DEFAULT_DEGREE_BOUND),
         output=ns.output,
     )
     report, code = run(req)

@@ -9,7 +9,7 @@ stderr as a diagnostic, never into the report body.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import lcm
 from typing import Optional
 
@@ -21,7 +21,6 @@ from ..engine import (
     PVPresentation,
     build_pv_diagonal,
     build_pv_unipotent,
-    check_simple,
 )
 from ..errors import (
     NotConstant,
@@ -43,10 +42,9 @@ from ..groups import (
 from ..laurent import LaurentPoly
 from .exprparse import expression_conductor, parse_expression
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_M_MAX = DEFAULT_SEARCH_BOUND
-DEFAULT_DEGREE_BOUND = 6
 
 COMMANDS = ("group", "pv", "invariants", "basechange", "check-connection",
             "verify-examples")
@@ -73,7 +71,6 @@ class Request:
     u: Optional[str] = None
     v: Optional[str] = None
     m_max: int = DEFAULT_M_MAX
-    degree_bound: int = DEFAULT_DEGREE_BOUND
     output: str = "text"
 
 
@@ -171,11 +168,7 @@ def _format_value(p: PVPresentation, f) -> str:
     return format_ratfunc(f, p.field.var)
 
 
-def _presentation_section(p: PVPresentation, degree_bound: int) -> dict:
-    if p.system.shape == "diagonal":
-        simple = {"bound": degree_bound, "simple": check_simple(p, degree_bound)}
-    else:
-        simple = None
+def _presentation_section(p: PVPresentation) -> dict:
     solution = p.unipotent_solution
     return {
         "shape": "scalar" if p.system.nvars == 1 else p.system.shape,
@@ -184,21 +177,15 @@ def _presentation_section(p: PVPresentation, degree_bound: int) -> dict:
         "ell": p.ell,
         "m_inv": p.m_inv,
         "krull_dim": p.krull_dim,
-        "constants_ext_degree": p.constants_ext_degree,
         "search_bound": p.search_bound,
         "constants_conductor": p.field.constants_conductor,
         "caveats": list(p.caveats),
-        "simple_check": simple,
         "unipotent_solution": (None if solution is None
                                else _format_value(p, solution)),
     }
 
 
 def _group_section(desc: GroupDesc) -> dict:
-    if desc.coordinate_ideal is None:
-        ideal = None
-    else:
-        ideal = [g.format(desc.coordinate_vars) for g in desc.coordinate_ideal]
     return {
         "description": desc.describe(),
         "torus_rank": desc.torus_rank,
@@ -206,9 +193,9 @@ def _group_section(desc: GroupDesc) -> dict:
         "unipotent_dim": desc.unipotent_dim,
         "dimension": desc.dimension,
         "coordinate_vars": list(desc.coordinate_vars),
-        "coordinate_ideal": ideal,
+        "coordinate_ideal": [g.format(desc.coordinate_vars)
+                             for g in desc.coordinate_ideal],
         "defined_over_conductor": desc.defined_over_conductor,
-        "constants_extension_trivial": desc.constants_extension_trivial,
     }
 
 
@@ -222,31 +209,16 @@ def _invariants_section(p: PVPresentation, desc: GroupDesc) -> dict:
     }
 
 
-def _request_echo(req: Request) -> dict:
-    return {
-        "command": req.command,
-        "sigma": req.sigma,
-        "q": req.q,
-        "system": req.system,
-        "adjoin": req.adjoin,
-        "u": req.u,
-        "v": req.v,
-        "m_max": req.m_max,
-        "degree_bound": req.degree_bound,
-        "output": req.output,
-    }
-
-
 def _run_group(req: Request, report: dict) -> int:
     p = _build_presentation(req)
-    report["presentation"] = _presentation_section(p, req.degree_bound)
+    report["presentation"] = _presentation_section(p)
     report["group"] = _group_section(identify_group(p))
     return EXIT_OK
 
 
 def _run_pv(req: Request, report: dict) -> int:
     p = _build_presentation(req)
-    report["presentation"] = _presentation_section(p, req.degree_bound)
+    report["presentation"] = _presentation_section(p)
     return EXIT_OK
 
 
@@ -264,7 +236,7 @@ def _run_basechange(req: Request, report: dict) -> int:
     before = identify_group(p)
     q = base_change(p, ext)
     after = identify_group(q)
-    report["presentation"] = _presentation_section(p, req.degree_bound)
+    report["presentation"] = _presentation_section(p)
     report["base_change"] = {
         "adjoin": ext.describe(),
         "before": _invariants_section(p, before),
@@ -283,7 +255,7 @@ def _run_check_connection(req: Request, report: dict) -> int:
         raise ZeroInput("check-connection requires --u and --v "
                         "(constant multiples of the residue Y)")
     p = _build_presentation(req)
-    report["presentation"] = _presentation_section(p, req.degree_bound)
+    report["presentation"] = _presentation_section(p)
     field = p.field.k_field
     u = LaurentPoly.monomial(field, 1, (1,),
                              parse_expression(req.u, field))
@@ -438,7 +410,7 @@ _DISPATCH = {
 
 def run(req: Request) -> tuple:
     """Execute a request; returns (report dict, exit code)."""
-    report = {"schema_version": SCHEMA_VERSION, "request": _request_echo(req)}
+    report = {"schema_version": SCHEMA_VERSION, "request": asdict(req)}
     try:
         code = _DISPATCH[req.command](req, report)
     except PvkitError as err:

@@ -396,12 +396,12 @@ class PVPresentation:
     ``caveats`` lists everything the finite searches could not certify
     beyond their bounds (for example a presentation exponent that exceeds
     the invariant degree).  ``idempotents`` is the full orbit e_0..e_{ell-1},
-    [1] when ell = 1.  The builders always write the orbit down and always
-    set ``constants_ext_degree`` = 1: the splits of a saturated lattice are
-    pairwise coprime (``_cyclic_factors``), so the Fourier idempotents need
-    no constants beyond C.  A presentation built by hand may carry None,
-    which ``decompose`` refuses.  ``search_bound`` bounds only a search
-    among constants with no rational power (``lattice.exact`` False).
+    [1] when ell = 1.  The builders always write the orbit down over C
+    itself: the splits of a saturated lattice are pairwise coprime
+    (``_cyclic_factors``), so no constants extension is ever needed.  A
+    presentation built by hand may carry None, which ``decompose``
+    refuses.  ``search_bound`` bounds only a search among constants with
+    no rational power (``lattice.exact`` False).
     """
 
     field: DiffField
@@ -410,7 +410,6 @@ class PVPresentation:
     ell: int
     m_inv: int
     krull_dim: int
-    constants_ext_degree: int
     idempotents: Optional[list]
     search_bound: int
     lattice: LatticeBasis
@@ -529,7 +528,7 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
             f"only up to --m-max {m_max}; a relation past it would be missed")
     return PVPresentation(
         field=k, system=system, ideal=ideal, ell=ell, m_inv=m_inv,
-        krull_dim=n - lattice.rank(), constants_ext_degree=1,
+        krull_dim=n - lattice.rank(),
         idempotents=_orbit_idempotents(k, ideal, factors, ell, n),
         search_bound=m_max, lattice=lattice, factors=factors,
         caveats=tuple(caveats))
@@ -562,7 +561,6 @@ def build_pv_unipotent(k: DiffField, b, m_max: int = DEFAULT_SEARCH_BOUND) -> PV
     return PVPresentation(
         field=k, system=system, ideal=ideal, ell=1, m_inv=1,
         krull_dim=0 if solution is not None else 1,
-        constants_ext_degree=1,
         idempotents=[LaurentPoly.one(field, 3)],
         search_bound=m_max,
         lattice=LatticeBasis(3, [], field),
@@ -653,10 +651,12 @@ def decompose(p: PVPresentation) -> list:
 
 
 def check_simple(p: PVPresentation, degree_bound: int) -> bool:
-    """Whether the presentation's lattice holds every relation, so that
-    no relation outside it cuts out a proper stable subideal: True for an
-    exact lattice, and for any other whether it contains
-    ``relation_lattice`` at ``degree_bound``."""
+    """Whether a presentation built by hand holds every relation, so that
+    no relation outside its lattice cuts out a proper stable subideal:
+    True for an exact lattice, and for any other whether it contains
+    ``relation_lattice`` at ``degree_bound``.  A built presentation needs
+    no check: its lattice is exact, or searched up to its own
+    ``search_bound`` with a caveat."""
     if degree_bound < 1:
         raise ZeroInput("degree bound must be at least 1")
     if p.system.shape != "diagonal":

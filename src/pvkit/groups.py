@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, lcm
-from typing import Optional
 
 from .arith.cyclo import CycloField, CycloNum
 from .arith.poly import Poly, RatFunc, RatFuncField
@@ -82,25 +81,17 @@ class ConstantsExtensionDesc:
 class GroupDesc:
     """Structure of the stabilizer group of a presented solution ring.
 
-    ``coordinate_ideal`` carries the explicit equations in the X variables
-    when the substitution is supported, None otherwise; equality of two
-    descriptions compares coefficient values across constant fields, so a
-    description is unchanged by pure base change.
-    ``constants_extension_trivial`` reports whether the presentation needed
-    no constants extension beyond the declared field.  The builders always
-    give degree 1 and an explicit orbit (``PVPresentation``), so it is True
-    for every built ring; only a presentation made by hand can make it
-    False, and then the lattice-based identification is reported but not
-    certified to agree with the points-based one.
+    ``coordinate_ideal`` carries the explicit equations in the X variables;
+    equality of two descriptions compares coefficient values across
+    constant fields, so a description is unchanged by pure base change.
     """
 
     torus_rank: int
     finite_orders: tuple
     unipotent_dim: int
-    coordinate_ideal: Optional[tuple]
+    coordinate_ideal: tuple
     coordinate_vars: tuple
     defined_over_conductor: int
-    constants_extension_trivial: bool = True
 
     @property
     def dimension(self) -> int:
@@ -121,11 +112,9 @@ class GroupDesc:
         if not isinstance(other, GroupDesc):
             return NotImplemented
         if (self.torus_rank, self.finite_orders, self.unipotent_dim,
-                self.coordinate_vars, self.defined_over_conductor,
-                self.constants_extension_trivial) != (
+                self.coordinate_vars, self.defined_over_conductor) != (
                 other.torus_rank, other.finite_orders, other.unipotent_dim,
-                other.coordinate_vars, other.defined_over_conductor,
-                other.constants_extension_trivial):
+                other.coordinate_vars, other.defined_over_conductor):
             return False
         return _coordinate_ideals_equal(self.coordinate_ideal,
                                         other.coordinate_ideal)
@@ -150,20 +139,13 @@ def _constant_values_equal(a, b) -> bool:
 
 
 def _coordinate_ideals_equal(a, b) -> bool:
-    if (a is None) != (b is None):
-        return False
-    if a is None:
-        return True
     if len(a) != len(b):
         return False
     for ga, gb in zip(a, b):
         if sorted(ga.terms) != sorted(gb.terms):
             return False
         for exps, ca in ga.terms.items():
-            if not _constant_values_equal(ca.const_value() if ca.is_const() else ca,
-                                          gb.terms[exps].const_value()
-                                          if gb.terms[exps].is_const()
-                                          else gb.terms[exps]):
+            if not _constant_values_equal(ca, gb.terms[exps]):
                 return False
     return True
 
@@ -182,7 +164,7 @@ def _value_conductor(v) -> int:
 
 def _ideal_conductor(gens) -> int:
     n = 1
-    for g in gens or ():
+    for g in gens:
         for c in g.terms.values():
             n = lcm(n, _value_conductor(c))
     return n
@@ -269,12 +251,8 @@ def _unipotent_substitution(p: PVPresentation) -> list:
 
 
 def coordinate_var_names(p: PVPresentation) -> tuple:
-    if p.system.shape == "unipotent2":
-        return ("X11", "X12", "X22")
-    n = p.ideal.nvars
-    if n == 1:
-        return ("X",)
-    return tuple(f"X{i + 1}" for i in range(n))
+    """The presentation's own variable names with Y read as X."""
+    return tuple("X" + name[1:] for name in p.ideal.var_names)
 
 
 def functor_ideal(p: PVPresentation) -> tuple:
@@ -345,7 +323,8 @@ def identify_group(p: PVPresentation) -> GroupDesc:
     cyclic part (Smith invariant factors above 1); an unsolved triangular
     corner contributes one additive dimension.  The computed dimension is
     asserted equal to the presentation's Krull dimension, and the
-    coordinate equations are attached whenever the substitution applies.
+    coordinate equations are attached; a presentation made by hand that
+    the substitution cannot read raises UnsupportedSubstitutionShape.
     """
     if p.system.shape == "unipotent2":
         torus_rank = 0
@@ -362,10 +341,7 @@ def identify_group(p: PVPresentation) -> GroupDesc:
             "group dimension disagrees with the Krull dimension",
             torus_rank=torus_rank, unipotent_dim=unipotent_dim,
             krull_dim=p.krull_dim)
-    try:
-        coords: Optional[tuple] = functor_ideal(p)
-    except UnsupportedSubstitutionShape:
-        coords = None
+    coords = functor_ideal(p)
     return GroupDesc(
         torus_rank=torus_rank,
         finite_orders=orders,
@@ -373,7 +349,6 @@ def identify_group(p: PVPresentation) -> GroupDesc:
         coordinate_ideal=coords,
         coordinate_vars=coordinate_var_names(p),
         defined_over_conductor=_ideal_conductor(coords),
-        constants_extension_trivial=(p.constants_ext_degree == 1),
     )
 
 
@@ -425,9 +400,7 @@ def base_change(p: PVPresentation, ext: ConstantsExtensionDesc) -> PVPresentatio
     Solvability of every search the build runs is stable under constants
     extension (gcds, dispersions, and linear ranks do not change), so the
     rebuilt generator set must be the coefficientwise lift of the old one;
-    that is asserted.  The assertion pins the rebuilt lattice, so no
-    simplicity scan is re-run: within the search bound it could only agree,
-    and beyond it a relation is a property of the bound, not a fault.
+    that is asserted, and it pins the rebuilt lattice.
     """
     new_k = extend_field(p.field, ext)
     inner = new_k.k_field.inner
@@ -468,8 +441,6 @@ def group_transport_check(p: PVPresentation, ext: ConstantsExtensionDesc,
 
 def _transported(old, new, new_k: DiffField, names) -> bool:
     """True iff the equations ``new`` over ``new_k`` lift ``old`` one by one."""
-    if old is None or new is None:
-        raise UnsupportedSubstitutionShape("no coordinate equations to transport")
     lifted = sorted((_lift_laurent(g, new_k) for g in old),
                     key=lambda g: g.format(names))
     fresh = sorted(new, key=lambda g: g.format(names))

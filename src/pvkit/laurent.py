@@ -16,7 +16,7 @@ from operator import add
 from .arith.poly import RatFunc, RatFuncField, format_ratfunc
 from .base import apply_sigma
 from .errors import InternalInvariantError
-from .snf import hnf_reduce
+from .snf import _reduce_at_pivots, hnf_pivot_columns
 
 
 class LaurentPoly:
@@ -227,12 +227,13 @@ class BinomialNF:
         self.nvars = nvars
         self.rows = [(tuple(v), w) for v, w in rows]
         self._h = [list(v) for v, _ in self.rows]
+        self._pivots = hnf_pivot_columns(self._h)
 
     def reduce(self, p: LaurentPoly) -> LaurentPoly:
         out = {}
         for e, c in p.terms.items():
             if self._h:
-                coeffs, res = hnf_reduce(self._h, list(e))
+                coeffs, res = _reduce_at_pivots(self._h, self._pivots, e)
                 for cf, (_, w) in zip(coeffs, self.rows):
                     if cf:
                         c = c * w ** cf

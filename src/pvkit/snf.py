@@ -142,9 +142,15 @@ def hnf_reduce(h: list[list[int]], v: list[int]) -> tuple[list[int], list[int]]:
     """Reduce v against HNF rows: returns (coeffs, residue) with
     v = sum coeffs[i] * h[i] + residue, and residue's pivot-column entries
     lying in [0, pivot). Membership in the lattice <=> residue == 0."""
+    return _reduce_at_pivots(h, hnf_pivot_columns(h), v)
+
+
+def _reduce_at_pivots(h: list[list[int]], pivots: list[int],
+                      v: list[int]) -> tuple[list[int], list[int]]:
+    """``hnf_reduce`` with the pivot columns of h already found."""
     res = list(v)
     coeffs = []
-    for row, pcol in zip(h, hnf_pivot_columns(h)):
+    for row, pcol in zip(h, pivots):
         c = res[pcol] // row[pcol]
         coeffs.append(c)
         if c != 0:

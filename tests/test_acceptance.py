@@ -137,7 +137,6 @@ def test_06_invariant_routes_agree_and_count_components():
         assert compute_m(p) == p.m_inv
         assert p.ell == reduce(lcm, (f.split for f in p.factors), 1)
         assert p.m_inv == reduce(lcm, (f.m_factor for f in p.factors), 1)
-        assert p.constants_ext_degree == 1
         assert p.idempotents is not None
         assert len(p.idempotents) == p.ell == p.m_inv
         # the box lattice is saturated, so each Smith order is the exact
@@ -150,8 +149,7 @@ def test_06_invariant_routes_agree_and_count_components():
     for name in TRANSPORT_NAMES:
         p = conftest.presentation(name)
         bigger = conftest.changed_presentation(name, "zeta3")
-        assert (bigger.ell, bigger.m_inv, bigger.constants_ext_degree) == (
-            p.ell, p.m_inv, 1)
+        assert (bigger.ell, bigger.m_inv) == (p.ell, p.m_inv)
 
 
 def test_07_idempotent_orbit_algebra_and_step_matrix():

@@ -67,6 +67,15 @@ def test_sigma_power_returns_a_constant_unchanged(sigma, j):
         assert apply_sigma_power(k, c, j) is c
 
 
+@pytest.mark.parametrize("sigma", [SigmaSpec.shift(),
+                                   SigmaSpec.qshift(CycloNum.from_rational(2))],
+                         ids=["shift", "q=2"])
+def test_translate_by_zero_is_the_identity(sigma):
+    # sigma^0 builds no new polynomial
+    p = Poly(QQ, (1, -3, 0, 2))
+    assert sigma.translate(p, 0) is p
+
+
 def test_is_constant_examples():
     ks = DiffField(SigmaSpec.shift())
     assert is_constant(ks, ks.coerce(Fraction(5, 7)))

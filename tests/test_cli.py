@@ -205,7 +205,6 @@ class TestCommands:
         assert "krull_dim: 0" in out
         assert "description: finite part Z/2" in out
         assert "coordinate_ideal: -1 + X^2" in out
-        assert "simple: true" in out
 
     def test_invariants_additive_group(self, capsys):
         code, out, _ = run_cli(
@@ -417,7 +416,6 @@ class TestCommands:
         assert presentation["ell"] == 26
         assert presentation["m_inv"] == 26
         assert presentation["krull_dim"] == 0
-        assert presentation["simple_check"]["simple"] is True
         assert report["group"]["description"] == "finite part Z/26"
         assert report["group"]["finite_orders"] == [26]
 
@@ -591,7 +589,7 @@ class TestCommands:
         code, out, _ = run_cli(argv + ["--output", "json"], capsys)
         report = json.loads(out)
         jsonschema.validate(report, schema)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
 
     @pytest.mark.parametrize("argv", [
         ["group", "--sigma", "shift", "--system", "scalar(-1)"],
@@ -643,6 +641,7 @@ class TestExitCodes:
           "diag(1+zeta(8)+zeta(8)^7, 2, 3, 5)"], 2),
         (["check-connection", "--sigma", "qshift", "--q", "2",
           "--system", "unipotent(1)", "--u", "1", "--v", "1"], 2),
+        (["group", "--degree-bound", "6", "--system", "scalar(-1)"], 1),
     ])
     def test_exit_code(self, argv, expected, capsys):
         code, _, err = run_cli(argv, capsys)

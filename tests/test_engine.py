@@ -212,7 +212,6 @@ class TestScalarShiftMinusOne:
     def test_invariants(self):
         k, p = self.build()
         assert (p.ell, p.m_inv, p.krull_dim) == (2, 2, 0)
-        assert p.constants_ext_degree == 1
         assert p.caveats == ()
         assert p.system.shape == "diagonal"
         assert p.ideal.var_names == ("Y",)
@@ -464,7 +463,6 @@ class TestDiagonalPair:
     def test_invariants(self):
         k, p = self.build()
         assert (p.ell, p.m_inv, p.krull_dim) == (2, 2, 0)
-        assert p.constants_ext_degree == 1
         assert p.caveats == ()
         assert compute_ell(p) == 2
         assert compute_m(p) == 2
@@ -740,7 +738,7 @@ class TestCheckSimple:
         lattice = LatticeBasis(1, [((2,), k.one())], k.k_field)
         p = PVPresentation(
             field=k, system=DiffSystem.diagonal(k, (k.one(),)), ideal=ideal,
-            ell=1, m_inv=1, krull_dim=0, constants_ext_degree=1,
+            ell=1, m_inv=1, krull_dim=0,
             idempotents=None, search_bound=12, lattice=lattice)
         assert check_simple(p, 6) is False
 

@@ -41,6 +41,7 @@ from pvkit.errors import (
     NotFundamental,
     ShapeMismatch,
     UnsupportedShape,
+    UnsupportedSubstitutionShape,
 )
 from pvkit.groups import (
     ConstantsExtensionDesc,
@@ -179,9 +180,17 @@ class TestIdentifyGroup:
         assert g.unipotent_dim == 0
         assert g.dimension == 0
         assert g.defined_over_conductor == 1
-        assert g.constants_extension_trivial is True
         assert g.coordinate_ideal is not None
         assert g.describe() == "finite part Z/2"
+
+    def test_unreadable_hand_built_ideal_is_an_error(self):
+        # an ideal without its characters gives the substitution nothing to
+        # reduce with; the group is not described without its equations
+        p = example_a()
+        p = dataclasses.replace(
+            p, ideal=dataclasses.replace(p.ideal, characters=None))
+        with pytest.raises(UnsupportedSubstitutionShape):
+            identify_group(p)
 
     def test_unipotent_free(self):
         g = identify_group(example_b())
@@ -272,7 +281,6 @@ class TestBaseChange:
         q = conftest.changed_presentation(name, ext_key)
         ext = conftest.EXTENSIONS[ext_key]
         assert (q.ell, q.m_inv, q.krull_dim) == (p.ell, p.m_inv, p.krull_dim)
-        assert q.constants_ext_degree == p.constants_ext_degree
         assert identify_group(q) == identify_group(p)
         assert group_transport_check(p, ext, changed=q) is True
 

@@ -242,6 +242,22 @@ def test_qshift_resultant_is_the_product_of_root_ratios(c1, p_roots, c2,
     assert got == expected
 
 
+@pytest.mark.parametrize("field", [QQ, CycloField(3)], ids=["Q", "Q(zeta3)"])
+def test_shift_resultant_matches_one_shift_per_point(field):
+    # the chained unit shifts give the same values as shifting from scratch
+    z = field.coerce(CycloNum.zeta(3)) if field.conductor == 3 else field.one
+    pairs = [
+        (Poly(field, (-2, 1)), Poly(field, (3, 0, 1))),
+        (Poly(field, (z, 0, 1)), Poly(field, (1, z, -2, 1))),
+        (Poly(field, (1, 1, z, 1)), Poly(field, (-z, 2))),
+    ]
+    for p, r in pairs:
+        values = [resultant(p, r.shift_arg(t))
+                  for t in range(p.degree() * r.degree() + 1)]
+        got = _shift_resultant(p, r)
+        assert [got.eval(field.coerce(t)) for t in range(len(values))] == values
+
+
 _nonconstant = st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(
     lambda cs: cs[-1] != 0)
 
