@@ -456,6 +456,18 @@ def _fraction_nth_root(q: Fraction, d: int) -> Fraction | None:
     return Fraction(sign * a, b)
 
 
+def unity_order(n: int) -> int:
+    """lcm(2, n), the number of roots of unity in Q(zeta_n)."""
+    return lcm(2, n)
+
+
+def rational_power(u: CycloNum, n: int) -> Fraction | None:
+    """u^unity_order(n) for u in Q(zeta_n), or None when no power of u is
+    rational: its conjugates are u times roots of unity if one is."""
+    power = u ** unity_order(n)
+    return power.rational_value() if power.is_rational() else None
+
+
 def bounded_multiplicative_order(u: CycloNum, cap: int) -> int | None:
     """Least j in [1, cap] with u^j = 1, or None if there is none."""
     acc = u

@@ -6,10 +6,10 @@ is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from ..errors import NonRationalCoefficients, ZeroInput
-from .cyclo import CycloNum
+from .cyclo import QQ, CycloNum, euler_phi, rational_power, unity_order
 from .poly import Poly, RatFunc, RatFuncField, _is_zero
 
 
@@ -37,24 +37,10 @@ def resultant(a: Poly, b: Poly):
     return res * b.lc() ** a.degree()
 
 
-def _value_is_rational(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return True
-    if isinstance(v, CycloNum):
-        return v.is_rational()
-    if isinstance(v, RatFunc):
-        return v.is_const() and _value_is_rational(v.const_value())
-    return False
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    if isinstance(v, CycloNum):
-        return v.rational_value()
-    if isinstance(v, RatFunc):
-        return _as_fraction(v.const_value())
-    raise NonRationalCoefficients("coefficient is not rational")
+def _as_rational(value) -> Fraction | None:
+    """A constants-tower element as a Fraction, or None if not rational."""
+    z = _constant_as_cyclo(value)
+    return z.rational_value() if z is not None and z.is_rational() else None
 
 
 def integer_roots(p: Poly) -> set[int]:
@@ -66,10 +52,9 @@ def integer_roots(p: Poly) -> set[int]:
     """
     if p.is_zero():
         raise ZeroInput("integer roots of the zero polynomial")
-    for c in p.coeffs:
-        if not _value_is_rational(c):
-            raise NonRationalCoefficients(
-                "integer_roots needs rational coefficients")
+    if any(_as_rational(c) is None for c in p.coeffs):
+        raise NonRationalCoefficients(
+            "integer_roots needs rational coefficients")
     return _integer_roots_any(p)
 
 
@@ -223,7 +208,7 @@ def dispersion(p: Poly, r: Poly, sigma) -> int | None:
 
 def dispersion_with_flag(p: Poly, r: Poly, sigma) -> tuple[int | None, bool]:
     """Like dispersion, plus a flag saying the candidate set was provably
-    complete (always true for shift; true for q-shift with rational q)."""
+    complete: false only where the q-dilation keeps a window |j| <= 128."""
     js, complete = dispersion_set(p, r, sigma)
     js = [j for j in js if j >= 0]
     return (js[-1] if js else None), complete
@@ -237,9 +222,10 @@ def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
     pair: the set of (r, p) is the negated set of (p, r).  The set depends
     only on the root sets, so it is taken of the square-free parts
     p / gcd(p, p').  Only the candidate set depends on the kind of sigma:
-    the integer roots of one resultant in t for the shift, valuations of
-    one resultant's coefficients or a window |j| <= 128 for the
-    q-dilation.  Every candidate is then verified the same way.
+    the integer roots of one resultant in t for the shift, and for the
+    q-dilation one discrete log of two linear factors' roots, or else the
+    valuations of one resultant's coefficients, or of its norm's.  Every
+    candidate is then verified the same way.
     """
     if p.is_zero() or r.is_zero():
         raise ZeroInput("dispersion of the zero polynomial")
@@ -255,7 +241,7 @@ def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
     if sigma.kind == "shift":
         candidates, complete = _shift_candidates(p, r), True
     else:
-        candidates, complete = _qshift_candidates(p, r, p.field.coerce(sigma.q))
+        candidates, complete = _qshift_candidates(p, r, sigma.q)
     return [j for j in sorted(candidates)
             if p.gcd(sigma.translate(r, j)).degree() > 0], complete
 
@@ -285,31 +271,38 @@ def _constant_as_cyclo(value) -> CycloNum | None:
 
 def _linear_dispersion(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
     """``dispersion_set`` of linear p, r from their roots alpha, beta: j =
-    beta - alpha (shift), or q^j = beta / alpha, read off one valuation
-    (``_uneven_base``) when ``_qshift_candidates`` would see a rational
-    res_x(r(u x), p(x)) = r1 p0 u - p1 r0, else searched in the window
-    |j| <= 128."""
+    beta - alpha (shift), or q^j = beta / alpha (``qpower_log``)."""
     alpha, beta = -p.nth(0) / p.lc(), -r.nth(0) / r.lc()
     if sigma.kind == "shift":
-        gap = beta - alpha
-        j = _as_fraction(gap) if _value_is_rational(gap) else None
+        j = _as_rational(beta - alpha)
         return ([int(j)] if j is not None and j.denominator == 1 else []), True
-    q, z = p.field.coerce(sigma.q), beta / alpha
-    if all(_value_is_rational(c)
-           for c in (q, r.lc() * p.nth(0), p.lc() * r.nth(0))):
-        qv, zv = _as_fraction(q), _as_fraction(z)
-        base = _uneven_base(qv, [zv])
-        j, rem = divmod(_padic(zv, base), _padic(qv, base))
-        return ([j] if not rem and qv ** j == zv else []), True
-    up = down = p.field.one
-    inverse = up / q
-    for j in range(_QSHIFT_SCAN_CAP + 1):
-        if up == z:
-            return [j], False
-        if down == z:
-            return [-j], False
+    z = _constant_as_cyclo(beta / alpha)
+    j, complete = (None, True) if z is None else qpower_log(z, sigma.q)
+    return ([] if j is None else [j]), complete
+
+
+def qpower_log(z: CycloNum, q: CycloNum) -> tuple[int | None, bool]:
+    """The e with q**e == z, or None, for z != 0 and q no root of unity,
+    and whether that answer is certain.  z = q^e gives N(z) = N(q)^e for
+    the norm N to Q, so unless N(q) = 1 one valuation (``_uneven_base``)
+    fixes e and one power confirms it: every q with a rational power.  For
+    N(q) = 1, as for q = (3+4i)/5, only |e| <= 128 is searched.
+    """
+    m = lcm(z.conductor, q.conductor)
+    nz, nq = z.lift(m).norm(), q.lift(m).norm()
+    if abs(nq) != 1:
+        base = _uneven_base(nq, [nz])
+        e, rem = divmod(_padic(nz, base), _padic(nq, base))
+        return (e if not rem and q ** e == z else None), True
+    if nz != 1:
+        return None, True
+    up = down = q ** 0
+    inverse = q.inverse()
+    for e in range(_QSHIFT_SCAN_CAP + 1):
+        if z in (up, down):
+            return (e if z == up else -e), True
         up, down = up * q, down * inverse
-    return [], False
+    return None, False
 
 
 def _square_free(p: Poly) -> Poly:
@@ -376,32 +369,38 @@ def _qshift_resultant(p: Poly, r: Poly) -> Poly:
     return _interpolate(values, 1, p.field)
 
 
-def _qshift_candidates(p: Poly, r: Poly, q) -> tuple[set[int], bool]:
+def _qshift_candidates(p: Poly, r: Poly, q: CycloNum) -> tuple[set[int], bool]:
     """Candidates j with q^j = beta / alpha for roots alpha of p and beta
     of r, and the flag of ``dispersion_with_flag``.
 
-    For rational q and a rational R(u) = res_x(r(u x), p(x)) = sum c_i u^i,
-    let v be the valuation at an element e of a coprime basis of every
-    integer involved with v(q) != 0 (``_uneven_base``).  The strict
-    ultrametric step holds for v as for a prime: once the denominators are
-    cleared, every term is +-1 times a product of basis powers, coprime to
-    each other, so if v(a) < v(b) then e^(v(a) + 1) divides b but not a,
-    nor a + b.  At a root u = q^j of R the least v(c_i) + i j v(q) is
-    therefore taken twice, and j = (v(c_i) - v(c_k)) / ((k - i) v(q)) for
-    some i < k.  Otherwise the window |j| <= 128 is all there is, and the
-    flag says so.
+    Let q^M be rational, M = ``unity_order`` of q's conductor, and R(u) =
+    res_x(r(u x), p(x)) = sum c_i u^i, or its norm to Q[u] when R is
+    irrational, which has the roots of R among its own.  Let v be the
+    valuation at an element b of a coprime basis of every integer involved
+    with v(q^M) != 0 (``_uneven_base``): v = v_p / v_p(b) on them for a
+    prime p | b.  Any extension w of v_p has w(q) = v_p(q^M) / M, and at a
+    root u = q^j of R the least w(c_i) + i j w(q) is taken twice, so
+    j = M (v(c_i) - v(c_k)) / ((k - i) v(q^M)) for some i < k.  A q with
+    no rational power, or an R off the cyclotomic floor, leaves only the
+    window |j| <= 128, and the flag says so.
     """
-    coeffs = _qshift_resultant(p, r).coeffs
-    if _value_is_rational(q) and all(_value_is_rational(c) for c in coeffs):
-        qv = _as_fraction(q)
-        rationals = [_as_fraction(c) for c in coeffs]
-        base = _uneven_base(qv, rationals)
-        vq = _padic(qv, base)
-        vals = [(i, _padic(c, base)) for i, c in enumerate(rationals) if c]
-        return {(vi - vk) // ((k - i) * vq)
-                for n, (i, vi) in enumerate(vals) for k, vk in vals[n + 1:]
-                if (vi - vk) % ((k - i) * vq) == 0}, True
-    return set(range(-_QSHIFT_SCAN_CAP, _QSHIFT_SCAN_CAP + 1)), False
+    coeffs = [_constant_as_cyclo(c) for c in _qshift_resultant(p, r).coeffs]
+    qm = rational_power(q, q.conductor)
+    if qm is None or any(c is None for c in coeffs):
+        return set(range(-_QSHIFT_SCAN_CAP, _QSHIFT_SCAN_CAP + 1)), False
+    if not all(c.is_rational() for c in coeffs):
+        # N(R)(u) = N(R(u)) at integer u, which every conjugation fixes
+        points = (len(coeffs) - 1) * euler_phi(coeffs[-1].conductor) + 1
+        coeffs = _interpolate(
+            [QQ.coerce(_int_poly_eval(coeffs, u).norm())
+             for u in range(1, points + 1)], 1, QQ).coeffs
+    rationals = [c.rational_value() for c in coeffs]
+    base = _uneven_base(qm, rationals)
+    vq, m = _padic(qm, base), unity_order(q.conductor)
+    vals = [(i, _padic(c, base)) for i, c in enumerate(rationals) if c]
+    return {m * (vi - vk) // ((k - i) * vq)
+            for n, (i, vi) in enumerate(vals) for k, vk in vals[n + 1:]
+            if m * (vi - vk) % ((k - i) * vq) == 0}, True
 
 
 def _uneven_base(q: Fraction, values) -> int:

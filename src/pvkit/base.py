@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import lcm
 
-from .arith.cyclo import CycloField, CycloNum, bounded_multiplicative_order
+from .arith.cyclo import CycloField, CycloNum, rational_power
 from .arith.poly import Poly, RatFunc, RatFuncField, format_ratfunc
 from .errors import RootOfUnityScale, ZeroScale
 
@@ -35,10 +34,8 @@ class SigmaSpec:
             q = CycloNum.from_rational(q)
         if q.is_zero():
             raise ZeroScale("q-dilation with q = 0 is not invertible")
-        # every root of unity in Q(zeta_N) has order dividing lcm(2, N),
-        # so one exact power decides the question
-        order_cap = lcm(2, q.conductor)
-        if bounded_multiplicative_order(q, order_cap) is not None:
+        # roots of unity in Q(zeta_N) have orders dividing unity_order(N)
+        if rational_power(q, q.conductor) == 1:
             raise RootOfUnityScale(
                 "q-dilation with a root of unity collapses to finitely many translates")
         return cls("qshift", q)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Optional
 
-from .arith.ops import _divisors
+from .arith.ops import _QSHIFT_SCAN_CAP, _divisors
 from .arith.poly import RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power, is_constant
 from .errors import (
@@ -57,7 +57,7 @@ from .solve import (
     _combine_witnesses,
     _entry_power,
     relation_lattice,
-    solve_add,
+    solve_add_with_flag,
     solve_mult,
 )
 
@@ -79,6 +79,8 @@ __all__ = [
 ]
 
 DEFAULT_SEARCH_BOUND = 12
+_WINDOW_CAVEAT = (f"powers of q were searched only up to exponent "
+                  f"{_QSHIFT_SCAN_CAP}; a relation past it would be missed")
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +524,8 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
             caveats.append(
                 f"presentation exponent {f.order} exceeds the invariant degree "
                 f"{f.m_factor}; the reported m follows the degree")
+    if lattice.window:
+        caveats.append(_WINDOW_CAVEAT)
     if not lattice.exact:
         caveats.append(
             "constants with no rational power were searched for relations "
@@ -555,7 +559,7 @@ def build_pv_unipotent(k: DiffField, b, m_max: int = DEFAULT_SEARCH_BOUND) -> PV
         raise ZeroInput("search bound must be at least 1")
     system = DiffSystem.unipotent2(k, b)
     corner = system.entries[0]
-    solution = solve_add(k, corner) if not corner.is_zero() else k.zero()
+    solution, complete = solve_add_with_flag(k, corner)
     ideal = SigmaIdeal.from_unipotent(k, corner, solution)
     field = k.k_field
     return PVPresentation(
@@ -564,7 +568,7 @@ def build_pv_unipotent(k: DiffField, b, m_max: int = DEFAULT_SEARCH_BOUND) -> PV
         idempotents=[LaurentPoly.one(field, 3)],
         search_bound=m_max,
         lattice=LatticeBasis(3, [], field),
-        factors=(),
+        factors=(), caveats=() if complete else (_WINDOW_CAVEAT,),
         unipotent_solution=solution)
 
 
@@ -653,17 +657,17 @@ def decompose(p: PVPresentation) -> list:
 def check_simple(p: PVPresentation, degree_bound: int) -> bool:
     """Whether a presentation built by hand holds every relation, so that
     no relation outside its lattice cuts out a proper stable subideal:
-    True for an exact lattice, and for any other whether it contains
-    ``relation_lattice`` at ``degree_bound``.  A built presentation needs
-    no check: its lattice is exact, or searched up to its own
-    ``search_bound`` with a caveat."""
+    True for an exact lattice with no ``window``, and for any other
+    whether it contains ``relation_lattice`` at ``degree_bound``.  A built
+    presentation needs no check: its lattice is exact, or bounded with a
+    caveat."""
     if degree_bound < 1:
         raise ZeroInput("degree bound must be at least 1")
     if p.system.shape != "diagonal":
         raise UnsupportedShape(
             "simplicity scan covers diagonal shapes only, one-entry "
             "diagonals included")
-    if p.lattice.exact:
+    if p.lattice.exact and not p.lattice.window:
         return True
     found = relation_lattice(p.field, p.system.entries, degree_bound)
     return all(p.lattice.contains(v) for v in found.vectors())

@@ -16,7 +16,7 @@ only through ``SigmaSpec.translate``, and ``dispersion_set`` reads the same
 way for both kinds.  The few facts that depend on the kind sit next to the
 step they change: the normalization of factors (monic, or constant term 1
 with x split off, ``_normal_parts``), the constant a quotient may carry (1,
-or a power of q read off by a discrete log), and in ``solve_add`` the
+or a power of q read off by ``qpower_log``), and in ``solve_add`` the
 dilation's poles at x = 0 and its Laurent part, where only the constant
 term is not a sigma-difference.
 
@@ -28,8 +28,8 @@ zero over each class and residue of the offset mod s; the witness is a
 product of telescopes of the representatives (``_witness``).
 ``relation_lattice`` takes the integer kernel of those sums for many
 characters at once, plus the valuations of the constants and one discrete
-log in the roots of unity.  Only constants with no rational power leave a
-bounded search, and the result says so.
+log in the roots of unity.  Only constants, or a q, with no rational power
+leave a bounded search, and the result says so.
 
 ``solve_add`` is Abramov's reduction (S. A. Abramov, USSR Comput. Math.
 Math. Phys. 15, 1975) and solves no linear system.  It takes one
@@ -47,17 +47,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Sequence
 
-from .arith.cyclo import CycloNum
+from .arith.cyclo import CycloNum, rational_power, unity_order
 from .arith.ops import (
     _constant_as_cyclo,
     _padic,
     _strip_x,
-    _uneven_base,
     coprime_basis,
     dispersion_set,
+    qpower_log,
 )
 from .arith.poly import Poly, RatFunc, _is_zero
 from .base import DiffField, apply_sigma, apply_sigma_power
@@ -84,13 +84,15 @@ class TorsionCert:
 class LatticeBasis:
     """Basis (in row Hermite form) of the lattice of exponent vectors m
     with prod a_i^{m_i} a sigma-quotient, each row carrying its witness;
-    ``exact`` unless a bounded search decided a constant condition."""
+    ``exact`` unless a bounded search decided a constant condition, and
+    ``window`` if ``relation_lattice`` left a q-power question to a window."""
 
     def __init__(self, dim: int, rows, field, exact: bool = False):
         self.dim = dim
         self.rows = list(rows)  # [(tuple exponent vector, RatFunc witness)]
         self._field = field
         self.exact = exact
+        self.window = False
 
     def vectors(self) -> list[list[int]]:
         return [list(v) for v, _ in self.rows]
@@ -150,10 +152,10 @@ def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
         t = 0 if c == c ** 0 else None
     else:
         z = _constant_as_cyclo(c)
-        t = None if z is None else _discrete_log(z, k.sigma.q ** step)
+        t = None if z is None else qpower_log(z, k.sigma.q ** step)[0]
     if t is None:
         return None
-    basis, orbit = _orbit_basis(k, [num, den])
+    basis, orbit, _ = _orbit_basis(k, [num, den])
     exps = [_multiplicity(num, b) - _multiplicity(den, b) for b in basis]
     if any(_class_sums(orbit, exps, step)):
         return None
@@ -165,39 +167,6 @@ def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
 
 def _monic_num(f: RatFunc) -> RatFunc:
     return f / f.num.lc()
-
-
-def _discrete_log(z: CycloNum, q: CycloNum) -> int | None:
-    """Exact e with q**e == z, or None.
-
-    For rational q the answer is complete: q is not a root of unity, so
-    some element of a coprime basis of the integers of q and z has a
-    nonzero valuation in q (``_uneven_base``) and pins e down, after which
-    one exact power comparison confirms it.  For irrational q a bounded
-    window |e| <= 64 is scanned; exponents beyond it would need witness
-    degrees far outside anything this toolkit constructs.
-    """
-    one = q ** 0
-    if z == one:
-        return 0
-    if z.is_rational() and q.is_rational():
-        zf, qf = z.rational_value(), q.rational_value()
-        if zf == 0:
-            return None
-        base = _uneven_base(qf, [zf])
-        e, rem = divmod(_padic(zf, base), _padic(qf, base))
-        return e if not rem and q ** e == z else None
-    # one running power in each direction, +e tried before -e
-    up = down = one
-    q_inv = q.inverse()
-    for e in range(1, 65):
-        up = up * q
-        if up == z:
-            return e
-        down = down * q_inv
-        if down == z:
-            return -e
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +202,23 @@ def solve_add(k: DiffField, b) -> RatFunc | None:
     >>> solve_add(k, 1 / x) is None
     True
     """
+    return solve_add_with_flag(k, b)[0]
+
+
+def solve_add_with_flag(k: DiffField, b) -> tuple[RatFunc | None, bool]:
+    """``solve_add`` and whether its answer is certain: not for a None left
+    by a pole distance that ``dispersion_set`` searched in a window."""
     b = k.coerce(b)
     field = k.k_field
     if b.is_zero():
-        return field.zero
+        return field.zero, True
     laurent, low, a, d = _split_add(k, b)
-    rest, f = _move_poles(k, RatFunc._reduced(a, d))
+    rest, f, complete = _move_poles(k, RatFunc._reduced(a, d))
     if not rest.is_zero():
-        return None
+        return None, complete
     g = _sum_laurent(k, laurent, low)
     if g is None:
-        return None
+        return None, True
     f = f + g
     # strip the free additive constant: zero the constant term of the
     # polynomial part
@@ -251,7 +226,7 @@ def solve_add(k: DiffField, b) -> RatFunc | None:
     f = f - quot.nth(0)
     if apply_sigma(k, f) - f != b:
         raise InternalInvariantError("additive witness failed re-check")
-    return f
+    return f, True
 
 
 def _split_add(k: DiffField, b: RatFunc):
@@ -275,9 +250,10 @@ def _split_add(k: DiffField, b: RatFunc):
     return (num - a * x_e).exact_div(d), e, a, d
 
 
-def _move_poles(k: DiffField, rest: RatFunc) -> tuple[RatFunc, RatFunc]:
-    """(rest', f) with rest = rest' + sigma(f) - f and no two poles of the
-    proper fraction rest' in one sigma-orbit.
+def _move_poles(k: DiffField, rest: RatFunc):
+    """(rest', f, complete) with rest = rest' + sigma(f) - f and no two
+    poles of the proper fraction rest' in one sigma-orbit, unless
+    ``dispersion_set`` was not ``complete``.
 
     The distances j > 0 between poles in one orbit are the self-dispersion
     set of den(rest), taken once: moving a pole only lands it on a pole
@@ -295,10 +271,8 @@ def _move_poles(k: DiffField, rest: RatFunc) -> tuple[RatFunc, RatFunc]:
     sigma = k.sigma
     f = k.k_field.zero
     if rest.is_zero():
-        return rest, f
-    # for an irrational q the set comes from the bounded window of
-    # ``dispersion_set``, as for ``_orbit_basis``
-    distances, _ = dispersion_set(rest.den, rest.den, sigma)
+        return rest, f, True
+    distances, complete = dispersion_set(rest.den, rest.den, sigma)
     for j in reversed([j for j in distances if j > 0]):
         a, d = rest.num, rest.den
         g = d.gcd(sigma.translate(d, j))
@@ -315,7 +289,7 @@ def _move_poles(k: DiffField, rest: RatFunc) -> tuple[RatFunc, RatFunc]:
                 + apply_sigma_power(k, part, j))
         if rest.is_zero():
             break
-    return rest, f
+    return rest, f, complete
 
 
 def _part_at(d: Poly, h: Poly) -> tuple[Poly, Poly]:
@@ -390,9 +364,11 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
     in the integer kernel L0 of the exponent sums over each sigma-orbit
     and of the v_i, and prod c_i^{m_i} is 1 (shift) or some q^t.  That is
     exact when each constant L0 involves, and q, has a rational M-th
-    power, M = lcm(2, N) for constants Q(zeta_N) (``_constant_rows``);
-    others, such as 1 + sqrt(2), are searched for |m_i| <= m_max
-    (``_residue_rows``), inexact.  Witnesses are telescopes (``_witness``),
+    power, M = ``unity_order(N)`` for constants Q(zeta_N)
+    (``_constant_rows``); others, such as 1 + sqrt(2), are searched for
+    |m_i| <= m_max (``_residue_rows``), inexact.  A q-power question left
+    to the window of ``qpower_log`` or ``dispersion_set`` sets
+    ``window``.  Witnesses are telescopes (``_witness``),
     re-checked; ``solve_mult`` never runs.  An entry that the degree
     balance and the valuation alone pin to m_i = 0 gets no factor basis.
     """
@@ -405,7 +381,7 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
     parts = [_normal_parts(k, ai) for ai in a]
     pin = [[num.degree() - den.degree(), v] for _, v, num, den in parts]
     free = integer_kernel(pin)
-    basis, orbit = _orbit_basis(k, [
+    basis, orbit, complete = _orbit_basis(k, [
         p for i, (*_, num, den) in enumerate(parts)
         if any(r[i] for r in free) for p in (num, den)])
     exps = [[_multiplicity(num, b) - _multiplicity(den, b) for b in basis]
@@ -415,7 +391,9 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
     consts = [c for c, *_ in parts]
     rows = _constant_rows(k, consts, l0)
     exact = rows is not None
-    rows = rows if exact else _residue_rows(k, consts, l0, m_max)
+    if not exact:
+        rows, logged = _residue_rows(k, consts, l0, m_max)
+        complete = complete and logged
     out = []
     for row in hermite_normal_form(rows)[0]:
         vec = tuple(row[:n])
@@ -424,7 +402,9 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
             raise InternalInvariantError(
                 "telescoped witness does not witness its relation")
         out.append((vec, g))
-    return LatticeBasis(n, out, field, exact)
+    lattice = LatticeBasis(n, out, field, exact)
+    lattice.window = not complete
+    return lattice
 
 
 def _normal(k: DiffField, p: Poly) -> Poly:
@@ -452,10 +432,11 @@ def _multiplicity(p: Poly, b: Poly) -> int:
 
 
 def _orbit_basis(k: DiffField, polys):
-    """(basis, orbit): coprime ``_normal`` polynomials, each of ``polys`` a
-    product of their powers, with gcd(b, sigma^d c) = 1 or b = sigma^d c
-    for any two of them; orbit[i] = (rep, d >= 0) with basis[i] =
-    sigma^d(basis[rep]) and rep the lowest of its class.
+    """(basis, orbit, complete): coprime ``_normal`` polynomials, each of
+    ``polys`` a product of their powers, with gcd(b, sigma^d c) = 1 or
+    b = sigma^d c for any two of them; orbit[i] = (rep, d >= 0) with
+    basis[i] = sigma^d(basis[rep]) and rep the lowest of its class; and
+    whether every ``dispersion_set`` read was complete.
 
     Factor refinement; then each d of ``dispersion_set(b, c)`` for b
     before c that is no full match splits b and c at g = gcd(b, sigma^d c)
@@ -475,9 +456,12 @@ def _orbit_basis(k: DiffField, polys):
         basis = [_normal(k, b) for b in
                  coprime_basis(basis, Poly.gcd, lambda p: p.degree() < 1)]
         orbit, pieces = [(i, 0) for i in range(len(basis))], []
+        complete = True
         for i, j in itertools.combinations(range(len(basis)), 2):
             b, c = basis[i], basis[j]
-            for d in dispersion_set(b, c, sigma)[0]:
+            distances, sure = dispersion_set(b, c, sigma)
+            complete = complete and sure
+            for d in distances:
                 moved = sigma.translate(c, d)
                 if b != moved:
                     g = b.gcd(moved)
@@ -489,7 +473,7 @@ def _orbit_basis(k: DiffField, polys):
             if pieces:
                 break
         if not pieces:
-            return basis, orbit
+            return basis, orbit, complete
         basis += pieces
 
 
@@ -504,7 +488,7 @@ def _class_sums(orbit, row, step: int = 1) -> list[int]:
 def _constant_rows(k: DiffField, consts, l0):
     """Rows (m, t) spanning the m in l0 with prod c_i^{m_i} = q^t (t = 0
     for the shift), or None when a constant that l0 involves, or q, has no
-    rational M-th power, M = lcm(2, N).
+    rational M-th power, M = ``unity_order(N)`` for constants Q(zeta_N).
 
     With g = (c_1, ..., c_n, 1/q) this is prod g^(m, t) = 1.  Its M-th
     power asks the valuations of the rationals g^M, over a coprime basis of
@@ -514,7 +498,7 @@ def _constant_rows(k: DiffField, consts, l0):
     if not l0:
         return []
     shift = k.sigma.kind == "shift"
-    n, big = len(consts), lcm(2, k.constants_conductor)
+    n, big = len(consts), unity_order(k.constants_conductor)
     one = CycloNum.from_rational(1)
     gens = [_constant_as_cyclo(c) if any(r[i] for r in l0) else one
             for i, c in enumerate(consts)]
@@ -522,9 +506,10 @@ def _constant_rows(k: DiffField, consts, l0):
     if not shift:
         gens.append(k.sigma.q.inverse())
         base = [r + [0] for r in base] + [[0] * n + [1]]
-    if any(g is None or not (g ** big).is_rational() for g in gens):
+    gammas = [None if g is None else rational_power(g, k.constants_conductor)
+              for g in gens]
+    if None in gammas:
         return None
-    gammas = [(g ** big).rational_value() for g in gens]
     primes = coprime_basis([abs(x.numerator) for x in gammas]
                            + [x.denominator for x in gammas],
                            gcd, lambda v: v == 1)
@@ -540,11 +525,12 @@ def _constant_rows(k: DiffField, consts, l0):
     return [r + [0] for r in rows] if shift else rows
 
 
-def _residue_rows(k: DiffField, consts, l0, m_max: int) -> list:
+def _residue_rows(k: DiffField, consts, l0, m_max: int):
     """Rows (m, t) for every m in l0 with |m_i| <= m_max, first nonzero
     entry positive, and prod c_i^{m_i} = q^t (t = 0 for the shift): the
-    relation vectors of the box B.  For n <= 3 their span L_B is saturated
-    in L, which ``engine._cyclic_factors`` needs, so n > 3 is refused.
+    relation vectors of the box B, and whether every log was certain.  For
+    n <= 3 their span L_B is saturated in L, which
+    ``engine._cyclic_factors`` needs, so n > 3 is refused.
 
     Lemma.  For L in Z^n with n <= 3, L_B = L cap span_Q(L_B).
 
@@ -568,7 +554,7 @@ def _residue_rows(k: DiffField, consts, l0, m_max: int) -> list:
             f"relation search is tuned for <= 3 characters, got {n}")
     box = range(-m_max, m_max + 1)
     tables = [{m: c ** m for m in box} for c in consts]
-    rows = []
+    rows, complete = [], True
     for vec in itertools.product(box, repeat=n):
         if vec <= (0,) * n or not in_lattice(l0, list(vec)):
             continue
@@ -576,11 +562,12 @@ def _residue_rows(k: DiffField, consts, l0, m_max: int) -> list:
                                     start=k.constants.one))
         if z is None:
             continue
-        t = ((0 if z == 1 else None) if k.sigma.kind == "shift"
-             else _discrete_log(z, k.sigma.q))
+        t, sure = ((0 if z == 1 else None, True) if k.sigma.kind == "shift"
+                   else qpower_log(z, k.sigma.q))
+        complete = complete and sure
         if t is not None:
             rows.append(list(vec) + [t])
-    return rows
+    return rows, complete
 
 
 def _witness(k: DiffField, basis, orbit, exps, vec, t: int,

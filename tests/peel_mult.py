@@ -5,16 +5,15 @@ The pole/zero multiset of a sigma-quotient telescopes, so matching roots of
 num and den along their sigma^s-orbits, found through the dispersion, peels
 off a partial witness V; what remains of r after the peel must be trivial:
 exactly 1 for the shift, or a power of q^s for the q-dilation, absorbed by
-a power of x.  For an irrational q the dispersions run for sigma^s as the
-dilation by q^s, so their bounded window counts sigma^s-translates.  The
+a power of x.  The dispersions run for sigma^s as the dilation by q^s, so
+any window they fall back to counts sigma^s-translates.  The
 witness is normalized as ``solve_mult`` normalizes it: monic numerator.
 """
 from __future__ import annotations
 
-from pvkit.arith.ops import _constant_as_cyclo, dispersion
+from pvkit.arith.ops import _constant_as_cyclo, dispersion, qpower_log
 from pvkit.arith.poly import Poly, RatFunc
 from pvkit.base import DiffField, SigmaSpec, apply_sigma_power
-from pvkit.solve import _discrete_log
 
 
 def peel_solve_mult(k: DiffField, r, step: int = 1) -> RatFunc | None:
@@ -71,5 +70,5 @@ def _peel(k: DiffField, r: RatFunc, step: int) -> RatFunc | None:
     if not w.is_const():
         return None
     z = _constant_as_cyclo(w.const_value())
-    e = None if z is None else _discrete_log(z, k.sigma.q ** step)
+    e = None if z is None else qpower_log(z, k.sigma.q ** step)[0]
     return None if e is None else v * field.x() ** e

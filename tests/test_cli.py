@@ -491,6 +491,33 @@ class TestCommands:
         assert presentation["krull_dim"] == 0
         assert group == "finite part Z/13"
 
+    @pytest.mark.parametrize("system, description", [
+        # q = 2 zeta3, a = 2^66 = q^66 (zeta3^66 = 1): sigma(x^66)/x^66,
+        # the trivial group, found although 66 lies past any small window
+        ("scalar(2^66)", "trivial group"),
+        # a = 2^65 = q^65 zeta3^-65 = q^65 zeta3: a^v in q^Z iff 3 | v
+        ("scalar(2^65)", "finite part Z/3"),
+    ])
+    def test_qshift_log_of_an_irrational_q_reads_the_norm(
+            self, capsys, system, description):
+        presentation, group = self._qshift_exact(capsys, "2*zeta(3)", system)
+        assert presentation["caveats"] == []
+        assert group == description
+
+    @pytest.mark.parametrize("system, krull_dim", [
+        # q = 2 + i has no rational power, so the orbits of the roots +-i
+        # and +-i sqrt3 are compared in the window only: the answer is
+        # right, and the caveat says how far the search went
+        ("scalar((x^2+1)/(x^2+3))", 1),
+        ("unipotent(1/(x^2+1))", 1),
+    ])
+    def test_a_q_power_window_is_caveated(self, capsys, system, krull_dim):
+        presentation, _ = self._qshift_exact(capsys, "2+zeta(4)", system)
+        assert presentation["krull_dim"] == krull_dim
+        assert presentation["caveats"] == [
+            "powers of q were searched only up to exponent 128; a relation "
+            "past it would be missed"]
+
     def test_four_entries_and_a_bounded_residue(self, capsys):
         # q = 11: 2, 3, 5 and 7 are independent modulo 11^Z, a torus of
         # rank 4.  The units 1 + sqrt(2) and 3 + 2 sqrt(2) = (1 + sqrt(2))^2

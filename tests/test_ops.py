@@ -189,6 +189,71 @@ def test_qshift_dispersion_matches_root_brute_force(p_roots, r_roots, at_zero):
     assert dispersion(p, r, sig) == expected
 
 
+_Z3 = CycloField(3)
+_TWO_ZETA3 = 2 * CycloNum.zeta(3)
+
+
+def _z3_poly(*coeffs):
+    return Poly(_Z3, coeffs)
+
+
+@pytest.mark.parametrize("p, r, q, want", [
+    # 2^129 = q^129 for q = 2 zeta3, as zeta3^129 = 1
+    ((-1, 1), (-2 ** 129, 1), _TWO_ZETA3, [129]),
+    # roots +-i and +-2^150 i: q^150 = 2^150
+    ((1, 0, 1), (2 ** 300, 0, 1), _TWO_ZETA3, [150]),
+    # a rational q and a cyclotomic resultant: the norm of R decides
+    ((CycloNum.zeta(3), 0, 1), (2 ** 300 * CycloNum.zeta(3), 0, 1),
+     CycloNum.from_rational(2), [150]),
+], ids=["linear 2zeta3", "quadratic 2zeta3", "quadratic zeta3 roots, q=2"])
+def test_qshift_dispersion_past_the_window(p, r, q, want):
+    got = dispersion_set(_z3_poly(*p), _z3_poly(*r), SigmaSpec.qshift(q))
+    assert got == (want, True)
+
+
+def test_qshift_dispersion_reads_the_norm_of_a_q_with_no_rational_power():
+    # q = 2 + i: (2 + i)^4 = -7 - 24 i is irrational, but N(q) = 5
+    z4 = CycloField(4)
+    q = 2 + CycloNum.zeta(4)
+    p, r = Poly(z4, (-1, 1)), Poly(z4, (-(q ** 200), 1))
+    assert dispersion_set(p, r, SigmaSpec.qshift(q)) == ([200], True)
+    assert dispersion_set(r, p, SigmaSpec.qshift(q)) == ([-200], True)
+
+
+_big_roots = st.lists(
+    st.tuples(st.sampled_from([1, -1, "zeta3"]), st.integers(0, 200)),
+    min_size=1, max_size=2)
+
+
+_Q_POWERS = {name: (q, {j: q ** j for j in range(-200, 201)})
+             for name, q in (("2", CycloNum.from_rational(2)),
+                             ("2 zeta3", _TWO_ZETA3))}
+
+
+def _unit_times_two_power(unit, j):
+    return (CycloNum.zeta(3) if unit == "zeta3"
+            else CycloNum.from_rational(unit)) * 2 ** j
+
+
+@given(_big_roots, _big_roots, st.sampled_from(["2", "2 zeta3"]))
+@settings(max_examples=40, deadline=None)
+def test_qshift_dispersion_past_the_window_matches_root_brute_force(
+        p_roots, r_roots, q_name):
+    # roots +-2^j and zeta3 2^j: |q^j| = 2^j, so every meeting lies in
+    # |j| <= 200, where the brute force tries each power of q
+    q, powers = _Q_POWERS[q_name]
+    ps = [_unit_times_two_power(*a) for a in p_roots]
+    rs = [_unit_times_two_power(*b) for b in r_roots]
+    meets = sorted({j for a in ps for b in rs for j, power in powers.items()
+                    if power * a == b})
+    p = r = _z3_poly(1)
+    for a in ps:
+        p = p * _z3_poly(-a, 1)
+    for b in rs:
+        r = r * _z3_poly(-b, 1)
+    assert dispersion_set(p, r, SigmaSpec.qshift(q)) == (meets, True)
+
+
 _maybe_roots = st.lists(st.integers(-4, 4), max_size=3)
 _units = st.sampled_from([-2, -1, Fraction(1, 2), 1, 3])
 
@@ -317,7 +382,7 @@ def test_linear_dispersion_matches_the_resultant_route(alpha, beta, j, scales,
                                                        twist, sigma):
     # two linear factors, half the time with a root j translates away;
     # twist multiplies both roots by zeta3, which makes the dilation's
-    # resultant irrational and sends it to the bounded window
+    # resultant irrational and sends it through its norm
     field = CycloField(3)
     if sigma == "shift":
         spec = SigmaSpec.shift()

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pvkit.arith import CycloField, CycloNum, Poly, RatFunc
+from pvkit.arith.ops import qpower_log
 from pvkit.arith.poly import RatFuncField
 from pvkit.base import (
     DiffField,
@@ -22,7 +23,6 @@ from pvkit.solve import (
     LatticeBasis,
     MultSolution,
     TorsionCert,
-    _discrete_log,
     relation_lattice,
     solve_add,
     solve_mult,
@@ -306,49 +306,46 @@ def test_mult_agrees_with_the_dispersion_peel(case):
 # --------------------------------------------------------------- discrete log
 
 
-def _window_order():
-    for e in range(1, 65):
-        yield e
-        yield -e
+def test_discrete_log_agrees_with_brute_force_powers():
+    # q = 2 zeta3 has norm 4, so N(q^e) = 4^e fixes e at any size, far
+    # past the window of a norm-one q
+    q = 2 * CycloNum.zeta(3)
+    powers = [q ** e for e in range(-200, 201)]
+    for e, z in zip(range(-200, 201), powers):
+        assert qpower_log(z, q) == (e, True)
+        assert [f for f, power in zip(range(-200, 201), powers)
+                if power == z] == [e]
+        # zeta3 q^e = q^f would give zeta3 = q^(f-e) of norm 4^(f-e), so
+        # f = e and zeta3 = 1: no power of q
+        assert qpower_log(CycloNum.zeta(3) * z, q) == (None, True)
 
 
 def test_discrete_log_window_edges_for_irrational_q():
-    # q = 2 zeta3 has norm 4, so it is not a root of unity and q^e is
-    # distinct for every e; the scan covers |e| <= 64, +e before -e
-    q = 2 * CycloNum.zeta(3)
-    assert _discrete_log(q ** 64, q) == 64
-    assert _discrete_log(q ** -64, q) == -64
-    assert _discrete_log(q ** 65, q) is None
-    assert _discrete_log(q ** -65, q) is None
-
-
-def test_discrete_log_agrees_with_brute_force_powers():
-    q = 2 * CycloNum.zeta(3)
-    window = [(e, q ** e) for e in _window_order()]
-    for e in range(-70, 71):
-        z = q ** e
-        brute = 0 if e == 0 else next(
-            (f for f, power in window if power == z), None)
-        assert _discrete_log(z, q) == brute
-        assert brute == (e if abs(e) <= 64 else None)
-        # zeta3 q^e = q^f would give zeta3 = q^(f-e) of norm 4^(f-e), so
-        # f = e and zeta3 = 1: no power of q
-        assert _discrete_log(CycloNum.zeta(3) * z, q) is None
+    # q = (3+4i)/5 has norm 1 and is no root of unity: only the window
+    # |e| <= 128 is searched, and a miss there is uncertain
+    q = (3 + 4 * CycloNum.zeta(4)) * Fraction(1, 5)
+    assert qpower_log(q ** 128, q) == (128, True)
+    assert qpower_log(q ** -128, q) == (-128, True)
+    assert qpower_log(q ** 129, q) == (None, False)
+    assert qpower_log(q ** -129, q) == (None, False)
+    # a norm other than 1 is no power of q, at any exponent
+    assert qpower_log(2 * q ** 300, q) == (None, True)
 
 
 def test_discrete_log_rational_q_reads_valuations():
     two = CycloField(1).coerce(2)
     # exponents far outside the window are found by the 2-adic valuation
-    assert _discrete_log(two ** 100, two) == 100
-    assert _discrete_log(two ** -100, two) == -100
+    assert qpower_log(two ** 100, two) == (100, True)
+    assert qpower_log(two ** -100, two) == (-100, True)
     # the valuation fits but the sign does not: -8 is not a power of 2
-    assert _discrete_log(-(two ** 3), two) is None
+    assert qpower_log(-(two ** 3), two) == (None, True)
     # 3 has 2-adic valuation 0, which pins e = 0, and 3 != 1
-    assert _discrete_log(CycloField(1).coerce(3), two) is None
+    assert qpower_log(CycloField(1).coerce(3), two) == (None, True)
     # q = 1/4, z = 1/2: valuation -1 is not a multiple of -2
     quarter = CycloField(1).coerce(Fraction(1, 4))
-    assert _discrete_log(CycloField(1).coerce(Fraction(1, 2)), quarter) is None
-    assert _discrete_log(quarter ** -7, quarter) == -7
+    assert qpower_log(CycloField(1).coerce(Fraction(1, 2)), quarter) == (
+        None, True)
+    assert qpower_log(quarter ** -7, quarter) == (-7, True)
 
 
 # ----------------------------------------------------------------- solve_add
