@@ -305,12 +305,40 @@ def qpower_log(z: CycloNum, q: CycloNum) -> tuple[int | None, bool]:
     return None, False
 
 
+def _derivative(p: Poly) -> Poly:
+    return Poly(p.field, [c * i for i, c in enumerate(p.coeffs)][1:])
+
+
 def _square_free(p: Poly) -> Poly:
     """p / gcd(p, p'): the roots of p, each once."""
     if p.degree() < 2:
         return p
-    dp = Poly(p.field, [c * i for i, c in enumerate(p.coeffs)][1:])
-    return p.exact_div(p.gcd(dp))
+    return p.exact_div(p.gcd(_derivative(p)))
+
+
+def square_free_parts(p: Poly) -> list[Poly]:
+    """The non-constant a_i of p = c prod_i a_i^i, square-free and pairwise
+    coprime (Yun, SYMSAC 1976): one gcd with p', then gcds of the small
+    cofactors, so a high power costs no more than its square-free part.
+
+    >>> from pvkit.arith.cyclo import QQ
+    >>> x = Poly.x(QQ)
+    >>> square_free_parts((x + 1) ** 3 * x) == [x, x + 1]
+    True
+    """
+    if p.degree() < 1:
+        return []
+    dp = _derivative(p)
+    g = p.gcd(dp)
+    b, c = p.exact_div(g), dp.exact_div(g)
+    parts = []
+    while b.degree() > 0:
+        d = c - _derivative(b)
+        a = b.gcd(d)
+        if a.degree() > 0:
+            parts.append(a)
+        b, c = b.exact_div(a), d.exact_div(a)
+    return parts
 
 
 def _interpolate(values, start: int, field) -> Poly:

@@ -435,7 +435,7 @@ class RatFunc:
     def _plus(self, c: Poly, d: Poly) -> "RatFunc":
         """self + c/d for coprime c, d.  With g = gcd(b, d), the numerator
         t = a*(d/g) + c*(b/g) can share with (b/g)*(d/g)*g only factors
-        of g."""
+        of g; for d = b that is a/b + c/b = (a + c)/b, and g = b."""
         a, b = self.num, self.den
         # a monic denominator of degree 0 is 1, and multiplies nothing
         if b.degree() == 0:
@@ -443,6 +443,8 @@ class RatFunc:
                     else RatFunc._reduced(a * d + c, d))
         if d.degree() == 0:
             return RatFunc._reduced(a + c * b, b)
+        if d == b:
+            return RatFunc._reduced(*_cancel(a + c, b))
         g = b.gcd(d)
         if g.degree() > 0:
             b_g, d_g = b.exact_div(g), d.exact_div(g)

@@ -12,17 +12,18 @@ monic numerator.  On top of the presentation the engine computes three
 numbers:
 
 * ``ell``: how many orbit components the ring splits into.  Detected by
-  extracting an exact root of each relation witness; whenever a witness
-  g = h^d splits, the marker a^{m/d} h / sigma(h) is a primitive d-th root
-  of unity.  Then W = Y^{m/d} / h has W^d = 1 and sigma(W) = marker W, and
-  the component idempotents are written down in closed form: the discrete
-  Fourier idempotents of the group algebra the W span, certified over the
-  constants without one product of Laurent polynomials.
+  an exact root of each relation witness, read off its orbit data;
+  whenever a witness g = h^d splits, the marker a^{m/d} h / sigma(h) is a
+  primitive d-th root of unity.  Then W = Y^{m/d} / h has W^d = 1 and
+  sigma(W) = marker W, and the component idempotents are written down in
+  closed form: the discrete Fourier idempotents of the group algebra the
+  W span, certified over the constants without one product of Laurent
+  polynomials.
 * ``m_inv``: the degree over the constants of the field of elements with
-  finite sigma-orbit inside the total quotient ring.  Detected by an
-  independent search: the least stride s (running over s = order/t) along
-  which a power of the telescoped product sigma^{s-1}(a)...a is itself a
-  quotient.  Both detection routes are cross-asserted against each other.
+  finite sigma-orbit inside the total quotient ring.  Detected by a
+  second route: the largest stride s along which a power of the
+  telescoped product sigma^{s-1}(a)...a is a quotient, which the
+  constants of a decide.  Both routes are cross-asserted.
 * ``krull_dim``: variables minus relation-lattice rank, plus one for an
   upper-triangular corner whose telescoping sum has no rational solution.
 
@@ -40,7 +41,12 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Optional
 
-from .arith.ops import _QSHIFT_SCAN_CAP, _divisors
+from .arith.ops import (
+    _QSHIFT_SCAN_CAP,
+    _constant_as_cyclo,
+    _divisors,
+    qpower_log,
+)
 from .arith.poly import RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power, is_constant
 from .errors import (
@@ -53,12 +59,13 @@ from .errors import (
 from .laurent import BinomialNF, LaurentPoly
 from .snf import smith_normal_form, unimodular_inverse
 from .solve import (
+    FactorBasis,
+    Factored,
     LatticeBasis,
-    _combine_witnesses,
     _entry_power,
+    _normal_parts,
     relation_lattice,
     solve_add_with_flag,
-    solve_mult,
 )
 
 __all__ = [
@@ -70,8 +77,6 @@ __all__ = [
     "build_pv_scalar",
     "build_pv_diagonal",
     "build_pv_unipotent",
-    "compute_ell",
-    "compute_m",
     "decompose",
     "check_simple",
     "ideal_extend",
@@ -270,42 +275,41 @@ class CyclicFactor:
     """One cyclic coordinate of the relation lattice after Smith reduction.
 
     The monomial Z = Y^coord has sigma(Z) = character * Z and Z^order = witness
-    in the quotient.  ``split`` counts the orbit components this factor
-    contributes (witness = root^split with marker a primitive split-th root
-    of unity), and ``m_factor`` is the same number recomputed through the
-    stride-relation search; the two are asserted equal.
+    in the quotient; the witness stays orbit data (``solve.Factored``).
+    ``split`` counts the orbit components this factor contributes (witness =
+    root^split with marker a primitive split-th root of unity); ``root`` is
+    expanded for the idempotents when split > 1, else None.  ``m_factor``
+    is the same number read off the character's constants; the two are
+    asserted equal.
     """
 
     order: int
     coord: tuple
     character: RatFunc
-    witness: RatFunc
+    witness: Factored
     split: int
-    root: RatFunc
+    root: Optional[RatFunc]
     marker: RatFunc
     m_factor: int
 
 
-def _stride_product(k: DiffField, b: RatFunc, s: int, step: int) -> RatFunc:
-    """prod_{i<s} sigma^{i*step}(b)."""
-    return prod((apply_sigma_power(k, b, i * step) for i in range(1, s)),
-                start=b)
-
-
-def _stride_degree(k: DiffField, char: RatFunc, order: int, step: int = 1) -> int:
-    """Largest s dividing ``order`` along which a relation already closes.
-
-    Scanning exponents t in ascending order, the first t for which the
-    telescoped product of s = order/t sigma^step-translates of ``char``,
-    raised to the t-th power, is a sigma^{step*s}-quotient yields the
-    maximal stride s.  The exponent t = order always works (the original
-    witness telescopes), so the search is total.
+def _stride_degree(k: DiffField, char: Factored, order: int) -> int:
+    """Largest s dividing ``order`` with (prod_{i<s} sigma^i(char))^(order/s)
+    a sigma^s-quotient.  For char = C x^V prod b^E the certified witness of
+    char^order makes each class sum of E zero, and each residue class mod s
+    of the telescoped product sums to a whole class sum.  So only V = 0 and
+    the constant C^order decide: 1 (shift), or in q^(sZ) (dilation).
     """
-    for t in _divisors(order):
-        s = order // t
-        prod = _stride_product(k, char, s, step)
-        if solve_mult(k, prod ** t, step=step * s) is not None:
-            return s
+    shift = k.sigma.kind == "shift"
+    z = char.const ** order
+    if not shift:
+        z = _constant_as_cyclo(z)
+    if not char.xpow and z is not None:
+        for t in _divisors(order):
+            s = order // t
+            if (z == k.constants.one if shift
+                    else qpower_log(z, k.sigma.q ** s)[0] is not None):
+                return s
     raise InternalInvariantError(
         "stride search failed although the full relation is a witness")
 
@@ -320,27 +324,53 @@ def _assert_primitive_root_of_unity(k: DiffField, w: RatFunc, d: int) -> None:
         raise InternalInvariantError("splitting marker is not primitive")
 
 
-def _split_witness(k: DiffField, char: RatFunc, order: int, witness: RatFunc):
-    """Largest divisor d of ``order`` with an exact d-th root of the witness.
-
-    Returns (d, root, marker) where witness = root^d and
+def _split_witness(k: DiffField, char: Factored, order: int,
+                   witness: Factored):
+    """Largest divisor d of ``order`` with an exact d-th root of the witness,
+    read off its orbit data: (d, root, marker), where the constant
     marker = char^{order/d} * root / sigma(root) is a primitive d-th root of
     unity.  d = 1 always succeeds with marker 1.
     """
-    kf = k.k_field
     for d in reversed(_divisors(order)):
-        root = kf.nth_root(witness, d)
+        root = witness.root(d)
         if root is None:
             continue
-        marker = char ** (order // d) * root / apply_sigma(k, root)
+        marker = char ** (order // d) * root.sigma_quotient(1) ** -1
+        if marker.xpow or marker.exps:
+            raise InternalInvariantError("splitting marker is not a constant")
+        marker = k.coerce(marker.const)
         _assert_primitive_root_of_unity(k, marker, d)
         return d, root, marker
     raise InternalInvariantError("witness splitting fell through d = 1")
 
 
+def _row_telescopes(k: DiffField, entries, lattice: LatticeBasis):
+    """(fb, telescopes): the lattice's ``FactorBasis`` (for a lattice built
+    by hand, one from the entries its rows involve) and each row's witness
+    as the telescope of its relation.  The power of x is read off the row
+    witness: translates have no root at 0, and for the shift it is 0."""
+    fb = lattice.factor_basis
+    if fb is None:
+        fb = FactorBasis(k, [_normal_parts(k, a) for a in entries],
+                         [any(col) for col in zip(*lattice.vectors())])
+    shift = k.sigma.kind == "shift"
+    return fb, [fb.telescope(vec, 0 if shift else _x_valuation(g), 1)
+                for vec, g in lattice.rows]
+
+
+def _x_valuation(f: RatFunc) -> int:
+    def low(p):
+        return next(i for i, c in enumerate(p.coeffs) if c)
+    return low(f.num) - low(f.den)
+
+
 def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
     """Split the relation lattice into independent cyclic coordinates, in
-    one Smith pass.
+    one Smith pass over orbit data.
+
+    Each Smith coordinate's witness combines the row telescopes, certified
+    on exponents against char^order; the split is read off its exponents
+    and the stride off the character's constants, and the two must agree.
 
     The lattice must be saturated: every relation vector in its rational
     span lies in it.  ``relation_lattice`` gives that by construction: an
@@ -366,24 +396,26 @@ def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
     rows = lattice.rows
     if not rows:
         return ()
+    fb, telescopes = _row_telescopes(k, entries, lattice)
     d_mat, u_mat, v_mat = smith_normal_form(lattice.vectors())
     coord_mat = unimodular_inverse(v_mat)
     factors = []
     for u in range(len(rows)):
         order = d_mat[u][u]
         coord = tuple(coord_mat[u])
-        char = _entry_power(field, entries, coord)
-        witness = _combine_witnesses(field, rows, u_mat[u])
-        if apply_sigma(k, witness) / witness != char ** order:
-            raise InternalInvariantError(
-                "Smith-combined witness does not witness its relation")
+        char = fb.power(coord)
+        witness = prod((w ** c for c, w in zip(u_mat[u], telescopes) if c),
+                       start=fb.one())
+        witness.certify(char ** order, 1,
+                        "Smith-combined witness does not witness its relation")
         split, root, marker = _split_witness(k, char, order, witness)
         m_factor = _stride_degree(k, char, order)
         if split != m_factor:
             raise InternalInvariantError(
                 "root-splitting count disagrees with the stride-relation degree")
-        factors.append(CyclicFactor(order, coord, char, witness,
-                                    split, root, marker, m_factor))
+        factors.append(CyclicFactor(
+            order, coord, _entry_power(field, entries, coord), witness, split,
+            root.expand() if split > 1 else None, marker, m_factor))
     return tuple(factors)
 
 
@@ -573,55 +605,7 @@ def build_pv_unipotent(k: DiffField, b, m_max: int = DEFAULT_SEARCH_BOUND) -> PV
 
 
 # ---------------------------------------------------------------------------
-# invariants, recomputed and cross-checked
-
-
-def compute_ell(p: PVPresentation) -> int:
-    """Number of orbit components, recomputed along both detection routes.
-
-    Route one re-extracts exact roots of the relation witnesses; route two
-    re-runs the stride-relation search.  The two must agree factor by
-    factor and their lcm must match the stored value.
-    """
-    k = p.field
-    ell = 1
-    for f in p.factors:
-        split, _, _ = _split_witness(k, f.character, f.order, f.witness)
-        stride = _stride_degree(k, f.character, f.order)
-        if split != stride:
-            raise InternalInvariantError(
-                "splitting route and stride route disagree on a factor")
-        ell = lcm(ell, split)
-    if ell != p.ell:
-        raise InternalInvariantError("recomputed ell differs from the presentation")
-    return ell
-
-
-def compute_m(p: PVPresentation) -> int:
-    """Degree of the periodic-element field, with the product cross-check.
-
-    The primary value is the lcm of the per-factor stride degrees.  The
-    cross-check recomputes it as ell times the residual degree above one
-    component: for each factor the character telescoped along ell steps,
-    whose component order is order/split, is fed back into the stride
-    search at stride ell.
-    """
-    k = p.field
-    m_inv = 1
-    residual = 1
-    for f in p.factors:
-        m_inv = lcm(m_inv, _stride_degree(k, f.character, f.order))
-        comp_order = f.order // f.split
-        if comp_order > 1:
-            comp_char = _stride_product(k, f.character, p.ell, 1)
-            residual = lcm(residual, _stride_degree(k, comp_char, comp_order,
-                                                    step=p.ell))
-    if m_inv != p.ell * residual:
-        raise InternalInvariantError(
-            "invariant degree fails the component product formula")
-    if m_inv != p.m_inv:
-        raise InternalInvariantError("recomputed m differs from the presentation")
-    return m_inv
+# components and simplicity
 
 
 def decompose(p: PVPresentation) -> list:
@@ -647,7 +631,8 @@ def decompose(p: PVPresentation) -> list:
         gens = []
         for f in p.factors:
             vec = tuple((f.order // f.split) * c for c in f.coord)
-            rhs = f.root * f.marker ** (-i)
+            root = f.root if f.root is not None else f.witness.expand()
+            rhs = root * f.marker ** (-i)
             gens.append(LaurentPoly.monomial(field, nvars, vec)
                         - LaurentPoly.const(field, nvars, rhs))
         comps.append(Component(i, p.idempotents[i], gens, step))

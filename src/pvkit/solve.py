@@ -21,15 +21,16 @@ dilation's poles at x = 0 and its Laurent part, where only the constant
 term is not a sigma-difference.
 
 ``solve_mult`` and ``relation_lattice`` read one structure: a coprime
-factor basis closed under sigma (``_orbit_basis``), whose elements fall
+factor basis closed under sigma (``FactorBasis``), whose elements fall
 into classes of exact sigma-translates of one representative.  A product
 is a sigma^s-quotient iff its constant passes and its exponents sum to
 zero over each class and residue of the offset mod s; the witness is a
-product of telescopes of the representatives (``_witness``).
-``relation_lattice`` takes the integer kernel of those sums for many
-characters at once, plus the valuations of the constants and one discrete
-log in the roots of unity.  Only constants, or a q, with no rational power
-leave a bounded search, and the result says so.
+product of telescopes of the representatives, kept as orbit data
+(``Factored``).  ``relation_lattice`` takes the
+integer kernel of those sums for many characters at once, plus the
+valuations of the constants and one discrete log in the roots of unity.
+Only constants, or a q, with no rational power leave a bounded search, and
+the result says so.
 
 ``solve_add`` is Abramov's reduction (S. A. Abramov, USSR Comput. Math.
 Math. Phys. 15, 1975) and solves no linear system.  It takes one
@@ -38,9 +39,13 @@ with gcds and translates until no two share an orbit; b is a
 sigma-difference iff the proper part left over is zero and the Laurent
 part is summable.  The telescoped moves are the witness.
 
-Every witness is re-substituted into its defining equation before it is
+Every witness is put back into its defining equation before it is
 returned; a failure there raises InternalInvariantError because it would
-be a bug in this module, never a property of the input.
+be a bug in this module, never a property of the input.  Multiplicative
+witnesses are checked on their orbit data, as exponent vectors and
+constants; two certificates tie that data to the input: each character is
+the product of its factorization, and each basis element the translate
+its class records.
 """
 from __future__ import annotations
 
@@ -58,6 +63,7 @@ from .arith.ops import (
     coprime_basis,
     dispersion_set,
     qpower_log,
+    square_free_parts,
 )
 from .arith.poly import Poly, RatFunc, _is_zero
 from .base import DiffField, apply_sigma, apply_sigma_power
@@ -85,7 +91,9 @@ class LatticeBasis:
     """Basis (in row Hermite form) of the lattice of exponent vectors m
     with prod a_i^{m_i} a sigma-quotient, each row carrying its witness;
     ``exact`` unless a bounded search decided a constant condition, and
-    ``window`` if ``relation_lattice`` left a q-power question to a window."""
+    ``window`` if ``relation_lattice`` left a q-power question to a window.
+    ``factor_basis`` is the ``FactorBasis`` the rows were certified over,
+    None for a lattice built by hand."""
 
     def __init__(self, dim: int, rows, field, exact: bool = False):
         self.dim = dim
@@ -93,6 +101,7 @@ class LatticeBasis:
         self._field = field
         self.exact = exact
         self.window = False
+        self.factor_basis = None
 
     def vectors(self) -> list[list[int]]:
         return [list(v) for v, _ in self.rows]
@@ -105,14 +114,161 @@ class LatticeBasis:
 
     def witness_for(self, vec: Sequence[int]) -> RatFunc | None:
         """Witness g with prod a_i^{vec_i} = sigma(g)/g, or None when vec
-        is outside the lattice."""
+        is outside the lattice: the product of the row witnesses."""
         coeffs, residue = hnf_reduce(self.vectors(), list(vec))
         if any(residue):
             return None
-        return _combine_witnesses(self._field, self.rows, coeffs)
+        return _monic_num(prod((w ** c for c, (_, w) in zip(coeffs, self.rows)
+                                if c), start=self._field.one))
 
     def __repr__(self):
         return f"LatticeBasis(dim={self.dim}, rows={self.vectors()})"
+
+
+class Factored:
+    """c x^t prod sigma^i(basis[rep])^e, ``exps`` mapping (rep, i) to a
+    nonzero e: a character, or a witness kept as orbit data.  A witness is
+    fixed up to a constant, so it carries c = 1, and ``expand`` makes its
+    numerator monic."""
+
+    __slots__ = ("k", "basis", "const", "xpow", "exps")
+
+    def __init__(self, k: DiffField, basis, const, xpow: int, exps: dict):
+        self.k, self.basis = k, basis
+        self.const, self.xpow, self.exps = const, xpow, exps
+
+    def _like(self, const, xpow: int, terms) -> "Factored":
+        """Another element over the same basis; terms are (key, e) pairs,
+        summed."""
+        exps = {}
+        for key, e in terms:
+            exps[key] = exps.get(key, 0) + e
+        return Factored(self.k, self.basis, const, xpow,
+                        {key: e for key, e in exps.items() if e})
+
+    def __mul__(self, other: "Factored") -> "Factored":
+        return self._like(self.const * other.const, self.xpow + other.xpow,
+                          [*self.exps.items(), *other.exps.items()])
+
+    def __pow__(self, m: int) -> "Factored":
+        return self._like(self.const ** m, self.xpow * m,
+                          [(key, e * m) for key, e in self.exps.items()])
+
+    def __eq__(self, other) -> bool:
+        return (self.const == other.const and self.xpow == other.xpow
+                and self.exps == other.exps)
+
+    __hash__ = None
+
+    def sigma_quotient(self, step: int) -> "Factored":
+        """sigma^step(self)/self.  For the shift x is a basis polynomial,
+        so a power of x is no orbit datum."""
+        k = self.k
+        if k.sigma.kind == "shift":
+            if self.xpow:
+                raise InternalInvariantError(
+                    "a shift witness carries a separate power of x")
+            const = k.constants.one
+        else:
+            const = k.constants.coerce(k.sigma.q) ** (step * self.xpow)
+        return self._like(const, 0, [
+            term for (rep, i), e in self.exps.items()
+            for term in (((rep, i + step), e), ((rep, i), -e))])
+
+    def certify(self, target: "Factored", step: int, message: str) -> None:
+        """Raise unless sigma^step(self)/self == target."""
+        if self.sigma_quotient(step) != target:
+            raise InternalInvariantError(message)
+
+    def root(self, d: int) -> "Factored | None":
+        """The d-th root of a witness, or None when k holds none: exactly
+        when d divides t and every exponent e_i on sigma^i(rep).  The basis
+        is square-free, so on one sigma-orbit of roots beta_u, with S the u
+        where rep vanishes (rep may meet its translates, as x(x + 1) does),
+        beta_u has multiplicity sum_{s in S} e_{u - s}.  For the highest i
+        with d not dividing e_i, u = i + min S makes every other term one of
+        lower index, so d does not divide that multiplicity.  Classes share
+        no orbit, translates have no root at 0, and c = 1 is its own root."""
+        if self.xpow % d or any(e % d for e in self.exps.values()):
+            return None
+        return self._like(self.const, self.xpow // d,
+                          [(key, e // d) for key, e in self.exps.items()])
+
+    def expand(self) -> RatFunc:
+        """The reduced rational function, with monic numerator.  Only
+        translates can share a factor; x^t joins after the gcd."""
+        k, basis = self.k, self.basis
+        inner = k.constants
+        num, den = Poly.one(inner), Poly.one(inner)
+        for (rep, i), e in sorted(self.exps.items()):
+            p = k.sigma.translate(basis[rep], i) ** abs(e)
+            if e > 0:
+                num = num * p
+            else:
+                den = den * p
+        f = RatFunc(num, den)
+        num, den = f.num, f.den
+        if self.xpow > 0:
+            num = num * Poly.x(inner) ** self.xpow
+        elif self.xpow < 0:
+            den = den * Poly.x(inner) ** -self.xpow
+        return _monic_num(RatFunc._reduced(num, den))
+
+
+class FactorBasis:
+    """Characters a_i = c_i x^{v_i} prod_j b_j^{e_ij}, from their
+    ``_normal_parts``, over the basis b_j of ``_orbit_basis`` with
+    b_j = sigma^d(b_rep) for orbit[j] = (rep, d).  Characters not
+    ``involved`` are left out (entries[i] None, zero exponents); each other
+    is certified to be the product of its factorization."""
+
+    def __init__(self, k: DiffField, parts, involved):
+        self.k = k
+        self.basis, self.orbit, self.complete = _orbit_basis(k, [
+            p for keep, (*_, num, den) in zip(involved, parts) if keep
+            for p in (num, den)])
+        zero = [0] * len(self.basis)
+        self.exps = [[_multiplicity(num, b) - _multiplicity(den, b)
+                      for b in self.basis] if keep else zero
+                     for keep, (*_, num, den) in zip(involved, parts)]
+        one = Poly.one(k.constants)
+        self.entries = []
+        for keep, (c, v, num, den), row in zip(involved, parts, self.exps):
+            if not keep:
+                self.entries.append(None)
+                continue
+            if (num != _power_product(one, self.basis, row, 1)
+                    or den != _power_product(one, self.basis, row, -1)):
+                raise InternalInvariantError(
+                    "a character is not the product of its factorization")
+            self.entries.append(Factored(k, self.basis, c, v, {
+                self.orbit[j]: e for j, e in enumerate(row) if e}))
+
+    def one(self) -> Factored:
+        return Factored(self.k, self.basis, self.k.constants.one, 0, {})
+
+    def power(self, vec) -> Factored:
+        """prod a_i^{vec_i}."""
+        return prod((self.entries[i] ** m for i, m in enumerate(vec) if m),
+                    start=self.one())
+
+    def telescope(self, vec, t: int, step: int) -> Factored:
+        """f with sigma^step(f)/f = prod a_i^{vec_i}, for vec whose exponents
+        sum to zero over each class (rep, d mod step): b = sigma^d(rep) of
+        exponent E gives E on each factor of the telescope
+        T = prod_{i < d // step} sigma^(d mod step + i step)(rep), as
+        sigma^step(T)/T = b / sigma^(d mod step)(rep); q^(step t) is
+        sigma^step(x^t)/x^t."""
+        one = self.one()
+        return one._like(one.const, t, [
+            ((rep, i), e) for (rep, d), e in self.power(vec).exps.items()
+            for i in range(d % step, d, step)])
+
+
+def _power_product(one: Poly, basis, row, sign: int) -> Poly:
+    """prod b_j^(sign e_j) over the j with sign e_j > 0."""
+    return prod((b ** (sign * e) for b, e in zip(basis, row) if sign * e > 0),
+                start=one)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +284,8 @@ def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
     tested first.  Then r is a quotient iff, over the factor basis of num
     and den closed under sigma (``_orbit_basis``), the exponents sum to
     zero over each class of elements sigma^d(rep) with one rep and one
-    d mod step; the witness is x^t times telescopes (``_witness``).
+    d mod step; the witness is x^t times telescopes
+    (``FactorBasis.telescope``).
 
     Proof of the class condition.  Within a class of two or more elements
     no element holds two roots of one sigma-orbit: were its roots alpha
@@ -145,7 +302,8 @@ def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
     r = k.coerce(r)
     if r.is_zero():
         raise ZeroInput("a sigma-quotient is a unit; r = 0 is malformed")
-    c, v, num, den = _normal_parts(k, r)
+    parts = _normal_parts(k, r)
+    c, v, num, den = parts
     if v or num.degree() != den.degree():
         return None
     if k.sigma.kind == "shift":
@@ -155,14 +313,12 @@ def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
         t = None if z is None else qpower_log(z, k.sigma.q ** step)[0]
     if t is None:
         return None
-    basis, orbit, _ = _orbit_basis(k, [num, den])
-    exps = [_multiplicity(num, b) - _multiplicity(den, b) for b in basis]
-    if any(_class_sums(orbit, exps, step)):
+    fb = FactorBasis(k, [parts], [True])
+    if any(_class_sums(fb.orbit, fb.exps[0], step)):
         return None
-    f = _witness(k, basis, orbit, [exps], (1,), t, step)
-    if apply_sigma_power(k, f, step) / f != r:
-        raise InternalInvariantError("multiplicative witness failed re-check")
-    return MultSolution(witness=f, step=step)
+    f = fb.telescope((1,), t, step)
+    f.certify(fb.entries[0], step, "multiplicative witness failed re-check")
+    return MultSolution(witness=f.expand(), step=step)
 
 
 def _monic_num(f: RatFunc) -> RatFunc:
@@ -368,42 +524,40 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
     (``_constant_rows``); others, such as 1 + sqrt(2), are searched for
     |m_i| <= m_max (``_residue_rows``), inexact.  A q-power question left
     to the window of ``qpower_log`` or ``dispersion_set`` sets
-    ``window``.  Witnesses are telescopes (``_witness``),
-    re-checked; ``solve_mult`` never runs.  An entry that the degree
-    balance and the valuation alone pin to m_i = 0 gets no factor basis.
+    ``window``.  Witnesses are telescopes (``FactorBasis.telescope``),
+    checked on their orbit data and expanded once each, for the
+    presentation's generators; ``solve_mult`` never runs.  An entry that
+    the degree balance and the valuation alone pin to m_i = 0 gets no
+    factor basis.
     """
     a = [k.coerce(ai) for ai in a_list]
     if any(ai.is_zero() for ai in a):
         raise ZeroInput("characters must be nonzero")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    field, n = k.k_field, len(a)
+    n = len(a)
     parts = [_normal_parts(k, ai) for ai in a]
     pin = [[num.degree() - den.degree(), v] for _, v, num, den in parts]
     free = integer_kernel(pin)
-    basis, orbit, complete = _orbit_basis(k, [
-        p for i, (*_, num, den) in enumerate(parts)
-        if any(r[i] for r in free) for p in (num, den)])
-    exps = [[_multiplicity(num, b) - _multiplicity(den, b) for b in basis]
-            for *_, num, den in parts]
-    l0 = integer_kernel([_class_sums(orbit, row) + p
-                         for row, p in zip(exps, pin)])
+    fb = FactorBasis(k, parts, [any(r[i] for r in free) for i in range(n)])
+    l0 = integer_kernel([_class_sums(fb.orbit, row) + p
+                         for row, p in zip(fb.exps, pin)])
     consts = [c for c, *_ in parts]
     rows = _constant_rows(k, consts, l0)
-    exact = rows is not None
+    exact, complete = rows is not None, fb.complete
     if not exact:
         rows, logged = _residue_rows(k, consts, l0, m_max)
         complete = complete and logged
     out = []
     for row in hermite_normal_form(rows)[0]:
         vec = tuple(row[:n])
-        g = _witness(k, basis, orbit, exps, vec, row[n])
-        if apply_sigma(k, g) / g != _entry_power(field, a, vec):
-            raise InternalInvariantError(
-                "telescoped witness does not witness its relation")
-        out.append((vec, g))
-    lattice = LatticeBasis(n, out, field, exact)
+        g = fb.telescope(vec, row[n], 1)
+        g.certify(fb.power(vec), 1,
+                  "telescoped witness does not witness its relation")
+        out.append((vec, g.expand()))
+    lattice = LatticeBasis(n, out, k.k_field, exact)
     lattice.window = not complete
+    lattice.factor_basis = fb
     return lattice
 
 
@@ -432,26 +586,30 @@ def _multiplicity(p: Poly, b: Poly) -> int:
 
 
 def _orbit_basis(k: DiffField, polys):
-    """(basis, orbit, complete): coprime ``_normal`` polynomials, each of
-    ``polys`` a product of their powers, with gcd(b, sigma^d c) = 1 or
-    b = sigma^d c for any two of them; orbit[i] = (rep, d >= 0) with
-    basis[i] = sigma^d(basis[rep]) and rep the lowest of its class; and
-    whether every ``dispersion_set`` read was complete.
+    """(basis, orbit, complete): coprime square-free ``_normal``
+    polynomials, each of ``polys`` a product of their powers, with
+    gcd(b, sigma^d c) = 1 or b = sigma^d c for any two of them;
+    orbit[i] = (rep, d >= 0) with basis[i] = sigma^d(basis[rep]) and rep
+    the lowest of its class; and whether every ``dispersion_set`` read was
+    complete.
 
-    Factor refinement; then each d of ``dispersion_set(b, c)`` for b
-    before c that is no full match splits b and c at g = gcd(b, sigma^d c)
-    and sigma^-d(g), and refinement runs again (Gerhard, Giesbrecht,
-    Storjohann and Zima, ISSAC 2003).  Each split adds an element, so this
-    ends.  The signed set of one unordered pair gives both orders, and an
-    element is never paired with itself: self-pairs change no class sum
-    and no witness.  For once every two elements are coprime or a full
-    match, two that meet one sigma-orbit are exact translates, so each
-    orbit's exponent sum is the number of the element's roots in it times
-    its class sum, zero iff the class sum is, whether or not one element
-    holds two roots of that orbit.
+    The square-free parts of ``polys`` go in, so refinement never peels a
+    power at a time and every element is square-free.  Factor refinement;
+    then each d of ``dispersion_set(b, c)`` for b before c that is no full
+    match splits b and c at g = gcd(b, sigma^d c) and sigma^-d(g), and
+    refinement runs again (Gerhard, Giesbrecht, Storjohann and Zima, ISSAC
+    2003).  Each split adds an element, so this ends.  The signed set of
+    one unordered pair gives both orders, and an element is never paired
+    with itself: self-pairs change no class sum and no witness.  For once
+    every two elements are coprime or a full match, two that meet one
+    sigma-orbit are exact translates, so each orbit's exponent sum is the
+    number of the element's roots in it times its class sum, zero iff the
+    class sum is, whether or not one element holds two roots of that
+    orbit.  Each recorded offset is certified on the way out:
+    sigma^d(basis[rep]) == basis[i].
     """
     sigma = k.sigma
-    basis = list(polys)
+    basis = [s for p in polys for s in square_free_parts(p)]
     while True:
         basis = [_normal(k, b) for b in
                  coprime_basis(basis, Poly.gcd, lambda p: p.degree() < 1)]
@@ -473,8 +631,13 @@ def _orbit_basis(k: DiffField, polys):
             if pieces:
                 break
         if not pieces:
-            return basis, orbit, complete
+            break
         basis += pieces
+    for b, (rep, d) in zip(basis, orbit):
+        if d and sigma.translate(basis[rep], d) != b:
+            raise InternalInvariantError(
+                "a basis element is not the translate its class records")
+    return basis, orbit, complete
 
 
 def _class_sums(orbit, row, step: int = 1) -> list[int]:
@@ -570,30 +733,6 @@ def _residue_rows(k: DiffField, consts, l0, m_max: int):
     return rows, complete
 
 
-def _witness(k: DiffField, basis, orbit, exps, vec, t: int,
-             step: int = 1) -> RatFunc:
-    """The f with sigma^step(f)/f = prod a_i^{vec_i} and monic numerator:
-    b = sigma^d(rep) of exponent E = sum_i vec_i e_ib gives T^E for the
-    telescope T = prod_{i < d // step} sigma^(d mod step + i step)(rep), as
-    sigma^step(T)/T = b / sigma^(d mod step)(rep) and the exponents of each
-    class (rep, d mod step) sum to zero; q^(step t) is
-    sigma^step(x^t)/x^t."""
-    f = k.x() ** t
-    for (rep, d), col in zip(orbit, zip(*exps)):
-        e = sum(m * c for m, c in zip(vec, col))
-        if d // step and e:
-            tele = prod(k.sigma.translate(basis[rep], d % step + i * step)
-                        for i in range(d // step))
-            f = f * k.coerce(tele) ** e
-    return _monic_num(f)
-
-
 def _entry_power(field, entries, vec) -> RatFunc:
     """prod entries_i^{vec_i}, skipping zero exponents."""
     return prod((a ** m for m, a in zip(vec, entries) if m), start=field.one)
-
-
-def _combine_witnesses(field, rows, coeffs) -> RatFunc:
-    """Witness of sum coeffs_i * v_i from the witnesses of rows (v_i, g_i)."""
-    return _monic_num(prod((w ** c for c, (_, w) in zip(coeffs, rows) if c),
-                           start=field.one))

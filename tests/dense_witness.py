@@ -1,0 +1,146 @@
+"""Dense reference routes for the cyclic factors, an oracle for
+``engine._cyclic_factors``.
+
+The engine keeps every witness as orbit data over one factor basis and
+reads the split off its exponents and the stride off the character's
+constants.  The routes here work on expanded rational functions instead:
+the Smith-combined witness is a product of the dense row witnesses,
+re-checked as sigma(g)/g; the split takes exact d-th roots
+(``RatFuncField.nth_root``); and the stride asks ``solve_mult`` whether a
+power of the telescoped character sigma^{s-1}(a)...a is a
+sigma^s-quotient.  ``compute_ell`` and ``compute_m`` re-derive the
+invariants of a built presentation along both dense routes.
+"""
+from __future__ import annotations
+
+from math import lcm, prod
+
+from pvkit.arith.ops import _divisors
+from pvkit.base import DiffField, apply_sigma, apply_sigma_power
+from pvkit.engine import (
+    CyclicFactor,
+    PVPresentation,
+    _assert_primitive_root_of_unity,
+)
+from pvkit.errors import InternalInvariantError
+from pvkit.snf import smith_normal_form, unimodular_inverse
+from pvkit.solve import LatticeBasis, _entry_power, solve_mult
+
+
+def stride_product(k: DiffField, b, s: int, step: int):
+    """prod_{i<s} sigma^{i*step}(b)."""
+    return prod((apply_sigma_power(k, b, i * step) for i in range(1, s)),
+                start=b)
+
+
+def stride_degree(k: DiffField, char, order: int, step: int = 1) -> int:
+    """Largest s dividing ``order`` along which a relation already closes.
+
+    Scanning exponents t in ascending order, the first t for which the
+    telescoped product of s = order/t sigma^step-translates of ``char``,
+    raised to the t-th power, is a sigma^{step*s}-quotient yields the
+    maximal stride s.  The exponent t = order always works (the original
+    witness telescopes), so the search is total.
+    """
+    for t in _divisors(order):
+        s = order // t
+        telescoped = stride_product(k, char, s, step)
+        if solve_mult(k, telescoped ** t, step=step * s) is not None:
+            return s
+    raise InternalInvariantError(
+        "stride search failed although the full relation is a witness")
+
+
+def split_witness(k: DiffField, char, order: int, witness):
+    """Largest divisor d of ``order`` with an exact d-th root of the dense
+    witness: (d, root, marker) with witness = root^d and
+    marker = char^{order/d} * root / sigma(root) a primitive d-th root of
+    unity."""
+    kf = k.k_field
+    for d in reversed(_divisors(order)):
+        root = kf.nth_root(witness, d)
+        if root is None:
+            continue
+        marker = char ** (order // d) * root / apply_sigma(k, root)
+        _assert_primitive_root_of_unity(k, marker, d)
+        return d, root, marker
+    raise InternalInvariantError("witness splitting fell through d = 1")
+
+
+def dense_cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
+    """``engine._cyclic_factors`` on expanded rational functions; the
+    factors carry the dense witness and, for every split, the dense root."""
+    field = k.k_field
+    rows = lattice.rows
+    if not rows:
+        return ()
+    d_mat, u_mat, v_mat = smith_normal_form(lattice.vectors())
+    coord_mat = unimodular_inverse(v_mat)
+    factors = []
+    for u in range(len(rows)):
+        order = d_mat[u][u]
+        coord = tuple(coord_mat[u])
+        char = _entry_power(field, entries, coord)
+        witness = prod((w ** c for c, (_, w) in zip(u_mat[u], rows) if c),
+                       start=field.one)
+        witness = witness / witness.num.lc()
+        if apply_sigma(k, witness) / witness != char ** order:
+            raise InternalInvariantError(
+                "Smith-combined witness does not witness its relation")
+        split, root, marker = split_witness(k, char, order, witness)
+        m_factor = stride_degree(k, char, order)
+        if split != m_factor:
+            raise InternalInvariantError(
+                "root-splitting count disagrees with the stride-relation degree")
+        factors.append(CyclicFactor(order, coord, char, witness, split, root,
+                                    marker, m_factor))
+    return tuple(factors)
+
+
+def compute_ell(p: PVPresentation) -> int:
+    """Number of orbit components, recomputed along both dense routes.
+
+    Route one re-extracts exact roots of the expanded witnesses; route two
+    re-runs the stride-relation search.  The two must agree factor by
+    factor and their lcm must match the stored value.
+    """
+    k = p.field
+    ell = 1
+    for f in p.factors:
+        split, _, _ = split_witness(k, f.character, f.order,
+                                    f.witness.expand())
+        stride = stride_degree(k, f.character, f.order)
+        if split != stride:
+            raise InternalInvariantError(
+                "splitting route and stride route disagree on a factor")
+        ell = lcm(ell, split)
+    if ell != p.ell:
+        raise InternalInvariantError("recomputed ell differs from the presentation")
+    return ell
+
+
+def compute_m(p: PVPresentation) -> int:
+    """Degree of the periodic-element field, with the product cross-check.
+
+    The primary value is the lcm of the per-factor stride degrees.  The
+    cross-check recomputes it as ell times the residual degree above one
+    component: for each factor the character telescoped along ell steps,
+    whose component order is order/split, is fed back into the stride
+    search at stride ell.
+    """
+    k = p.field
+    m_inv = 1
+    residual = 1
+    for f in p.factors:
+        m_inv = lcm(m_inv, stride_degree(k, f.character, f.order))
+        comp_order = f.order // f.split
+        if comp_order > 1:
+            comp_char = stride_product(k, f.character, p.ell, 1)
+            residual = lcm(residual, stride_degree(k, comp_char, comp_order,
+                                                   step=p.ell))
+    if m_inv != p.ell * residual:
+        raise InternalInvariantError(
+            "invariant degree fails the component product formula")
+    if m_inv != p.m_inv:
+        raise InternalInvariantError("recomputed m differs from the presentation")
+    return m_inv

@@ -23,8 +23,6 @@ from pvkit.engine import (
     build_pv_diagonal,
     build_pv_scalar,
     build_pv_unipotent,
-    compute_ell,
-    compute_m,
     decompose,
     ideal_contract,
     ideal_extend,
@@ -40,6 +38,8 @@ from pvkit.groups import (
 )
 from pvkit.laurent import LaurentPoly
 from pvkit.solve import torsion_order
+
+from dense_witness import compute_ell, compute_m
 
 TRANSPORT_NAMES = (
     "scalar-order-two",

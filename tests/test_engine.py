@@ -43,8 +43,6 @@ from pvkit.engine import (
     build_pv_scalar,
     build_pv_unipotent,
     check_simple,
-    compute_ell,
-    compute_m,
     decompose,
     ideal_contract,
     ideal_extend,
@@ -60,6 +58,8 @@ from pvkit.errors import (
 from pvkit.laurent import BinomialNF, LaurentPoly
 from pvkit.snf import unimodular_inverse
 from pvkit.solve import LatticeBasis, solve_mult, torsion_order
+
+from dense_witness import compute_ell, compute_m
 
 
 def shift_field(conductor=1):

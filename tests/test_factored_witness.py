@@ -1,0 +1,210 @@
+"""Witnesses kept as orbit data, against the dense routes.
+
+``relation_lattice`` and ``engine._cyclic_factors`` certify every relation
+on exponent vectors over one factor basis, read the split off the
+exponents and the stride off the constants, and expand only the row
+witnesses and the roots of splitting factors.  Here the same systems run
+through the dense oracles: the dispersion peel for the row witnesses
+(``peel_mult``) and dense roots and stride searches for the factors
+(``dense_witness``).  Both must give the same factors and byte-identical
+reports.
+"""
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pvkit import engine, solve
+from pvkit.arith.cyclo import CycloField, CycloNum
+from pvkit.arith.poly import Poly
+from pvkit.base import DiffField, SigmaSpec, apply_sigma
+from pvkit.cli import report
+from pvkit.errors import InternalInvariantError
+from pvkit.solve import FactorBasis, LatticeBasis, _entry_power, relation_lattice
+
+from dense_witness import dense_cyclic_factors
+from peel_mult import peel_solve_mult
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _peeled_lattice(k, entries, m_max):
+    """``relation_lattice`` with every row witness replaced by the one the
+    dispersion peel finds, and no factor basis."""
+    lattice = relation_lattice(k, entries, m_max)
+    rows = []
+    for vec, _ in lattice.rows:
+        g = peel_solve_mult(k, _entry_power(k.k_field, entries, vec))
+        assert g is not None
+        rows.append((vec, g))
+    dense = LatticeBasis(lattice.dim, rows, k.k_field, lattice.exact)
+    dense.window = lattice.window
+    return dense
+
+
+def _dense_report(req) -> str:
+    with mock.patch.object(engine, "relation_lattice", _peeled_lattice), \
+            mock.patch.object(engine, "_cyclic_factors", dense_cyclic_factors):
+        return report.render_json(report.run(req)[0])
+
+
+@st.composite
+def _systems(draw):
+    """A --sigma/--q pair and a diag(..) of 1..3 entries c * prod (x+i)^e,
+    c in {1, -1, 2, -2, zeta(3)}, 0 <= i <= 3 and |e| <= 3."""
+    q = draw(st.sampled_from([None, "2"]))
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        text = draw(st.sampled_from(["1", "-1", "2", "-2", "zeta(3)"]))
+        for i, e in draw(st.lists(st.tuples(st.integers(0, 3),
+                                            st.integers(-3, 3)), max_size=2)):
+            if e:
+                text += f"{'*' if e > 0 else '/'}(x+{i})^{abs(e)}"
+        entries.append(text)
+    return report.Request(command="group", sigma="qshift" if q else "shift",
+                          q=q, system=f"diag({','.join(entries)})")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems())
+def test_factored_chain_agrees_with_the_dense_oracle(req):
+    p = report._build_presentation(req)
+    k, entries = p.field, p.system.entries
+    dense = _peeled_lattice(k, entries, req.m_max)
+    assert p.lattice.rows == dense.rows
+    want = dense_cyclic_factors(k, entries, dense)
+    assert len(p.factors) == len(want)
+    for got, ref in zip(p.factors, want):
+        assert (got.order, got.coord, got.split, got.m_factor) == (
+            ref.order, ref.coord, ref.split, ref.m_factor)
+        assert got.character == ref.character
+        assert got.witness.expand() == ref.witness
+        assert got.marker == ref.marker
+        # only the root of a splitting factor is expanded
+        assert (got.root is None) == (got.split == 1)
+        assert (got.root or got.witness.expand()) == ref.root
+    assert report.render_json(report.run(req)[0]) == _dense_report(req)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a dense route ran during a build")
+
+
+def test_no_build_takes_a_dense_route(monkeypatch):
+    # every pvkit module that holds solve_mult gets the raising stand-in
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pvkit") and hasattr(module, "solve_mult"):
+            monkeypatch.setattr(module, "solve_mult", _raise)
+    monkeypatch.setattr(Poly, "nth_root", _raise)
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    inputs = [inp for items in workloads.WORKLOADS.values() for inp in items]
+    inputs.append(workloads.KNOWN_SLOW)
+    for inp in inputs:
+        rep, code = report.run(report.Request(command=inp.command,
+                                              **inp.request))
+        assert workloads.check(inp, rep, code) is None, inp.label
+
+
+def _shift(conductor=1):
+    return DiffField(SigmaSpec.shift(), CycloField(conductor))
+
+
+def _systems_by_hand():
+    k3 = _shift(3)
+    x3 = k3.x()
+    z3 = k3.coerce(CycloNum.zeta(3))
+    kq = DiffField(SigmaSpec.qshift(CycloNum.from_rational(2)))
+    k = _shift()
+    x = k.x()
+    return [(k3, (z3 * (x3 + 1) / x3, k3.coerce(-1))),
+            (kq, (kq.coerce(-2), kq.x() + 1)),
+            (k, (x * (x + 1), (x + 2) * (x + 3) / x ** 2))]
+
+
+@pytest.mark.parametrize("k, entries", _systems_by_hand())
+def test_a_lattice_without_a_factor_basis_gets_one_from_the_entries(k, entries):
+    built = relation_lattice(k, entries, 12)
+    by_hand = LatticeBasis(built.dim, built.rows, k.k_field, built.exact)
+    assert by_hand.factor_basis is None
+    got = engine._cyclic_factors(k, entries, by_hand)
+    want = engine._cyclic_factors(k, entries, built)
+    assert [(f.order, f.coord, f.split, f.m_factor, f.marker, f.root)
+            for f in got] == [(f.order, f.coord, f.split, f.m_factor,
+                               f.marker, f.root) for f in want]
+    assert [f.witness.expand() for f in got] == [f.witness.expand()
+                                                 for f in want]
+
+
+def _bump(w):
+    """w with the exponent of its first translate, if any, raised by one."""
+    if w.exps:
+        w.exps[min(w.exps)] += 1
+    return w
+
+
+def _tampered_telescopes(monkeypatch):
+    real = FactorBasis.telescope
+    monkeypatch.setattr(FactorBasis, "telescope",
+                        lambda *args: _bump(real(*args)))
+
+
+def test_a_tampered_row_exponent_is_refused(monkeypatch):
+    k = _shift()
+    x = k.x()
+    _tampered_telescopes(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="does not witness"):
+        relation_lattice(k, [(x + 3) / x], 12)
+
+
+def test_a_tampered_smith_exponent_is_refused(monkeypatch):
+    k = _shift()
+    x = k.x()
+    entries = ((x + 3) / x, k.coerce(-1))
+    lattice = relation_lattice(k, entries, 12)
+    _tampered_telescopes(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="Smith-combined"):
+        engine._cyclic_factors(k, entries, lattice)
+
+
+def test_a_tampered_quotient_exponent_is_refused(monkeypatch):
+    k = _shift()
+    x = k.x()
+    _tampered_telescopes(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="re-check"):
+        solve.solve_mult(k, (x + 2) / x)
+
+
+def test_a_tampered_entry_factorization_is_refused(monkeypatch):
+    # (x+1)^2/x^2 is written over x and x + 1; one power too many of each
+    # factor it holds no longer multiplies out to the entry
+    k = _shift()
+    x = k.x()
+    real = solve._multiplicity
+    monkeypatch.setattr(solve, "_multiplicity",
+                        lambda p, b: real(p, b) + (real(p, b) > 0))
+    with pytest.raises(InternalInvariantError, match="factorization"):
+        relation_lattice(k, [(x + 1) ** 2 / x ** 2], 12)
+
+
+def test_a_rep_that_meets_its_own_translate_splits_by_the_power_of_x():
+    # q = 2: rep = (x-1)(x-2) meets its translate, as 2 = q * 1.  For
+    # a = c sigma(g)/g with g = rep^2, a^2 = c^2 sigma(g^2)/g^2; c = -2
+    # gives c^2 = q^2 and the witness x^2 g^2, a square, and c = sqrt(2)
+    # gives c^2 = q and the witness x g^2, which is not
+    z = CycloNum.zeta(8)
+    k = DiffField(SigmaSpec.qshift(CycloNum.from_rational(2)), CycloField(8))
+    x = k.x()
+    g = ((x - 1) * (x - 2)) ** 2
+    for c, split in ((k.coerce(-2), 2), (k.coerce(z + z ** 7), 1)):
+        a = apply_sigma(k, g) / g * c
+        lattice = relation_lattice(k, [a], 12)
+        (f,) = engine._cyclic_factors(k, (a,), lattice)
+        (ref,) = dense_cyclic_factors(k, (a,), lattice)
+        assert (f.order, f.split, f.m_factor) == (2, split, split)
+        assert (ref.split, ref.m_factor, ref.marker) == (split, split, f.marker)

@@ -380,6 +380,32 @@ def test_ratfunc_matches_the_fraction_built_from_scratch(field, coeffs,
     check()
 
 
+@pytest.mark.parametrize("field, coeffs, max_size",
+                         [(*_FIELDS[0], 3), (*_FIELDS[1], 3), (*_FIELDS[-1], 2)],
+                         ids=["QQ", "QQ(zeta3)", "QQ(zeta3)(t)"])
+def test_plus_matches_the_coercing_constructor(field, coeffs, max_size):
+    # half of the time c/d has the denominator b d' of a/b, with
+    # c = b h - a, so that a + c = b h cancels against part of it
+    polys = _polys(field, coeffs, max_size=max_size)
+
+    @settings(deadline=None)
+    @given(polys, polys, polys, polys, st.booleans())
+    def check(a, b, d, h, same):
+        if not b or not d:
+            return
+        x = RatFunc(a, b * d)
+        y = RatFunc(b * h - x.num, x.den) if same else RatFunc(h, d)
+        got = x._plus(y.num, y.den)
+        _assert_trusted(got.num)
+        _assert_trusted(got.den)
+        _assert_canonical(got)
+        want = RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs,
+                                                    want.den.coeffs)
+
+    check()
+
+
 @pytest.mark.parametrize("op", ["add", "mul"])
 def test_poly_over_a_smaller_field_rejects_a_larger_operand(op):
     # zeta_6 = -zeta_3^2 is no element of Q(zeta_3) as a conductor-6 value:
