@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from ..errors import InternalInvariantError, ZeroInput
+from ..errors import InternalInvariantError, OutputTooLarge, ZeroInput
 
 
 @lru_cache(maxsize=None)
@@ -350,6 +350,12 @@ class CycloNum:
         return f"CycloNum({self.conductor}, {self.coeffs!r})"
 
     def __str__(self):
+        try:
+            return self._text()
+        except ValueError as err:  # Python's limit on printing a long int
+            raise OutputTooLarge(f"a constant is too long to print: {err}")
+
+    def _text(self):
         coeffs = self.coeffs
         if self.is_rational():
             return str(coeffs[0])

@@ -6,10 +6,12 @@ is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import comb, gcd as int_gcd, lcm
+from operator import floordiv, mul, truediv
 
-from ..errors import NonRationalCoefficients, ZeroInput
-from .cyclo import QQ, CycloNum, euler_phi, rational_power, unity_order
+from ..errors import InternalInvariantError, NonRationalCoefficients, ZeroInput
+from .cyclo import (CycloNum, cyclotomic_coeffs, euler_phi, rational_power,
+                    unity_order)
 from .poly import Poly, RatFunc, RatFuncField, _is_zero
 
 
@@ -224,8 +226,9 @@ def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
     p / gcd(p, p').  Only the candidate set depends on the kind of sigma:
     the integer roots of one resultant in t for the shift, and for the
     q-dilation one discrete log of two linear factors' roots, or else the
-    valuations of one resultant's coefficients, or of its norm's.  Every
-    candidate is then verified the same way.
+    valuations of one resultant's coefficients, or of its norm's, each
+    composed from power sums (``_composed``).  Every candidate is then
+    verified the same way, by one gcd.
     """
     if p.is_zero() or r.is_zero():
         raise ZeroInput("dispersion of the zero polynomial")
@@ -341,35 +344,66 @@ def square_free_parts(p: Poly) -> list[Poly]:
     return parts
 
 
-def _interpolate(values, start: int, field) -> Poly:
-    """The polynomial of degree < len(values) taking values[i] at start + i
-    (Newton's divided differences on unit-spaced points)."""
-    coef = list(values)
-    n = len(coef)
-    for j in range(1, n):
-        inv = field.coerce(Fraction(1, j))
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * inv
-    out = Poly.zero(field)
-    for i in range(n - 1, -1, -1):
-        out = out * Poly(field, (-(start + i), 1)) + coef[i]
-    return out
+def _power_sums(f: list, count: int) -> list:
+    """[P_0, ..., P_count] for the roots of the monic f (ascending
+    coefficients), P_k the sum of their k-th powers (Newton's identities).
+
+    >>> _power_sums([2, -3, 1], 3)  # (x - 1)(x - 2)
+    [2, 3, 5, 9]
+    """
+    n = len(f) - 1
+    ps = [n]
+    for k in range(1, count + 1):
+        s = sum(f[n - i] * ps[k - i] for i in range(1, min(k, n + 1)))
+        ps.append(-(s + k * f[n - k]) if k <= n else -s)
+    return ps
+
+
+def _from_power_sums(ps: list, div) -> list:
+    """The monic polynomial (ascending coefficients) whose roots have the
+    power sums ps[1:], by Newton's identities with div(s, k) = s / k."""
+    a = [1]  # a[i] is the coefficient of x^(deg - i)
+    for k in range(1, len(ps)):
+        s = -sum(a[i] * ps[k - i] for i in range(k))
+        a.append(div(s, k))
+        if a[k] * k != s:
+            raise InternalInvariantError("Newton's identities left a remainder")
+    return a[::-1]
+
+
+def _composed(f: Poly, g: Poly, sums: bool) -> list:
+    """The monic polynomial (ascending coefficients) whose roots are the
+    sums alpha + beta, or else the products, over the roots alpha of f and
+    beta of g, from the power sums sum_i C(k, i) P_f(i) P_g(k - i), or
+    P_f(k) P_g(k) (Bostan, Flajolet, Salvy and Schost, J. Symbolic Comput.
+    41, 2006).  With rational coefficients, x -> x/D for D the lcm of their
+    denominators makes f and g monic over Z: the recurrences run on ints.
+    """
+    n, m = f.degree(), g.degree()
+    cs = f.monic().coeffs + g.monic().coeffs
+    rats = [_as_rational(c) for c in cs]
+    d, div = 1, truediv
+    if None not in rats:
+        d, div = lcm(*(c.denominator for c in rats)), floordiv
+        cs = [c.numerator * d ** ((n if j <= n else n + m + 1) - j)
+              // c.denominator for j, c in enumerate(rats)]
+    pf, pg = _power_sums(cs[:n + 1], n * m), _power_sums(cs[n + 1:], n * m)
+    if sums:  # roots D (alpha + beta)
+        ps = [sum(comb(k, i) * pf[i] * pg[k - i] for i in range(k + 1))
+              for k in range(n * m + 1)]
+    else:  # roots D^2 alpha beta
+        ps, d = [a * b for a, b in zip(pf, pg)], d * d
+    out = _from_power_sums(ps, div)
+    return out if d == 1 else [Fraction(c, d ** (n * m - j))
+                               for j, c in enumerate(out)]
 
 
 def _shift_resultant(p: Poly, r: Poly) -> Poly:
-    """R(t) = res_x(p(x), r(x + t)), which vanishes at t = beta - alpha for
-    roots alpha of p and beta of r.
-
-    R has degree deg p * deg r in t, so it is interpolated from its values
-    at t = 0, 1, ..., deg p * deg r, each a resultant over the constants.
-    Each r(x + t) is one unit shift of the last, which needs only additions.
-    """
-    shifted = r
-    values = [resultant(p, shifted)]
-    for _ in range(p.degree() * r.degree()):
-        shifted = shifted.shift_arg(1)
-        values.append(resultant(p, shifted))
-    return _interpolate(values, 0, p.field)
+    """R(t) = res_x(p(x), r(x + t)) = lc(p)^m lc(r)^n prod (t - (beta -
+    alpha)) over the roots alpha of p and beta of r, n = deg p and m =
+    deg r: a composed sum of p(-x) and r (``_composed``)."""
+    scale = p.lc() ** r.degree() * r.lc() ** p.degree()
+    return Poly(p.field, _composed(p.scale_arg(-1), r, True)) * scale
 
 
 def _shift_candidates(p: Poly, r: Poly) -> set[int]:
@@ -386,15 +420,29 @@ def _strip_x(p: Poly) -> Poly:
 
 def _qshift_resultant(p: Poly, r: Poly) -> Poly:
     """R(u) = res_x(r(u x), p(x)), which vanishes at u = beta / alpha for
-    roots alpha != 0 of p and beta of r.
+    roots alpha != 0 of p and beta of r.  For p = x^z p1 with p1(0) != 0
+    and m = deg r, R = lc(r)^(deg p1) p1(0)^m ((-1)^m r(0))^z prod (u -
+    beta / alpha): a composed product of the reversal of p1 and r."""
+    p1, m = _strip_x(p), r.degree()
+    scale = (r.lc() ** p1.degree() * p1.nth(0) ** m
+             * (r.nth(0) * (-1) ** m) ** (p.degree() - p1.degree()))
+    reversal = Poly(p.field, p1.coeffs[::-1])
+    return Poly(p.field, _composed(reversal, r, False)) * scale
 
-    R has degree at most deg p * deg r in u, so it is interpolated from its
-    values at u = 1, 2, ..., deg p * deg r + 1 (at u = 0, r(u x) would
-    drop its degree), each a resultant over the constants.
-    """
-    values = [resultant(r.scale_arg(u), p)
-              for u in range(1, p.degree() * r.degree() + 2)]
-    return _interpolate(values, 1, p.field)
+
+def _norm_coeffs(coeffs: list[CycloNum]) -> list[Fraction]:
+    """The coefficients of N(R) in Q[u] for R = sum c_i u^i over Q(zeta_n):
+    N(lc R) times the monic polynomial whose roots are the conjugates of
+    R's roots, so its power sums are the traces of theirs.  Tr(zeta^j) is
+    the j-th power sum of the roots of Phi_n."""
+    lc, n = coeffs[-1], coeffs[-1].conductor
+    traces = _power_sums(cyclotomic_coeffs(n), euler_phi(n) - 1)
+    inv = lc.inverse()
+    sums = _power_sums([c * inv for c in coeffs],
+                       (len(coeffs) - 1) * euler_phi(n))
+    return [c * lc.norm() for c in _from_power_sums(
+        [sum(map(mul, s.coeffs, traces)) if k else s
+         for k, s in enumerate(sums)], truediv)]
 
 
 def _qshift_candidates(p: Poly, r: Poly, q: CycloNum) -> tuple[set[int], bool]:
@@ -402,11 +450,12 @@ def _qshift_candidates(p: Poly, r: Poly, q: CycloNum) -> tuple[set[int], bool]:
     of r, and the flag of ``dispersion_with_flag``.
 
     Let q^M be rational, M = ``unity_order`` of q's conductor, and R(u) =
-    res_x(r(u x), p(x)) = sum c_i u^i, or its norm to Q[u] when R is
-    irrational, which has the roots of R among its own.  Let v be the
-    valuation at an element b of a coprime basis of every integer involved
-    with v(q^M) != 0 (``_uneven_base``): v = v_p / v_p(b) on them for a
-    prime p | b.  Any extension w of v_p has w(q) = v_p(q^M) / M, and at a
+    res_x(r(u x), p(x)) = sum c_i u^i (``_qshift_resultant``), or its norm
+    to Q[u] when R is irrational (``_norm_coeffs``), which has the roots
+    of R among its own.  Let v be the valuation at an element b of a
+    coprime basis of every integer involved with v(q^M) != 0
+    (``_uneven_base``): v = v_p / v_p(b) on them for a prime p | b.  Any
+    extension w of v_p has w(q) = v_p(q^M) / M, and at a
     root u = q^j of R the least w(c_i) + i j w(q) is taken twice, so
     j = M (v(c_i) - v(c_k)) / ((k - i) v(q^M)) for some i < k.  A q with
     no rational power, or an R off the cyclotomic floor, leaves only the
@@ -416,13 +465,9 @@ def _qshift_candidates(p: Poly, r: Poly, q: CycloNum) -> tuple[set[int], bool]:
     qm = rational_power(q, q.conductor)
     if qm is None or any(c is None for c in coeffs):
         return set(range(-_QSHIFT_SCAN_CAP, _QSHIFT_SCAN_CAP + 1)), False
-    if not all(c.is_rational() for c in coeffs):
-        # N(R)(u) = N(R(u)) at integer u, which every conjugation fixes
-        points = (len(coeffs) - 1) * euler_phi(coeffs[-1].conductor) + 1
-        coeffs = _interpolate(
-            [QQ.coerce(_int_poly_eval(coeffs, u).norm())
-             for u in range(1, points + 1)], 1, QQ).coeffs
-    rationals = [c.rational_value() for c in coeffs]
+    rationals = ([c.rational_value() for c in coeffs]
+                 if all(c.is_rational() for c in coeffs)
+                 else _norm_coeffs(coeffs))
     base = _uneven_base(qm, rationals)
     vq, m = _padic(qm, base), unity_order(q.conductor)
     vals = [(i, _padic(c, base)) for i, c in enumerate(rationals) if c]

@@ -111,6 +111,12 @@ class DivisionByZeroExpression(PvkitError):
     code = "division-by-zero-expression"
 
 
+class OutputTooLarge(PvkitError):
+    """A value of the answer has an integer too long for Python to print."""
+
+    code = "output-too-large"
+
+
 class InternalInvariantError(PvkitError):
     """A structural fact the construction relies on failed to hold.
 

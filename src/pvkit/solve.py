@@ -52,6 +52,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 from typing import Sequence
 
@@ -648,6 +649,12 @@ def _class_sums(orbit, row, step: int = 1) -> list[int]:
             for key in keys]
 
 
+@lru_cache(maxsize=None)
+def _roots_of_unity(n: int) -> tuple[CycloNum, ...]:
+    """zeta_n^e for 0 <= e < n, built once per n."""
+    return tuple(CycloNum.zeta(n) ** e for e in range(n))
+
+
 def _constant_rows(k: DiffField, consts, l0):
     """Rows (m, t) spanning the m in l0 with prod c_i^{m_i} = q^t (t = 0
     for the shift), or None when a constant that l0 involves, or q, has no
@@ -678,7 +685,7 @@ def _constant_rows(k: DiffField, consts, l0):
                            gcd, lambda v: v == 1)
     vals = [[_padic(x, p) for p in primes] for x in gammas]
     w1 = matmul(integer_kernel(matmul(base, vals)), base)
-    table = [CycloNum.zeta(big) ** e for e in range(big)]
+    table = _roots_of_unity(big)
     rhos = [prod((g ** e for g, e in zip(gens, w)), start=one) for w in w1]
     if any(rho not in table for rho in rhos):
         raise InternalInvariantError(

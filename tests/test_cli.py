@@ -683,6 +683,19 @@ class TestExitCodes:
         jsonschema.validate(report, load_schema())
         assert "error[zero-input]" in err
 
+    def test_a_constant_too_long_to_print_is_a_typed_error(self):
+        # the telescoping solution holds 2^15000, past Python's limit of
+        # 4300 digits for printing an integer
+        argv = [sys.executable, "-m", "pvkit", "group", "--output", "json",
+                "--system", "unipotent(1/(x+2^15000) - 1/(x+2^15000+1))"]
+        done = subprocess.run(argv, capture_output=True, text=True)
+        assert done.returncode == 2
+        report = json.loads(done.stdout)
+        assert report["error"]["code"] == "output-too-large"
+        jsonschema.validate(report, load_schema())
+        assert "error[output-too-large]" in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 class TestProcessBehavior:
     def test_stdout_deterministic_stderr_carries_timing(self):

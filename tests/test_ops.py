@@ -13,6 +13,7 @@ from pvkit.arith import ops
 from pvkit.arith.ops import (
     _divisors,
     _iroot_ceil,
+    _norm_coeffs,
     _qshift_candidates,
     _qshift_resultant,
     _root_bound,
@@ -27,6 +28,7 @@ from pvkit.arith.ops import (
 )
 from pvkit.base import SigmaSpec
 from pvkit.errors import NonRationalCoefficients
+from resultant_oracle import norm_coeffs, qshift_resultant, shift_resultant
 
 
 def _p(*coeffs):
@@ -350,6 +352,52 @@ def test_candidate_resultants_match_sympy(p_coeffs, r_coeffs):
         assert ours == _p(*[Fraction(int(c.p), int(c.q)) for c in want])
 
 
+_TOWER = RatFuncField(QQ, "t1")
+_oracle_fields = st.sampled_from([QQ, CycloField(3), CycloField(5), _TOWER])
+_oracle_rationals = st.sampled_from(
+    [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+
+
+@st.composite
+def _oracle_polys(draw, field, low_zero):
+    """A non-monic polynomial over field, with rational coefficients that
+    have denominators, irrational or transcendental ones, half the time a
+    squared factor (not over the slow tower), and low_zero powers of x."""
+    gen = (_TOWER.x() if field is _TOWER else None if field.conductor == 1
+           else field.coerce(CycloNum.zeta(field.conductor)))
+
+    def element():
+        c = field.coerce(draw(_oracle_rationals))
+        if gen is not None and draw(st.booleans()):
+            c = c + draw(_oracle_rationals) * gen
+        return c
+
+    def factor(min_degree):
+        cs = [element() for _ in range(draw(st.integers(min_degree, 2)))]
+        return Poly(field, cs + [field.coerce(draw(st.sampled_from(
+            [1, -2, Fraction(3, 2)])))])
+
+    p = factor(1)
+    if field is not _TOWER and draw(st.booleans()):
+        p = p * factor(0) ** 2
+    return p * Poly.x(field) ** low_zero
+
+
+@given(st.data(), _oracle_fields, st.integers(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_composed_resultants_match_the_interpolated_oracle(data, field,
+                                                          low_zero):
+    # the power-sum route against deg p * deg r + 1 Euclidean resultants
+    # and their interpolation; p(0) = 0 reaches the dilation's zero roots
+    p = data.draw(_oracle_polys(field, low_zero))
+    r = data.draw(_oracle_polys(field, 0))
+    assert _shift_resultant(p, r) == shift_resultant(p, r)
+    big = _qshift_resultant(p, r)
+    assert big == qshift_resultant(p, r)
+    if big and field is not _TOWER:
+        assert _norm_coeffs(list(big.coeffs)) == norm_coeffs(big.coeffs)
+
+
 @pytest.mark.parametrize("n", [1, 2, 12, 13, 36, 97, 360])
 def test_divisors_ascending(n):
     assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
@@ -400,24 +448,24 @@ def test_linear_dispersion_matches_the_resultant_route(alpha, beta, j, scales,
 
 def test_tower_dispersion_descends_to_the_cyclotomic_floor(monkeypatch):
     # rational polynomials over Q(t1): the same sets as over Q, and every
-    # resultant is taken over the cyclotomic floor
+    # resultant is composed over the cyclotomic floor
     tower = RatFuncField(QQ, "t1")
     pairs = [((0, 1, 0, 1), (10, 6, 1)), ((2, 3, 1), (0, 0, 1, 1)),
              ((1, 0, 1), (5, 4, 1))]
     seen = []
-    real = ops.resultant
+    real = ops._composed
 
-    def record(a, b):
-        seen.append(a.field)
-        return real(a, b)
+    def record(f, g, gaps):
+        seen.append(f.field)
+        return real(f, g, gaps)
 
     for sigma in (SigmaSpec.shift(), SigmaSpec.qshift(2)):
         for pc, rc in pairs:
             p, r = Poly(QQ, pc), Poly(QQ, rc)
             low = dispersion_set(p, r, sigma)
-            monkeypatch.setattr(ops, "resultant", record)
+            monkeypatch.setattr(ops, "_composed", record)
             high = dispersion_set(Poly(tower, pc), Poly(tower, rc), sigma)
-            monkeypatch.setattr(ops, "resultant", real)
+            monkeypatch.setattr(ops, "_composed", real)
             assert high == low
     assert seen and all(f == QQ for f in seen)
 
