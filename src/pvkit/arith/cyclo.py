@@ -408,58 +408,8 @@ class CycloField:
         for i in range(euler_phi(self.conductor)):
             yield [c.coeffs[i] for c in lifted]
 
-    def nth_root(self, value, d: int):
-        """An exact d-th root of ``value`` in this field, or None.
-
-        Only rational values are supported; the construction never needs
-        roots of irrational cyclotomic constants (witness constants are
-        normalized to 1 before roots are taken).
-        """
-        value = self.coerce(value)
-        if d == 1 or value == self.one:
-            return value
-        if not value.is_rational():
-            raise InternalInvariantError(
-                "d-th root of an irrational cyclotomic constant requested")
-        root = _fraction_nth_root(value.rational_value(), d)
-        if root is None:
-            return None
-        return self.coerce(root)
-
 
 QQ = CycloField(1)
-
-
-def integer_nth_root(n: int, d: int) -> int | None:
-    """Exact integer d-th root of n >= 0, or None."""
-    if n < 0:
-        raise ZeroInput("integer root needs a non-negative argument")
-    if n in (0, 1):
-        return n
-    lo, hi = 0, 1
-    while hi ** d <= n:
-        hi *= 2
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid ** d <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo if lo ** d == n else None
-
-
-def _fraction_nth_root(q: Fraction, d: int) -> Fraction | None:
-    sign = 1
-    if q < 0:
-        if d % 2 == 0:
-            return None
-        sign = -1
-        q = -q
-    a = integer_nth_root(q.numerator, d)
-    b = integer_nth_root(q.denominator, d)
-    if a is None or b is None:
-        return None
-    return Fraction(sign * a, b)
 
 
 def unity_order(n: int) -> int:

@@ -371,18 +371,20 @@ def _from_power_sums(ps: list, div) -> list:
     return a[::-1]
 
 
-def _composed(f: Poly, g: Poly, sums: bool) -> list:
-    """The monic polynomial (ascending coefficients) whose roots are the
-    sums alpha + beta, or else the products, over the roots alpha of f and
-    beta of g, from the power sums sum_i C(k, i) P_f(i) P_g(k - i), or
-    P_f(k) P_g(k) (Bostan, Flajolet, Salvy and Schost, J. Symbolic Comput.
-    41, 2006).  With rational coefficients, x -> x/D for D the lcm of their
-    denominators makes f and g monic over Z: the recurrences run on ints.
+def _composed(f: Poly, g: Poly, sums: bool) -> tuple[list, int | None]:
+    """(c, d): the ascending coefficients c of the monic polynomial whose
+    roots are d (alpha + beta), or else d alpha beta, over the roots alpha
+    of f and beta of g, from the power sums sum_i C(k, i) P_f(i) P_g(k - i),
+    or P_f(k) P_g(k) (Bostan, Flajolet, Salvy and Schost, J. Symbolic
+    Comput. 41, 2006).  With rational coefficients, x -> x/D for D the lcm
+    of their denominators makes f and g monic over Z: the recurrences run
+    on ints, and d = D for the sums, D^2 for the products.  Otherwise d is
+    None and the roots are unscaled (``_unscaled`` reads both alike).
     """
     n, m = f.degree(), g.degree()
     cs = f.monic().coeffs + g.monic().coeffs
     rats = [_as_rational(c) for c in cs]
-    d, div = 1, truediv
+    d, div = None, truediv
     if None not in rats:
         d, div = lcm(*(c.denominator for c in rats)), floordiv
         cs = [c.numerator * d ** ((n if j <= n else n + m + 1) - j)
@@ -392,10 +394,15 @@ def _composed(f: Poly, g: Poly, sums: bool) -> list:
         ps = [sum(comb(k, i) * pf[i] * pg[k - i] for i in range(k + 1))
               for k in range(n * m + 1)]
     else:  # roots D^2 alpha beta
-        ps, d = [a * b for a, b in zip(pf, pg)], d * d
-    out = _from_power_sums(ps, div)
-    return out if d == 1 else [Fraction(c, d ** (n * m - j))
-                               for j, c in enumerate(out)]
+        ps, d = [a * b for a, b in zip(pf, pg)], d and d * d
+    return _from_power_sums(ps, div), d
+
+
+def _unscaled(c: list, d: int | None) -> list:
+    """The monic polynomial whose roots are those of c over d
+    (``_composed``)."""
+    return c if d is None else [Fraction(a, d ** (len(c) - 1 - j))
+                                for j, a in enumerate(c)]
 
 
 def _shift_resultant(p: Poly, r: Poly) -> Poly:
@@ -403,12 +410,19 @@ def _shift_resultant(p: Poly, r: Poly) -> Poly:
     alpha)) over the roots alpha of p and beta of r, n = deg p and m =
     deg r: a composed sum of p(-x) and r (``_composed``)."""
     scale = p.lc() ** r.degree() * r.lc() ** p.degree()
-    return Poly(p.field, _composed(p.scale_arg(-1), r, True)) * scale
+    composed = _composed(p.scale_arg(-1), r, True)
+    return Poly(p.field, _unscaled(*composed)) * scale
 
 
 def _shift_candidates(p: Poly, r: Poly) -> set[int]:
-    """Integer roots j of res_x(p(x), r(x + t)), of either sign."""
-    return _integer_roots_any(_shift_resultant(p, r))
+    """Integer roots j of res_x(p(x), r(x + t)), of either sign: the
+    integer beta - alpha.  On the integer path of ``_composed`` (roots
+    d (beta - alpha)) they are the integer roots of c(d t), found and
+    checked on its integer coefficients."""
+    c, d = _composed(p.scale_arg(-1), r, True)
+    if d is None:
+        return _integer_roots_any(Poly(p.field, c))
+    return _rational_slice_integer_roots([a * d ** j for j, a in enumerate(c)])
 
 
 def _strip_x(p: Poly) -> Poly:
@@ -427,7 +441,7 @@ def _qshift_resultant(p: Poly, r: Poly) -> Poly:
     scale = (r.lc() ** p1.degree() * p1.nth(0) ** m
              * (r.nth(0) * (-1) ** m) ** (p.degree() - p1.degree()))
     reversal = Poly(p.field, p1.coeffs[::-1])
-    return Poly(p.field, _composed(reversal, r, False)) * scale
+    return Poly(p.field, _unscaled(*_composed(reversal, r, False))) * scale
 
 
 def _norm_coeffs(coeffs: list[CycloNum]) -> list[Fraction]:

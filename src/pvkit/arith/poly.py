@@ -2,10 +2,10 @@
 
 A Poly stores its coefficient field handle plus a low-to-high tuple of
 coefficients. The field handle only has to provide ``zero``, ``one``,
-``coerce`` and (for root extraction / slicing hooks) ``nth_root`` and
-``qq_slices``; elements do their own arithmetic through operators. The same
-class therefore serves C[x] for the constants C = Q(zeta_N), possibly with
-transcendental constants adjoined, and k[Y] with k = C(x).
+``coerce`` and ``qq_slices``; elements do their own arithmetic through
+operators. The same class therefore serves C[x] for the constants
+C = Q(zeta_N), possibly with transcendental constants adjoined, and k[Y]
+with k = C(x).
 
 Results of Poly arithmetic (``+``, ``-``, negation, ``*``, ``**``,
 ``divmod``, ``monic``) are built by the trusted constructor ``_trusted``,
@@ -291,30 +291,6 @@ class Poly:
             return self.field.zero
         return acc
 
-    def nth_root(self, d: int) -> "Poly | None":
-        """Exact d-th root of a monic polynomial, or None.
-
-        Coefficients are found top-down (each new one enters linearly with
-        factor d), then the candidate is verified by exact powering.
-        """
-        if d == 1:
-            return self
-        if self.is_zero() or not self.is_monic():
-            raise ZeroInput("nth_root expects a monic nonzero polynomial")
-        if self.degree() % d != 0:
-            return None
-        k = self.degree() // d
-        root = [self.field.zero] * k + [self.field.one]  # low-to-high
-        dd = self.field.coerce(d)
-        for j in range(1, k + 1):
-            cur = Poly(self.field, tuple(root)) ** d
-            target = self.nth(d * k - j)
-            root[k - j] = (target - cur.nth(d * k - j)) / dd
-        candidate = Poly(self.field, tuple(root))
-        if candidate ** d == self:
-            return candidate
-        return None
-
     # -- display ------------------------------------------------------------
 
     def __repr__(self):
@@ -576,20 +552,6 @@ class RatFuncField:
         top = max((n.degree() for n in nums), default=-1)
         for d in range(top + 1):
             yield from self.inner.qq_slices([n.nth(d) for n in nums])
-
-    def nth_root(self, value, d: int):
-        value = self.coerce(value)
-        if value.is_zero():
-            return self.zero
-        c = value.num.lc()
-        croot = self.inner.nth_root(c, d)
-        if croot is None:
-            return None
-        nroot = value.num.monic().nth_root(d)
-        droot = value.den.nth_root(d)
-        if nroot is None or droot is None:
-            return None
-        return RatFunc(nroot * Poly.const(self.inner, croot), droot)
 
 
 # -- canonical display -------------------------------------------------------

@@ -34,7 +34,6 @@ from ..groups import (
     GroupDesc,
     base_change,
     connection_matrix_check,
-    functor_ideal,
     identify_group,
     weak_pv_compare,
     _transported,
@@ -288,7 +287,7 @@ def _golden_scalar_order_two():
     desc = identify_group(p)
     assert (p.ell, p.m_inv, p.krull_dim) == (2, 2, 0), "invariants drifted"
     assert desc.finite_orders == (2,), "group is not order two"
-    gens = [g.format(("X",)) for g in functor_ideal(p)]
+    gens = [g.format(("X",)) for g in desc.coordinate_ideal]
     assert gens == ["-1 + X^2"], f"coordinate ideal drifted: {gens}"
     return "ell 2, m 2, krull 0, coordinate ideal (-1 + X^2)"
 

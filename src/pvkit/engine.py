@@ -17,8 +17,7 @@ numbers:
   primitive d-th root of unity.  Then W = Y^{m/d} / h has W^d = 1 and
   sigma(W) = marker W, and the component idempotents are written down in
   closed form: the discrete Fourier idempotents of the group algebra the
-  W span, certified over the constants without one product of Laurent
-  polynomials.
+  W span, certified on orbit data and expanded only when it is read.
 * ``m_inv``: the degree over the constants of the field of elements with
   finite sigma-orbit inside the total quotient ring.  Detected by a
   second route: the largest stride s along which a power of the
@@ -278,7 +277,7 @@ class CyclicFactor:
     in the quotient; the witness stays orbit data (``solve.Factored``).
     ``split`` counts the orbit components this factor contributes (witness =
     root^split with marker a primitive split-th root of unity); ``root`` is
-    expanded for the idempotents when split > 1, else None.  ``m_factor``
+    that root, orbit data too, when split > 1, else None.  ``m_factor``
     is the same number read off the character's constants; the two are
     asserted equal.
     """
@@ -288,7 +287,7 @@ class CyclicFactor:
     character: RatFunc
     witness: Factored
     split: int
-    root: Optional[RatFunc]
+    root: Optional[Factored]
     marker: RatFunc
     m_factor: int
 
@@ -366,7 +365,8 @@ def _x_valuation(f: RatFunc) -> int:
 
 def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
     """Split the relation lattice into independent cyclic coordinates, in
-    one Smith pass over orbit data.
+    one Smith pass over orbit data: (fb, telescopes, factors), the first two
+    from ``_row_telescopes`` and reused by the idempotent orbit.
 
     Each Smith coordinate's witness combines the row telescopes, certified
     on exponents against char^order; the split is read off its exponents
@@ -395,7 +395,7 @@ def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
     field = k.k_field
     rows = lattice.rows
     if not rows:
-        return ()
+        return None, [], ()
     fb, telescopes = _row_telescopes(k, entries, lattice)
     d_mat, u_mat, v_mat = smith_normal_form(lattice.vectors())
     coord_mat = unimodular_inverse(v_mat)
@@ -415,12 +415,30 @@ def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
                 "root-splitting count disagrees with the stride-relation degree")
         factors.append(CyclicFactor(
             order, coord, _entry_power(field, entries, coord), witness, split,
-            root.expand() if split > 1 else None, marker, m_factor))
-    return tuple(factors)
+            root if split > 1 else None, marker, m_factor))
+    return fb, telescopes, tuple(factors)
 
 
 # ---------------------------------------------------------------------------
 # presentations
+
+
+class _ExpandedOnRead:
+    """A dataclass field that may be given a callable: the first read calls
+    it and keeps what it returns."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # no class-level default, so the field stays required
+            raise AttributeError(self.slot)
+        if callable(value := obj.__dict__[self.slot]):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
 
 
 @dataclass(eq=False)
@@ -430,8 +448,9 @@ class PVPresentation:
     ``caveats`` lists everything the finite searches could not certify
     beyond their bounds (for example a presentation exponent that exceeds
     the invariant degree).  ``idempotents`` is the full orbit e_0..e_{ell-1},
-    [1] when ell = 1.  The builders always write the orbit down over C
-    itself: the splits of a saturated lattice are pairwise coprime
+    [1] when ell = 1; a builder stores the orbit data, which the first read
+    expands.  The orbit is always written over C itself: the splits of a
+    saturated lattice are pairwise coprime
     (``_cyclic_factors``), so no constants extension is ever needed.  A
     presentation built by hand may carry None, which ``decompose``
     refuses.  ``search_bound`` bounds only a search among constants with
@@ -444,7 +463,7 @@ class PVPresentation:
     ell: int
     m_inv: int
     krull_dim: int
-    idempotents: Optional[list]
+    idempotents: Optional[list] = _ExpandedOnRead()
     search_bound: int
     lattice: LatticeBasis
     factors: tuple = ()
@@ -462,9 +481,10 @@ class Component:
     step_matrix: list
 
 
-def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
-                       nvars: int) -> list:
-    """The orbit e_0..e_{ell-1}, in closed form from the marker group algebra.
+def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, fb, telescopes,
+                       factors, ell: int):
+    """The orbit e_0..e_{ell-1}, in closed form from the marker group
+    algebra and certified on orbit data: a callable that expands it.
 
     Each splitting factor (d = split > 1) gives W = Y^{(order/d) coord} / root
     with W^d = 1 and sigma(W) = marker W in the quotient, so the W generate
@@ -474,61 +494,88 @@ def _orbit_idempotents(k: DiffField, ideal: SigmaIdeal, factors, ell: int,
         e_i = prod_f (1/d_f) sum_{j<d_f} marker_f^{i j} W_f^j,
 
     a constant combination of the ell = prod d_f normal-formed products
-    prod W_f^{j_f}; the d_f are pairwise coprime (``_build_multiplicative``
-    refuses shared primes), so i -> (i mod d_f) runs once through every
-    index by CRT.  Four certificates, none of them a product of two orbit
-    elements:
+    B_J = prod W_f^{j_f}; the d_f are pairwise coprime
+    (``_build_multiplicative`` refuses shared primes), so i -> (i mod d_f)
+    runs once through every index by CRT.
 
-    * W^d = 1 and sigma(W) = marker W, one normal form each per factor;
+    Each B_J is a monomial F Y^u with F ``Factored``, read as F.const times
+    ``F.expand()``: ``expand`` only makes a numerator monic, so this reading
+    is multiplicative, and the row witnesses are the expanded row
+    telescopes.  So the normal form of F Y^u reduces u at the Hermite
+    pivots and multiplies F by telescopes, and its sigma-image is
+    F sigma(F)/F prod a_i^{u_i} Y^u.  The certificates therefore compare
+    exponent vectors and constants, with no product of rational functions:
+
+    * W^d = 1 and sigma(W) = marker W, per factor;
     * the character sums sum_{j<d} marker^{u j} = d [u = 0] for u < d, which
       with W^d = 1 and CRT make the e_i idempotent and pairwise orthogonal;
-    * sum_i e_i = 1;
-    * sigma(e_{ell-1}) = e_0, which closes the cycle.
+    * sigma(e_{ell-1}) = e_0, term by term;
+    * sum_i e_i = 1, per monomial: the B_J are distinct, so the
+      coefficients of B_0 = 1 sum to 1 and those of every other B_J to 0.
     """
-    field = k.k_field
-    constants = k.constants
-    one = LaurentPoly.one(field, nvars)
+    field, nvars, constants = k.k_field, ideal.nvars, k.constants
     if ell == 1:
-        return [one]
-    basis = [((), one)]  # (j per factor, prod W^j before its normal form)
+        return lambda: [LaurentPoly.one(field, nvars)]
+
+    def normal_form(f, u):
+        cs, res = ideal._nf.coset(u)
+        return (prod((t ** c for c, t in zip(cs, telescopes) if c), start=f),
+                tuple(res))
+
+    def const(c):
+        return Factored(k, fb.basis, c, 0, {})
+
+    one, zero = fb.one(), (0,) * nvars
+    basis = [((), one, zero)]  # (j per factor, F, u) of prod W^j
     marker_powers = []
     for f in factors:
         d = f.split
         if d == 1:
             continue
         vec = tuple((f.order // d) * c for c in f.coord)
-        w = LaurentPoly.monomial(field, nvars, vec, k.one() / f.root)
-        if ideal.normal_form(w ** d) != one:
+        w = f.root ** -1
+        if normal_form(w ** d, [d * c for c in vec]) != (one, zero):
             raise InternalInvariantError("orbit generator W has W^d != 1")
-        if not ideal.normal_form(ideal.sigma_image(w) - w * f.marker).is_zero():
+        marker = f.marker.const_value()
+        if w.sigma_quotient(1) * fb.power(vec) != const(marker):
             raise InternalInvariantError("sigma does not scale W by its marker")
         # the u = 1 sum vanishes only if marker^d = 1, which then lets every
-        # later exponent be read mod d; they are sums in C, as
-        # ``_split_witness`` asserts the marker constant
-        powers = [f.marker.const_value() ** j for j in range(d)]
+        # later exponent be read mod d
+        powers = [marker ** j for j in range(d)]
         for u in range(d):
             total = sum((powers[u * j % d] for j in range(d)), constants.zero)
             if total != constants.coerce(d if u == 0 else 0):
                 raise InternalInvariantError(
                     "marker character sums are not d [u = 0]")
         marker_powers.append(powers)
-        basis = [(js + (j,), b * w ** j) for js, b in basis for j in range(d)]
-    basis = [(js, ideal.normal_form(b)) for js, b in basis]
-    scale = constants.coerce(Fraction(1, len(basis)))
-    orbit = []
-    for i in range(ell):
-        e = LaurentPoly.zero(field, nvars)
-        for js, b in basis:
-            c = scale
-            for powers, j in zip(marker_powers, js):
-                c = c * powers[i * j % len(powers)]
-            e = e + b * c
-        orbit.append(e)
-    if sum(orbit[1:], orbit[0]) != one:
+        basis = [(js + (j,), b * w ** j,
+                  tuple(a + j * c for a, c in zip(u, vec)))
+                 for js, b, u in basis for j in range(d)]
+    basis = [(js, *normal_form(b, u)) for js, b, u in basis]
+    # (1/prod d_f) prod_f marker_f^{v_f} for each v in prod Z/d_f; e_i takes
+    # the one at v_f = i j_f mod d_f as its coefficient of B_J
+    table = {(): constants.coerce(Fraction(1, len(basis)))}
+    for p in marker_powers:
+        table = {v + (t,): c * p[t] if t else c
+                 for v, c in table.items() for t in range(len(p))}
+    coeffs = [[table[tuple(i * j % len(p) for p, j in zip(marker_powers, js))]
+               for js, _, _ in basis] for i in range(ell)]
+    for (_, b, u), last, first in zip(basis, coeffs[-1], coeffs[0]):
+        if b.sigma_quotient(1) * fb.power(u) * const(last) != const(first):
+            raise InternalInvariantError("idempotent orbit does not close")
+    if len({u for _, _, u in basis}) < len(basis):
+        raise InternalInvariantError("orbit basis monomials are not distinct")
+    sums = [sum(col, constants.zero) for col in zip(*coeffs)]
+    if basis[0][1:] != (one, zero) or sums != [constants.one] + [
+            constants.zero] * (len(basis) - 1):
         raise InternalInvariantError("orbit idempotents do not sum to 1")
-    if ideal.normal_form(ideal.sigma_image(orbit[-1])) != orbit[0]:
-        raise InternalInvariantError("idempotent orbit does not close")
-    return orbit
+
+    def expand():
+        terms = [(u, b.expand(), b.const) for _, b, u in basis]
+        return [LaurentPoly._trusted(field, nvars, {
+            u: v * (c * kappa) for (u, v, c), kappa in zip(terms, row)})
+            for row in coeffs]
+    return expand
 
 
 def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
@@ -538,7 +585,7 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
     entries = system.entries
     n = len(entries)
     lattice = relation_lattice(k, list(entries), m_max)
-    factors = _cyclic_factors(k, entries, lattice)
+    fb, telescopes, factors = _cyclic_factors(k, entries, lattice)
     ideal = SigmaIdeal.from_lattice(k, entries, lattice.rows, system.var_names())
     ell = 1
     m_inv = 1
@@ -565,7 +612,7 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
     return PVPresentation(
         field=k, system=system, ideal=ideal, ell=ell, m_inv=m_inv,
         krull_dim=n - lattice.rank(),
-        idempotents=_orbit_idempotents(k, ideal, factors, ell, n),
+        idempotents=_orbit_idempotents(k, ideal, fb, telescopes, factors, ell),
         search_bound=m_max, lattice=lattice, factors=factors,
         caveats=tuple(caveats))
 
@@ -631,8 +678,7 @@ def decompose(p: PVPresentation) -> list:
         gens = []
         for f in p.factors:
             vec = tuple((f.order // f.split) * c for c in f.coord)
-            root = f.root if f.root is not None else f.witness.expand()
-            rhs = root * f.marker ** (-i)
+            rhs = (f.root or f.witness).expand() * f.marker ** (-i)
             gens.append(LaurentPoly.monomial(field, nvars, vec)
                         - LaurentPoly.const(field, nvars, rhs))
         comps.append(Component(i, p.idempotents[i], gens, step))

@@ -229,11 +229,16 @@ class BinomialNF:
         self._h = [list(v) for v, _ in self.rows]
         self._pivots = hnf_pivot_columns(self._h)
 
+    def coset(self, e):
+        """(coeffs, residue) with e = sum coeffs[r] v_r + residue, the
+        residue the canonical representative of e."""
+        return _reduce_at_pivots(self._h, self._pivots, e)
+
     def reduce(self, p: LaurentPoly) -> LaurentPoly:
         out = {}
         for e, c in p.terms.items():
             if self._h:
-                coeffs, res = _reduce_at_pivots(self._h, self._pivots, e)
+                coeffs, res = self.coset(e)
                 for cf, (_, w) in zip(coeffs, self.rows):
                     if cf:
                         c = c * w ** cf

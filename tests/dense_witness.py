@@ -5,26 +5,113 @@ The engine keeps every witness as orbit data over one factor basis and
 reads the split off its exponents and the stride off the character's
 constants.  The routes here work on expanded rational functions instead:
 the Smith-combined witness is a product of the dense row witnesses,
-re-checked as sigma(g)/g; the split takes exact d-th roots
-(``RatFuncField.nth_root``); and the stride asks ``solve_mult`` whether a
+re-checked as sigma(g)/g; the split takes exact d-th roots (``nth_root``,
+coefficient by coefficient); and the stride asks ``solve_mult`` whether a
 power of the telescoped character sigma^{s-1}(a)...a is a
 sigma^s-quotient.  ``compute_ell`` and ``compute_m`` re-derive the
 invariants of a built presentation along both dense routes.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm, prod
 
+from pvkit.arith.cyclo import CycloField
 from pvkit.arith.ops import _divisors
+from pvkit.arith.poly import Poly, RatFunc
 from pvkit.base import DiffField, apply_sigma, apply_sigma_power
 from pvkit.engine import (
     CyclicFactor,
     PVPresentation,
     _assert_primitive_root_of_unity,
 )
-from pvkit.errors import InternalInvariantError
+from pvkit.errors import InternalInvariantError, ZeroInput
 from pvkit.snf import smith_normal_form, unimodular_inverse
 from pvkit.solve import LatticeBasis, _entry_power, solve_mult
+
+
+def integer_nth_root(n: int, d: int) -> int | None:
+    """Exact integer d-th root of n >= 0, or None."""
+    if n < 0:
+        raise ZeroInput("integer root needs a non-negative argument")
+    if n in (0, 1):
+        return n
+    lo, hi = 0, 1
+    while hi ** d <= n:
+        hi *= 2
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if mid ** d <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo ** d == n else None
+
+
+def fraction_nth_root(q: Fraction, d: int) -> Fraction | None:
+    sign = 1
+    if q < 0:
+        if d % 2 == 0:
+            return None
+        sign = -1
+        q = -q
+    a = integer_nth_root(q.numerator, d)
+    b = integer_nth_root(q.denominator, d)
+    if a is None or b is None:
+        return None
+    return Fraction(sign * a, b)
+
+
+def poly_nth_root(p: Poly, d: int) -> Poly | None:
+    """Exact d-th root of a monic polynomial, or None.
+
+    Coefficients are found top-down (each new one enters linearly with
+    factor d), then the candidate is verified by exact powering.
+    """
+    if d == 1:
+        return p
+    if p.is_zero() or not p.is_monic():
+        raise ZeroInput("nth_root expects a monic nonzero polynomial")
+    if p.degree() % d != 0:
+        return None
+    k = p.degree() // d
+    root = [p.field.zero] * k + [p.field.one]  # low-to-high
+    dd = p.field.coerce(d)
+    for j in range(1, k + 1):
+        cur = Poly(p.field, tuple(root)) ** d
+        target = p.nth(d * k - j)
+        root[k - j] = (target - cur.nth(d * k - j)) / dd
+    candidate = Poly(p.field, tuple(root))
+    if candidate ** d == p:
+        return candidate
+    return None
+
+
+def nth_root(field, value, d: int):
+    """An exact d-th root of ``value`` in ``field``, or None: a
+    ``CycloField``, where only rational values are supported (the
+    construction never needs roots of irrational cyclotomic constants,
+    as witness constants are normalized to 1 before roots are taken), or
+    a ``RatFuncField`` over a field of either kind."""
+    value = field.coerce(value)
+    if isinstance(field, CycloField):
+        if d == 1 or value == field.one:
+            return value
+        if not value.is_rational():
+            raise InternalInvariantError(
+                "d-th root of an irrational cyclotomic constant requested")
+        root = fraction_nth_root(value.rational_value(), d)
+        return None if root is None else field.coerce(root)
+    if value.is_zero():
+        return field.zero
+    croot = nth_root(field.inner, value.num.lc(), d)
+    if croot is None:
+        return None
+    nroot = poly_nth_root(value.num.monic(), d)
+    droot = poly_nth_root(value.den, d)
+    if nroot is None or droot is None:
+        return None
+    return RatFunc(nroot * Poly.const(field.inner, croot), droot)
 
 
 def stride_product(k: DiffField, b, s: int, step: int):
@@ -58,7 +145,7 @@ def split_witness(k: DiffField, char, order: int, witness):
     unity."""
     kf = k.k_field
     for d in reversed(_divisors(order)):
-        root = kf.nth_root(witness, d)
+        root = nth_root(kf, witness, d)
         if root is None:
             continue
         marker = char ** (order // d) * root / apply_sigma(k, root)

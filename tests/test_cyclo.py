@@ -12,9 +12,9 @@ from pvkit.arith.cyclo import (
     bounded_multiplicative_order,
     cyclotomic_coeffs,
     euler_phi,
-    integer_nth_root,
-    _fraction_nth_root,
 )
+
+from dense_witness import fraction_nth_root, integer_nth_root, nth_root
 
 
 def test_euler_phi_small_values():
@@ -71,17 +71,18 @@ def test_integer_and_fraction_roots():
     assert integer_nth_root(1, 7) == 1
     assert integer_nth_root(0, 2) == 0
     assert integer_nth_root(10 ** 30, 2) == 10 ** 15
-    assert _fraction_nth_root(Fraction(8, 27), 3) == Fraction(2, 3)
-    assert _fraction_nth_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
-    assert _fraction_nth_root(Fraction(-4), 2) is None
-    assert _fraction_nth_root(Fraction(2), 2) is None
+    assert fraction_nth_root(Fraction(8, 27), 3) == Fraction(2, 3)
+    assert fraction_nth_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
+    assert fraction_nth_root(Fraction(-4), 2) is None
+    assert fraction_nth_root(Fraction(2), 2) is None
 
 
 def test_field_nth_root_hook():
     field = CycloField(4)
-    assert field.nth_root(field.coerce(4), 2) == field.coerce(2)
-    assert field.nth_root(field.coerce(2), 2) is None
-    assert field.nth_root(field.coerce(Fraction(1, 8)), 3) == field.coerce(Fraction(1, 2))
+    assert nth_root(field, field.coerce(4), 2) == field.coerce(2)
+    assert nth_root(field, field.coerce(2), 2) is None
+    assert (nth_root(field, field.coerce(Fraction(1, 8)), 3)
+            == field.coerce(Fraction(1, 2)))
 
 
 def test_division_and_inverse():

@@ -39,6 +39,7 @@ from pvkit.engine import (
     SigmaIdeal,
     _cyclic_factors,
     _orbit_idempotents,
+    _row_telescopes,
     build_pv_diagonal,
     build_pv_scalar,
     build_pv_unipotent,
@@ -57,7 +58,7 @@ from pvkit.errors import (
 )
 from pvkit.laurent import BinomialNF, LaurentPoly
 from pvkit.snf import unimodular_inverse
-from pvkit.solve import LatticeBasis, solve_mult, torsion_order
+from pvkit.solve import Factored, LatticeBasis, solve_mult, torsion_order
 
 from dense_witness import compute_ell, compute_m
 
@@ -700,19 +701,19 @@ class TestIdempotentAlgebra:
 
     @pytest.mark.parametrize("changes,message", [
         # another primitive cube root of unity, and a sixth root
-        (lambda k, f: {"marker": f.marker * f.marker}, "by its marker"),
-        (lambda k, f: {"marker": -f.marker}, "by its marker"),
+        (lambda f: {"marker": f.marker * f.marker}, "by its marker"),
+        (lambda f: {"marker": -f.marker}, "by its marker"),
         # W^3 = 1/8, and W^3 = 1/(x+1)^3
-        (lambda k, f: {"root": f.root * 2}, r"W\^d"),
-        (lambda k, f: {"root": f.root * (k.x() + 1)}, r"W\^d"),
+        (lambda f: {"root": _times_const(f.root, 2)}, r"W\^d"),
+        (lambda f: {"root": _times_sigma_rep(f.root)}, r"W\^d"),
     ], ids=["marker-squared", "marker-negated", "root-doubled",
             "root-times-x-plus-1"])
     def test_tampered_factor_is_refused(self, changes, message):
         p = dict((row[0], row[1]) for row in all_presentations())["shift-zeta3"]
         (f,) = p.factors
-        bad = dataclasses.replace(f, **changes(p.field, f))
+        bad = dataclasses.replace(f, **changes(f))
         with pytest.raises(InternalInvariantError, match=message):
-            _orbit_idempotents(p.field, p.ideal, (bad,), p.ell, p.ideal.nvars)
+            orbit_of(p, (bad,), p.ell)
 
     def test_non_primitive_marker_fails_the_character_sums(self):
         # shift, a = -1: Y^2 = 1 and marker -1.  Posing as order 4 and
@@ -722,7 +723,39 @@ class TestIdempotentAlgebra:
         (f,) = p.factors
         bad = dataclasses.replace(f, order=4, split=4)
         with pytest.raises(InternalInvariantError, match="character sums"):
-            _orbit_idempotents(p.field, p.ideal, (bad,), 4, p.ideal.nvars)
+            orbit_of(p, (bad,), 4)
+
+    @pytest.mark.parametrize("ell,message", [
+        # rows e_0, e_1 of a three-term orbit: sigma(e_1) = e_2, not e_0
+        (2, "does not close"),
+        # rows e_0..e_5 repeat e_0, e_1, e_2, which then sum to 2
+        (6, "do not sum to 1"),
+    ])
+    def test_a_wrong_orbit_length_fails_only_the_whole_orbit(self, ell,
+                                                            message):
+        # the factor of zeta_3 (x+1)/x is sound, so W^d = 1, sigma(W) =
+        # marker W and the character sums all hold
+        p = dict((row[0], row[1]) for row in all_presentations())["shift-zeta3"]
+        with pytest.raises(InternalInvariantError, match=message):
+            orbit_of(p, p.factors, ell)
+
+
+def orbit_of(p, factors, ell):
+    """``_orbit_idempotents`` of p's ideal and lattice for other factors."""
+    fb, telescopes = _row_telescopes(p.field, p.system.entries, p.lattice)
+    return _orbit_idempotents(p.field, p.ideal, fb, telescopes, factors, ell)
+
+
+def _times_const(root, c):
+    return Factored(root.k, root.basis, root.const * c, root.xpow, root.exps)
+
+
+def _times_sigma_rep(root):
+    """root times sigma(rep), for the rep of its one class: x (x + 1) for
+    the root x of zeta_3 (x+1)/x."""
+    ((rep, _),) = root.exps
+    one = root.k.constants.one
+    return root * Factored(root.k, root.basis, one, 0, {(rep, 1): 1})
 
 
 # ---------------------------------------------------------------------------

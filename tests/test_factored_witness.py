@@ -3,11 +3,13 @@
 ``relation_lattice`` and ``engine._cyclic_factors`` certify every relation
 on exponent vectors over one factor basis, read the split off the
 exponents and the stride off the constants, and expand only the row
-witnesses and the roots of splitting factors.  Here the same systems run
-through the dense oracles: the dispersion peel for the row witnesses
-(``peel_mult``) and dense roots and stride searches for the factors
-(``dense_witness``).  Both must give the same factors and byte-identical
-reports.
+witnesses; ``engine._orbit_idempotents`` certifies the idempotent orbit
+on the same orbit data and expands it only when it is read.  Here the
+same systems run through the dense oracles: the dispersion peel for the
+row witnesses (``peel_mult``), dense roots and stride searches for the
+factors (``dense_witness``) and the orbit on Laurent polynomials
+(``dense_orbit``).  Both must give the same factors, the same orbit and
+byte-identical reports.
 """
 from __future__ import annotations
 
@@ -17,16 +19,19 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from pvkit import engine, solve
 from pvkit.arith.cyclo import CycloField, CycloNum
-from pvkit.arith.poly import Poly
+from pvkit.arith.poly import Poly, RatFunc, RatFuncField
 from pvkit.base import DiffField, SigmaSpec, apply_sigma
 from pvkit.cli import report
 from pvkit.errors import InternalInvariantError
+from pvkit.groups import ConstantsExtensionDesc, base_change
+from pvkit.laurent import LaurentPoly
 from pvkit.solve import FactorBasis, LatticeBasis, _entry_power, relation_lattice
 
+from dense_orbit import dense_orbit, dense_orbit_idempotents
 from dense_witness import dense_cyclic_factors
 from peel_mult import peel_solve_mult
 
@@ -47,9 +52,18 @@ def _peeled_lattice(k, entries, m_max):
     return dense
 
 
+def _dense_factors(k, entries, lattice):
+    return None, [], dense_cyclic_factors(k, entries, lattice)
+
+
+def _dense_orbit(k, ideal, fb, telescopes, factors, ell):
+    return lambda: dense_orbit_idempotents(k, ideal, factors, ell, ideal.nvars)
+
+
 def _dense_report(req) -> str:
     with mock.patch.object(engine, "relation_lattice", _peeled_lattice), \
-            mock.patch.object(engine, "_cyclic_factors", dense_cyclic_factors):
+            mock.patch.object(engine, "_cyclic_factors", _dense_factors), \
+            mock.patch.object(engine, "_orbit_idempotents", _dense_orbit):
         return report.render_json(report.run(req)[0])
 
 
@@ -85,9 +99,9 @@ def test_factored_chain_agrees_with_the_dense_oracle(req):
         assert got.character == ref.character
         assert got.witness.expand() == ref.witness
         assert got.marker == ref.marker
-        # only the root of a splitting factor is expanded
+        # only a splitting factor carries a root, as orbit data
         assert (got.root is None) == (got.split == 1)
-        assert (got.root or got.witness.expand()) == ref.root
+        assert (got.root or got.witness).expand() == ref.root
     assert report.render_json(report.run(req)[0]) == _dense_report(req)
 
 
@@ -100,7 +114,9 @@ def test_no_build_takes_a_dense_route(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("pvkit") and hasattr(module, "solve_mult"):
             monkeypatch.setattr(module, "solve_mult", _raise)
-    monkeypatch.setattr(Poly, "nth_root", _raise)
+    # the dense d-th roots live only in the oracle (``dense_witness``)
+    assert not any(hasattr(c, "nth_root") for c in (Poly, RatFuncField,
+                                                    CycloField))
     monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     inputs = [inp for items in workloads.WORKLOADS.values() for inp in items]
@@ -132,11 +148,12 @@ def test_a_lattice_without_a_factor_basis_gets_one_from_the_entries(k, entries):
     built = relation_lattice(k, entries, 12)
     by_hand = LatticeBasis(built.dim, built.rows, k.k_field, built.exact)
     assert by_hand.factor_basis is None
-    got = engine._cyclic_factors(k, entries, by_hand)
-    want = engine._cyclic_factors(k, entries, built)
-    assert [(f.order, f.coord, f.split, f.m_factor, f.marker, f.root)
-            for f in got] == [(f.order, f.coord, f.split, f.m_factor,
-                               f.marker, f.root) for f in want]
+    _, _, got = engine._cyclic_factors(k, entries, by_hand)
+    _, _, want = engine._cyclic_factors(k, entries, built)
+    assert [(f.order, f.coord, f.split, f.m_factor, f.marker,
+             f.root and f.root.expand()) for f in got] == [
+        (f.order, f.coord, f.split, f.m_factor, f.marker,
+         f.root and f.root.expand()) for f in want]
     assert [f.witness.expand() for f in got] == [f.witness.expand()
                                                  for f in want]
 
@@ -204,7 +221,99 @@ def test_a_rep_that_meets_its_own_translate_splits_by_the_power_of_x():
     for c, split in ((k.coerce(-2), 2), (k.coerce(z + z ** 7), 1)):
         a = apply_sigma(k, g) / g * c
         lattice = relation_lattice(k, [a], 12)
-        (f,) = engine._cyclic_factors(k, (a,), lattice)
+        _, _, (f,) = engine._cyclic_factors(k, (a,), lattice)
         (ref,) = dense_cyclic_factors(k, (a,), lattice)
         assert (f.order, f.split, f.m_factor) == (2, split, split)
         assert (ref.split, ref.m_factor, ref.marker) == (split, split, f.marker)
+
+
+@st.composite
+def _orbit_systems(draw):
+    """(request, tower): diag(..) of one or two entries c * f^e * g^h, |e|
+    and |h| <= 2, over translates f, g of x (shift) or of x + 1 (q = 2 and
+    q = 2 zeta(3)), with c a root of unity or, for the dilation, one times
+    q, so that most systems split; tower extends the constants to Q(t1)."""
+    q = draw(st.sampled_from([None, "2", "2*zeta(3)"]))
+    if q is None:
+        translates = ["x", "(x+1)", "(x+2)"]
+        consts = ["1", "-1", "zeta(3)", "-zeta(3)", "zeta(4)"]
+    else:
+        translates = ["(x+1)", f"({q}*x+1)", f"(({q})^2*x+1)"]
+        consts = ["1", "-1", "zeta(3)", f"-{q}", f"zeta(4)*{q}"]
+    entries = []
+    for _ in range(draw(st.integers(1, 2))):
+        text = draw(st.sampled_from(consts))
+        for f, e in draw(st.lists(st.tuples(st.sampled_from(translates),
+                                            st.integers(-2, 2)), max_size=2)):
+            if e:
+                text += f"{'*' if e > 0 else '/'}{f}^{abs(e)}"
+        entries.append(text)
+    req = report.Request(command="group", sigma="qshift" if q else "shift",
+                         q=q, system=f"diag({','.join(entries)})")
+    return req, draw(st.booleans())
+
+
+_SHIFT = dict(command="group", sigma="shift")
+
+
+@seed(19)
+@settings(max_examples=40, deadline=None, database=None)
+@given(_orbit_systems())
+# two splitting factors: ell = 6 over Q(zeta_3) and Q(zeta_3)(t1), and
+# ell = 10 over Q(zeta_5)
+@example((report.Request(system="diag(zeta(3)*(x+1)/x,-1)", **_SHIFT), False))
+@example((report.Request(system="diag(zeta(3)*(x+1)/x,-1)", **_SHIFT), True))
+@example((report.Request(system="diag(zeta(5)*x,x+1,-1)", **_SHIFT), False))
+def test_the_orbit_agrees_with_the_dense_orbit_term_for_term(case):
+    req, tower = case
+    p = report._build_presentation(req)
+    if tower:
+        p = base_change(p, ConstantsExtensionDesc.adjoin_transcendental(1))
+    want = dense_orbit(p)
+    assert len(p.idempotents) == p.ell == len(want)
+    assert [e.terms for e in p.idempotents] == [e.terms for e in want]
+
+
+def _raise_on(monkeypatch, owner, *names):
+    for name in names:
+        monkeypatch.setattr(owner, name, _raise)
+
+
+def test_the_orbit_is_certified_without_rational_function_arithmetic(
+        monkeypatch):
+    # ell = 6 under the shift and ell = 2 under q = 2, where the row
+    # telescopes carry leading coefficients q^i
+    ps = [report._build_presentation(report.Request(system=s, **kw))
+          for s, kw in (("diag(zeta(3)*(x+1)/x,-1)", _SHIFT),
+                        ("diag(-(2*x+1)^2/(x+1)^2,zeta(3)*(4*x+1)/(x+1))",
+                         dict(command="group", sigma="qshift", q="2")))]
+    assert [p.ell for p in ps] == [6, 6]
+    args = [(p.field, p.ideal, *engine._cyclic_factors(
+        p.field, p.system.entries, p.lattice), p.ell) for p in ps]
+    _raise_on(monkeypatch, RatFunc, "__mul__", "__rmul__", "__truediv__",
+              "__rtruediv__", "__pow__", "__add__", "__sub__")
+    _raise_on(monkeypatch, Poly, "gcd")
+    _raise_on(monkeypatch, LaurentPoly, "sigma_image", "__mul__")
+    for a in args:
+        engine._orbit_idempotents(*a)
+
+
+def test_the_orbit_is_expanded_only_when_read(monkeypatch):
+    expanded = []
+    real = engine._orbit_idempotents
+
+    def counted(*args):
+        orbit = real(*args)
+        return lambda: expanded.append(1) or orbit()
+
+    monkeypatch.setattr(engine, "_orbit_idempotents", counted)
+    req = report.Request(system="diag(zeta(3)*(x+1)/x,-1)", **_SHIFT)
+    rep, code = report.run(req)
+    assert code == 0 and rep["presentation"]["ell"] == 6
+    assert expanded == []
+    p = report._build_presentation(req)
+    assert expanded == []
+    assert len(p.idempotents) == 6 and p.idempotents is p.idempotents
+    assert expanded == [1]
+    comps = engine.decompose(report._build_presentation(req))
+    assert len(comps) == 6 and expanded == [1, 1]

@@ -15,6 +15,8 @@ from pvkit.arith.poly import (
 )
 from pvkit.errors import InternalInvariantError
 
+from dense_witness import poly_nth_root
+
 
 def _p(*coeffs):
     # low-to-high over Q
@@ -58,11 +60,11 @@ def test_shift_and_scale_substitutions():
 
 def test_nth_root_detection():
     sq = _p(1, 1) * _p(1, 1)
-    assert sq.nth_root(2) == _p(1, 1)
-    assert _p(1, 1, 1).nth_root(2) is None
+    assert poly_nth_root(sq, 2) == _p(1, 1)
+    assert poly_nth_root(_p(1, 1, 1), 2) is None
     cube = _p(2, 1) ** 3
-    assert cube.nth_root(3) == _p(2, 1)
-    assert cube.nth_root(2) is None
+    assert poly_nth_root(cube, 3) == _p(2, 1)
+    assert poly_nth_root(cube, 2) is None
 
 
 def test_ratfunc_canonical_form():
