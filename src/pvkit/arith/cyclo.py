@@ -12,6 +12,9 @@ power of zeta has integer coordinates and the arithmetic runs on Python
 ints. Elements of different conductors lift to the least common multiple
 before combining. Conductor 1 is plain Q: a conductor-1 element is one
 integer over its denominator, and ``coeffs`` reads it back as one Fraction.
+Only two irrational operands take the full power-basis product: a rational
+operand scales the other's coordinates by one integer, and 1 returns the
+other operand itself.
 
 >>> z = CycloNum.zeta(4)
 >>> z * z == -1
@@ -263,28 +266,36 @@ class CycloNum:
         if a is None:
             return NotImplemented
         x, y = a._num, b._num
-        if len(x) == 1:
-            return _canonical(a.conductor, (x[0] * y[0],), a._den * b._den)
-        return _canonical(a.conductor, _product(a.conductor, x, y),
-                          a._den * b._den)
+        # a becomes the rational operand, and 1 if either operand is
+        if any(x[1:]) or (y[0] == b._den == 1 and not any(y[1:])):
+            a, b, x, y = b, a, y, x
+        if any(x[1:]):
+            return _canonical(a.conductor, _product(a.conductor, x, y),
+                              a._den * b._den)
+        # one integer scales b's coordinates, and 1 leaves b as it is
+        if x[0] == a._den == 1:
+            return b
+        return _canonical(a.conductor, [x[0] * c for c in y], a._den * b._den)
 
     __rmul__ = __mul__
 
-    def _cofactor(self) -> tuple[list[int], int]:
+    def _cofactor(self) -> tuple[tuple[int, ...], int]:
         """(rest, N(num)) for an irrational element: rest is the product
         prod_{k != 1} sigma_k(num) of the other conjugates of the integer
-        coordinates num, and num * rest = N(num) is a positive integer."""
-        n, num = self.conductor, self._num
+        coordinates num, and num * rest = N(num) is a positive integer.
+        A partial product can be rational (zeta_5^2 zeta_5^3 = 1), so the
+        products are CycloNum products over denominator 1."""
+        n = self.conductor
         rest = None
         for k in range(2, n):
             if gcd(k, n) == 1:
-                image = self._conjugate(k)
-                rest = image if rest is None else _product(n, rest, image)
+                image = _canonical(n, self._conjugate(k), 1)
+                rest = image if rest is None else rest * image
         # positive since Q(zeta_n) has no real embedding for n > 2
-        norm = _product(n, num, rest)
+        norm = (_canonical(n, self._num, 1) * rest)._num
         if any(norm[1:]) or norm[0] <= 0:
             raise InternalInvariantError("cyclotomic norm is not a positive integer")
-        return rest, norm[0]
+        return rest._num, norm[0]
 
     def norm(self) -> Fraction:
         """N(a), the norm from Q(zeta_n) to Q for the conductor n of a:

@@ -12,7 +12,7 @@ from operator import floordiv, mul, truediv
 from ..errors import InternalInvariantError, NonRationalCoefficients, ZeroInput
 from .cyclo import (CycloNum, cyclotomic_coeffs, euler_phi, rational_power,
                     unity_order)
-from .poly import Poly, RatFunc, RatFuncField, _is_zero
+from .poly import Poly, RatFunc, RatFuncField
 
 
 def resultant(a: Poly, b: Poly):
@@ -79,7 +79,7 @@ def _integer_roots_any(p: Poly) -> set[int]:
     candidates = _rational_slice_integer_roots(slice_poly)
     out = set()
     for r in candidates:
-        if _is_zero(p.eval(p.field.coerce(r))):
+        if not p.eval(p.field.coerce(r)):
             out.add(r)
     return out
 
@@ -427,7 +427,7 @@ def _shift_candidates(p: Poly, r: Poly) -> set[int]:
 
 def _strip_x(p: Poly) -> Poly:
     k = 0
-    while k <= p.degree() and _is_zero(p.nth(k)):
+    while k <= p.degree() and not p.nth(k):
         k += 1
     return Poly(p.field, p.coeffs[k:])
 

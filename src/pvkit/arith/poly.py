@@ -14,7 +14,12 @@ leaves that field, so coercing each result coefficient again would prove
 nothing.  Everything else goes through the coercing ``Poly.__init__``:
 external construction, and an operand that ``_wrap`` has to bring into the
 field (a scalar, or a Poly over another field, whose coefficients the
-field must accept or reject).
+field must accept or reject).  ``divmod`` computes no result it knows in
+advance: a monic divisor of degree 0 returns the dividend, and each step
+pops the leading remainder coefficient as the quotient coefficient (over a
+field it cancels exactly) and updates only the divisor's nonzero lower
+terms.  Every coefficient type (int, Fraction, CycloNum, RatFunc) defines
+``__bool__``, so a zero test is a truth test.
 
 RatFunc is the reduced quotient of two Polys with monic denominator;
 RatFuncField wraps a RatFunc domain as a coefficient field so towers like
@@ -24,10 +29,7 @@ operation divides out only the factors its reduced operands can share.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import InternalInvariantError, ZeroInput
-from .cyclo import CycloNum
 
 _new = object.__new__
 
@@ -37,7 +39,7 @@ class Poly:
 
     def __init__(self, field, coeffs):
         cs = [field.coerce(c) for c in coeffs]
-        while cs and _is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -48,7 +50,7 @@ class Poly:
     def _trusted(cls, field, cs: list) -> "Poly":
         """A result of arithmetic on elements of ``field``: trailing zeros
         are trimmed, nothing is coerced."""
-        while cs and _is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         out = _new(cls)
         out.field = field
@@ -61,11 +63,11 @@ class Poly:
 
     @classmethod
     def zero(cls, field) -> "Poly":
-        return cls(field, ())
+        return cls._trusted(field, [])
 
     @classmethod
     def one(cls, field) -> "Poly":
-        return cls(field, (field.one,))
+        return cls._trusted(field, [field.one])
 
     @classmethod
     def x(cls, field) -> "Poly":
@@ -93,7 +95,10 @@ class Poly:
         return self.field.zero
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        if not self.coeffs:
+            return False
+        lc, one = self.coeffs[-1], self.field.one
+        return lc is one or lc == one
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
@@ -160,9 +165,9 @@ class Poly:
             return Poly._trusted(self.field, [a * b for b in ys])
         # each output coefficient starts at its first product, never at zero
         out = [None] * (len(xs) + len(ys) - 1)
-        ys = [(j, b) for j, b in enumerate(ys) if not _is_zero(b)]
+        ys = [(j, b) for j, b in enumerate(ys) if b]
         for i, a in enumerate(xs):
-            if _is_zero(a):
+            if not a:
                 continue
             for j, b in ys:
                 c = out[i + j]
@@ -189,18 +194,28 @@ class Poly:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
+        ys = other.coeffs
+        if not ys:
             raise ZeroDivisionError("polynomial division by zero")
+        monic = other.is_monic()
+        if monic and len(ys) == 1:
+            return self, Poly._trusted(self.field, [])
+        n = len(ys) - 1
         rem = list(self.coeffs)
-        q = [self.field.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv = None if other.is_monic() else self.field.one / other.lc()
-        while len(rem) >= len(other.coeffs):
-            k = len(rem) - len(other.coeffs)
-            c = rem[-1] if inv is None else rem[-1] * inv
+        q = [self.field.zero] * max(0, len(rem) - n)
+        inv = None if monic else self.field.one / ys[-1]
+        low = [(i, b) for i, b in enumerate(ys[:-1]) if b]
+        # over a field the leading term cancels exactly: it is popped as
+        # the quotient coefficient, and only the lower terms are updated
+        while len(rem) > n:
+            c = rem.pop()
+            k = len(rem) - n
+            if inv is not None:
+                c = c * inv
             q[k] = c
-            for i, b in enumerate(other.coeffs):
+            for i, b in low:
                 rem[k + i] = rem[k + i] - c * b
-            while rem and _is_zero(rem[-1]):
+            while rem and not rem[-1]:
                 rem.pop()
         return Poly._trusted(self.field, q), Poly._trusted(self.field, rem)
 
@@ -295,16 +310,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.coeffs!r})"
-
-
-def _is_zero(v) -> bool:
-    if type(v) is CycloNum:
-        return v.is_zero()
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    if hasattr(v, "is_zero"):
-        return v.is_zero()
-    return not v
 
 
 def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -567,7 +572,7 @@ def format_poly(p: Poly, var: str) -> str:
     pieces = []
     for k in range(p.degree(), -1, -1):
         c = p.nth(k)
-        if _is_zero(c):
+        if not c:
             continue
         if isinstance(c, RatFunc):
             cs = format_ratfunc(c, p.field.var)

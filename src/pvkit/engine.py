@@ -61,7 +61,6 @@ from .solve import (
     FactorBasis,
     Factored,
     LatticeBasis,
-    _entry_power,
     _normal_parts,
     relation_lattice,
     solve_add_with_flag,
@@ -274,7 +273,8 @@ class CyclicFactor:
     """One cyclic coordinate of the relation lattice after Smith reduction.
 
     The monomial Z = Y^coord has sigma(Z) = character * Z and Z^order = witness
-    in the quotient; the witness stays orbit data (``solve.Factored``).
+    in the quotient; the witness stays orbit data (``solve.Factored``), and
+    the character prod entries_i^coord_i is ``FactorBasis.power(coord)``.
     ``split`` counts the orbit components this factor contributes (witness =
     root^split with marker a primitive split-th root of unity); ``root`` is
     that root, orbit data too, when split > 1, else None.  ``m_factor``
@@ -284,7 +284,6 @@ class CyclicFactor:
 
     order: int
     coord: tuple
-    character: RatFunc
     witness: Factored
     split: int
     root: Optional[Factored]
@@ -392,7 +391,6 @@ def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
     ``_split_witness`` imprimitive, and shared primes are refused before
     the orbit is built by CRT.
     """
-    field = k.k_field
     rows = lattice.rows
     if not rows:
         return None, [], ()
@@ -413,9 +411,9 @@ def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
         if split != m_factor:
             raise InternalInvariantError(
                 "root-splitting count disagrees with the stride-relation degree")
-        factors.append(CyclicFactor(
-            order, coord, _entry_power(field, entries, coord), witness, split,
-            root if split > 1 else None, marker, m_factor))
+        factors.append(CyclicFactor(order, coord, witness, split,
+                                    root if split > 1 else None, marker,
+                                    m_factor))
     return fb, telescopes, tuple(factors)
 
 

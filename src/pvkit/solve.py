@@ -66,7 +66,7 @@ from .arith.ops import (
     qpower_log,
     square_free_parts,
 )
-from .arith.poly import Poly, RatFunc, _is_zero
+from .arith.poly import Poly, RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power
 from .errors import DimensionTooLarge, InternalInvariantError, ZeroInput
 from .snf import hermite_normal_form, hnf_reduce, in_lattice, integer_kernel, matmul
@@ -482,7 +482,7 @@ def _sum_laurent(k: DiffField, p: Poly, e: int) -> RatFunc | None:
     q = inner.coerce(k.sigma.q)
     coeffs = []
     for i, c in enumerate(p.coeffs):
-        if _is_zero(c):
+        if not c:
             coeffs.append(c)
         elif i == e:
             return None
@@ -738,8 +738,3 @@ def _residue_rows(k: DiffField, consts, l0, m_max: int):
         if t is not None:
             rows.append(list(vec) + [t])
     return rows, complete
-
-
-def _entry_power(field, entries, vec) -> RatFunc:
-    """prod entries_i^{vec_i}, skipping zero exponents."""
-    return prod((a ** m for m, a in zip(vec, entries) if m), start=field.one)

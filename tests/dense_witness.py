@@ -27,7 +27,13 @@ from pvkit.engine import (
 )
 from pvkit.errors import InternalInvariantError, ZeroInput
 from pvkit.snf import smith_normal_form, unimodular_inverse
-from pvkit.solve import LatticeBasis, _entry_power, solve_mult
+from pvkit.solve import LatticeBasis, solve_mult
+
+
+def entry_power(field, entries, vec) -> RatFunc:
+    """prod entries_i^{vec_i}, skipping zero exponents: the character of
+    the monomial Y^vec, expanded."""
+    return prod((a ** m for m, a in zip(vec, entries) if m), start=field.one)
 
 
 def integer_nth_root(n: int, d: int) -> int | None:
@@ -167,7 +173,7 @@ def dense_cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
     for u in range(len(rows)):
         order = d_mat[u][u]
         coord = tuple(coord_mat[u])
-        char = _entry_power(field, entries, coord)
+        char = entry_power(field, entries, coord)
         witness = prod((w ** c for c, (_, w) in zip(u_mat[u], rows) if c),
                        start=field.one)
         witness = witness / witness.num.lc()
@@ -179,7 +185,7 @@ def dense_cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
         if split != m_factor:
             raise InternalInvariantError(
                 "root-splitting count disagrees with the stride-relation degree")
-        factors.append(CyclicFactor(order, coord, char, witness, split, root,
+        factors.append(CyclicFactor(order, coord, witness, split, root,
                                     marker, m_factor))
     return tuple(factors)
 
@@ -194,9 +200,9 @@ def compute_ell(p: PVPresentation) -> int:
     k = p.field
     ell = 1
     for f in p.factors:
-        split, _, _ = split_witness(k, f.character, f.order,
-                                    f.witness.expand())
-        stride = stride_degree(k, f.character, f.order)
+        char = entry_power(k.k_field, p.system.entries, f.coord)
+        split, _, _ = split_witness(k, char, f.order, f.witness.expand())
+        stride = stride_degree(k, char, f.order)
         if split != stride:
             raise InternalInvariantError(
                 "splitting route and stride route disagree on a factor")
@@ -219,10 +225,11 @@ def compute_m(p: PVPresentation) -> int:
     m_inv = 1
     residual = 1
     for f in p.factors:
-        m_inv = lcm(m_inv, stride_degree(k, f.character, f.order))
+        char = entry_power(k.k_field, p.system.entries, f.coord)
+        m_inv = lcm(m_inv, stride_degree(k, char, f.order))
         comp_order = f.order // f.split
         if comp_order > 1:
-            comp_char = stride_product(k, f.character, p.ell, 1)
+            comp_char = stride_product(k, char, p.ell, 1)
             residual = lcm(residual, stride_degree(k, comp_char, comp_order,
                                                    step=p.ell))
     if m_inv != p.ell * residual:

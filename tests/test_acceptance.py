@@ -39,7 +39,7 @@ from pvkit.groups import (
 from pvkit.laurent import LaurentPoly
 from pvkit.solve import torsion_order
 
-from dense_witness import compute_ell, compute_m
+from dense_witness import compute_ell, compute_m, entry_power
 
 TRANSPORT_NAMES = (
     "scalar-order-two",
@@ -142,7 +142,8 @@ def test_06_invariant_routes_agree_and_count_components():
         # the box lattice is saturated, so each Smith order is the exact
         # torsion order of its character and the splits are coprime
         for f in p.factors:
-            assert torsion_order(p.field, f.character, f.order).order == f.order
+            char = entry_power(p.field.k_field, p.system.entries, f.coord)
+            assert torsion_order(p.field, char, f.order).order == f.order
         for f, g in itertools.combinations(p.factors, 2):
             assert gcd(f.split, g.split) == 1
     # enlarging the constants further does not move the invariants

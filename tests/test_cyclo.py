@@ -2,10 +2,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
+from pvkit.arith import cyclo
 from pvkit.arith.cyclo import (
     CycloNum,
     CycloField,
@@ -279,3 +281,76 @@ def test_from_rational_integer_matches_the_fraction_path(value, n):
     _assert_canonical(fast)
     assert (fast.conductor, fast._num, fast._den) == (
         slow.conductor, slow._num, slow._den)
+
+
+# ---------------------------------------------------------------------------
+# A product with a rational operand scales the other operand's coordinates by
+# one integer, and a product with 1 is the other operand itself; only two
+# irrational operands reach the full power-basis product ``_product``.
+
+def _only_irrational_products():
+    real = cyclo._product
+
+    def spy(n, x, y):
+        assert any(x[1:]) and any(y[1:]), "a rational operand reached _product"
+        return real(n, x, y)
+    return mock.patch.object(cyclo, "_product", spy)
+
+
+@st.composite
+def _one_rational_or_irrational(draw, n):
+    kind = draw(st.sampled_from(["one", "rational", "irrational"]))
+    if kind == "one":
+        return CycloNum.from_rational(draw(st.sampled_from([1, Fraction(1)])), n)
+    coeffs = [draw(_small_rationals)] + [0] * (euler_phi(n) - 1)
+    if kind == "irrational" and n > 2:
+        coeffs[draw(st.integers(1, euler_phi(n) - 1))] = draw(
+            st.sampled_from([1, -1, 2, Fraction(-3, 4)]))
+    return CycloNum(n, coeffs)
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_products_skip_rational_operands_and_match_the_schoolbook_formula(data):
+    conductors = st.sampled_from([1, 3, 5, 8, 12])
+    a = data.draw(_one_rational_or_irrational(data.draw(conductors)))
+    b = data.draw(_one_rational_or_irrational(
+        data.draw(st.one_of(st.just(a.conductor), conductors))))
+    m, xs, ys = _oracle_pair(a, b)
+    with _only_irrational_products():
+        got = a * b
+    _assert_canonical(got)
+    assert got.conductor == m
+    assert got.coeffs == _oracle_mul(xs, ys, m)
+    if not (a.is_rational() or b.is_rational()):
+        u, v = a.lift(m), b.lift(m)
+        assert got == CycloNum(m, [Fraction(c, u._den * v._den) for c in
+                                   cyclo._product(m, u._num, v._num)])
+    # a product with 1 returns the other operand, lifted if it must be
+    others = [v for u, v in ((a, b), (b, a)) if u == 1]
+    assert not others or any(got is v or (v.conductor != m and got == v)
+                             for v in others)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8, 12])
+def test_one_times_a_value_is_that_value(n):
+    z = CycloNum.zeta(n) + Fraction(1, 3)
+    one = CycloField(n).one
+    for got in (z * 1, 1 * z, z * one, one * z, z * Fraction(1),
+                z * CycloNum.from_rational(1)):
+        assert got is z
+    assert (z * CycloNum.from_rational(1, 2 * n)).conductor == lcm(n, 2 * n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_norms_and_inverses_take_no_full_product_of_a_rational(n):
+    # zeta_5^2 zeta_5^3 = 1: a partial product of conjugates can be rational
+    values = [CycloNum.zeta(n), 2 * CycloNum.zeta(n) - 1,
+              CycloNum.zeta(n) ** 2 + Fraction(1, 2)]
+    for a in values:
+        with _only_irrational_products():
+            inv, norm = a.inverse(), a.norm()
+        assert _oracle_mul(a.coeffs, inv.coeffs, n) == tuple(
+            Fraction(int(i == 0)) for i in range(euler_phi(n)))
+        assert norm * inv.norm() == 1

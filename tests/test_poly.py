@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
+from pvkit.arith import cyclo
 from pvkit.arith.cyclo import CycloField, CycloNum, QQ, euler_phi
 from pvkit.arith.poly import (
     Poly,
@@ -13,6 +17,7 @@ from pvkit.arith.poly import (
     format_poly,
     format_ratfunc,
 )
+from pvkit.cli import report
 from pvkit.errors import InternalInvariantError
 
 from dense_witness import poly_nth_root
@@ -423,3 +428,126 @@ def test_poly_over_a_smaller_field_rejects_a_larger_operand(op):
     assert all(c.conductor == 6 for c in got.coeffs)
     want = combine(p6, Poly(CycloField(6), p3.coeffs))
     assert got.coeffs == want.coeffs
+
+
+# -- division skips the known results ----------------------------------------
+#
+# A monic divisor of degree 0 returns the dividend itself.  Otherwise each
+# step pops the leading remainder coefficient, which cancels exactly, and
+# multiplies only the divisor's nonzero lower coefficients.
+
+def _divisors(field, coeffs):
+    """Units, sparse monic divisors (most lower coefficients zero) and
+    non-monic ones, of degree 0 to 4."""
+    def build(lows, lead, monic):
+        return Poly(field, lows + [field.one if monic or not lead else lead])
+    lows = st.lists(st.one_of(st.just(0), st.just(0), coeffs), max_size=4)
+    return st.one_of(st.just(Poly.one(field)),
+                     st.builds(build, lows, coeffs, st.booleans()))
+
+
+@pytest.mark.parametrize("field, coeffs", _FIELDS,
+                         ids=[repr(f) for f, _ in _FIELDS])
+def test_divmod_by_unit_sparse_and_non_monic_divisors_matches_the_oracle(
+        field, coeffs):
+    @seed(20)
+    @settings(deadline=None, max_examples=80)
+    @given(_polys(field, coeffs, max_size=7), _divisors(field, coeffs))
+    def check(p, d):
+        got = divmod(p, d)
+        for g, want in zip(got, _school_divmod(p, d)):
+            _assert_trusted(g)
+            assert g.coeffs == want.coeffs
+        if d.coeffs == (field.one,):
+            assert got[0] is p
+
+    check()
+
+
+def _counting_products():
+    count = [0]
+    real = CycloNum.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return real(a, b)
+    return count, mock.patch.multiple(CycloNum, __mul__=counted,
+                                      __rmul__=counted)
+
+
+@seed(20)
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_a_division_step_multiplies_only_the_nonzero_lower_coefficients(data):
+    n = data.draw(st.sampled_from([1, 3, 5, 8, 12]))
+    field, coeffs = CycloField(n), _cyclo_coeffs(n)
+    p = data.draw(_polys(field, coeffs, max_size=7))
+    d = data.draw(_divisors(field, coeffs))
+    low = sum(1 for c in d.coeffs[:-1] if c)
+    if not d.is_monic():
+        count, patch = _counting_products()
+        with patch:
+            field.one / d.lc()
+        inverse = count[0]
+    count, patch = _counting_products()
+    with patch:
+        q, _ = divmod(p, d)
+    steps = sum(1 for c in q.coeffs if c)
+    # a monic step multiplies the nonzero lower coefficients; a non-monic
+    # one also scales its quotient coefficient by the inverse of lc
+    assert count[0] == (steps * low if d.is_monic()
+                        else inverse + steps * (low + 1))
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+
+
+def _no_cyclo_arithmetic():
+    def refuse(*args):
+        raise AssertionError("CycloNum arithmetic in a division by 1")
+    return mock.patch.multiple(CycloNum, **{op: refuse for op in _ARITHMETIC})
+
+
+@pytest.mark.parametrize("field", [CycloField(1), CycloField(12), _CT],
+                         ids=repr)
+def test_a_unit_divisor_returns_the_dividend_without_arithmetic(field):
+    p = Poly(field, [field.one, field.zero, field.coerce(_ZETA3)
+                     if field != QQ else field.coerce(2)])
+    with _no_cyclo_arithmetic():
+        q, r = divmod(p, Poly.one(field))
+    assert q is p and r.coeffs == ()
+
+
+def test_no_workload_pass_multiplies_a_rational_in_full(monkeypatch):
+    # on one pass of each workload only two irrational operands reach the
+    # full power-basis product, and a division by 1 does no CycloNum
+    # arithmetic at all
+    real_product, real_divmod = cyclo._product, Poly.__divmod__
+    units = []
+
+    def product(n, x, y):
+        assert any(x[1:]) and any(y[1:]), "a rational operand reached _product"
+        return real_product(n, x, y)
+
+    def divmod_(self, other):
+        if not (isinstance(other, Poly) and other.coeffs == (other.field.one,)):
+            return real_divmod(self, other)
+        units.append(other)
+        with _no_cyclo_arithmetic():
+            out = real_divmod(self, other)
+        assert out[0] is self
+        return out
+
+    monkeypatch.setattr(cyclo, "_product", product)
+    monkeypatch.setattr(Poly, "__divmod__", divmod_)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name, inputs in workloads.WORKLOADS.items():
+        units.clear()
+        for inp in inputs:
+            rep, code = report.run(report.Request(command=inp.command,
+                                                  **inp.request))
+            assert workloads.check(inp, rep, code) is None, inp.label
+        assert units, name
