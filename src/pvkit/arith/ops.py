@@ -227,8 +227,10 @@ def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
     the integer roots of one resultant in t for the shift, and for the
     q-dilation one discrete log of two linear factors' roots, or else the
     valuations of one resultant's coefficients, or of its norm's, each
-    composed from power sums (``_composed``).  Every candidate is then
-    verified the same way, by one gcd.
+    composed from power sums (``_composed``).  A shift candidate is an
+    integer root of the composed polynomial lc prod (t - (beta - alpha)),
+    confirmed by exact evaluation, so it is a root distance and needs no
+    check; a dilation candidate is verified by one gcd.
     """
     if p.is_zero() or r.is_zero():
         raise ZeroInput("dispersion of the zero polynomial")
@@ -242,9 +244,8 @@ def dispersion_set(p: Poly, r: Poly, sigma) -> tuple[list[int], bool]:
     if p.degree() == r.degree() == 1:
         return _linear_dispersion(p, r, sigma)
     if sigma.kind == "shift":
-        candidates, complete = _shift_candidates(p, r), True
-    else:
-        candidates, complete = _qshift_candidates(p, r, sigma.q)
+        return sorted(_shift_candidates(p, r)), True
+    candidates, complete = _qshift_candidates(p, r, sigma.q)
     return [j for j in sorted(candidates)
             if p.gcd(sigma.translate(r, j)).degree() > 0], complete
 

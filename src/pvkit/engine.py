@@ -58,10 +58,8 @@ from .errors import (
 from .laurent import BinomialNF, LaurentPoly
 from .snf import smith_normal_form, unimodular_inverse
 from .solve import (
-    FactorBasis,
     Factored,
     LatticeBasis,
-    _normal_parts,
     relation_lattice,
     solve_add_with_flag,
 )
@@ -168,6 +166,19 @@ class SigmaIdeal:
     witnesses and reduction is binomial rewriting; for the 2x2 unipotent
     shape reduction substitutes the pinned diagonal (and the solved corner
     when the telescoping sum has a rational solution).
+
+    Sigma-stability is certified where the generators are made, and the
+    constructors do not re-prove it.  A row of ``relation_lattice`` has
+    sigma(g)/g = prod a_i^{v_i} =: chi, certified on its orbit data, so
+    sigma(Y^v - g) = chi (Y^v - g).  ``solve_add_with_flag`` puts its
+    solution back into sigma(f) - f = b, so sigma(Y12 - f Y11) =
+    (Y12 - f Y11) + b (Y22 - 1) - b (Y11 - 1), and Y11 - 1, Y22 - 1 are
+    fixed.  So ``from_lattice`` takes only a lattice that carries the
+    telescopes ``relation_lattice`` certified (``NotSigmaStable``
+    otherwise), and ``from_unipotent`` takes the solution that
+    ``solve_add_with_flag`` checked, or None.  The dense check, which
+    reduces the sigma-image of every generator, is a test oracle
+    (``tests/dense_witness.py``).
     """
 
     field: DiffField
@@ -183,19 +194,21 @@ class SigmaIdeal:
         return len(self.var_names)
 
     @classmethod
-    def from_lattice(cls, k: DiffField, characters, rows, var_names) -> "SigmaIdeal":
+    def from_lattice(cls, k: DiffField, characters, lattice: LatticeBasis,
+                     var_names) -> "SigmaIdeal":
+        if lattice.telescopes is None:
+            raise NotSigmaStable(
+                "lattice rows carry no certificate from relation_lattice")
         characters = tuple(k.coerce(c) for c in characters)
         nvars = len(var_names)
         field = k.k_field
-        nf = BinomialNF(field, nvars, list(rows))
+        nf = BinomialNF(field, nvars, list(lattice.rows))
         gens = []
-        for vec, witness in rows:
+        for vec, witness in lattice.rows:
             gens.append(LaurentPoly.monomial(field, nvars, vec)
                         - LaurentPoly.const(field, nvars, witness))
-        ideal = cls(k, "diagonal", tuple(var_names), tuple(gens), characters,
-                    nf, None)
-        nf.assert_sigma_stable(k, characters, gens)
-        return ideal
+        return cls(k, "diagonal", tuple(var_names), tuple(gens), characters,
+                   nf, None)
 
     @classmethod
     def from_unipotent(cls, k: DiffField, b: RatFunc, solution) -> "SigmaIdeal":
@@ -209,12 +222,7 @@ class SigmaIdeal:
         else:
             gens = (y12 - LaurentPoly.const(field, 3, solution) * y11,
                     y11 - 1, y22 - 1)
-        ideal = cls(k, "unipotent2", names, gens, None, None, (b, solution))
-        for g in gens:
-            if not ideal.normal_form(ideal.sigma_image(g)).is_zero():
-                raise InternalInvariantError(
-                    "unipotent ideal is not sigma-stable")
-        return ideal
+        return cls(k, "unipotent2", names, gens, None, None, (b, solution))
 
     def sigma_image(self, p: LaurentPoly) -> LaurentPoly:
         if self.shape == "unipotent2":
@@ -342,30 +350,11 @@ def _split_witness(k: DiffField, char: Factored, order: int,
     raise InternalInvariantError("witness splitting fell through d = 1")
 
 
-def _row_telescopes(k: DiffField, entries, lattice: LatticeBasis):
-    """(fb, telescopes): the lattice's ``FactorBasis`` (for a lattice built
-    by hand, one from the entries its rows involve) and each row's witness
-    as the telescope of its relation.  The power of x is read off the row
-    witness: translates have no root at 0, and for the shift it is 0."""
-    fb = lattice.factor_basis
-    if fb is None:
-        fb = FactorBasis(k, [_normal_parts(k, a) for a in entries],
-                         [any(col) for col in zip(*lattice.vectors())])
-    shift = k.sigma.kind == "shift"
-    return fb, [fb.telescope(vec, 0 if shift else _x_valuation(g), 1)
-                for vec, g in lattice.rows]
-
-
-def _x_valuation(f: RatFunc) -> int:
-    def low(p):
-        return next(i for i, c in enumerate(p.coeffs) if c)
-    return low(f.num) - low(f.den)
-
-
-def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
+def _cyclic_factors(k: DiffField, lattice: LatticeBasis) -> tuple:
     """Split the relation lattice into independent cyclic coordinates, in
-    one Smith pass over orbit data: (fb, telescopes, factors), the first two
-    from ``_row_telescopes`` and reused by the idempotent orbit.
+    one Smith pass over orbit data.  The lattice must come from
+    ``relation_lattice``: the pass reads its ``factor_basis`` and its
+    certified row ``telescopes``, as the idempotent orbit does after it.
 
     Each Smith coordinate's witness combines the row telescopes, certified
     on exponents against char^order; the split is read off its exponents
@@ -391,14 +380,11 @@ def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
     ``_split_witness`` imprimitive, and shared primes are refused before
     the orbit is built by CRT.
     """
-    rows = lattice.rows
-    if not rows:
-        return None, [], ()
-    fb, telescopes = _row_telescopes(k, entries, lattice)
+    fb, telescopes = lattice.factor_basis, lattice.telescopes
     d_mat, u_mat, v_mat = smith_normal_form(lattice.vectors())
     coord_mat = unimodular_inverse(v_mat)
     factors = []
-    for u in range(len(rows)):
+    for u in range(len(d_mat)):
         order = d_mat[u][u]
         coord = tuple(coord_mat[u])
         char = fb.power(coord)
@@ -414,7 +400,7 @@ def _cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
         factors.append(CyclicFactor(order, coord, witness, split,
                                     root if split > 1 else None, marker,
                                     m_factor))
-    return fb, telescopes, tuple(factors)
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +569,8 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
     entries = system.entries
     n = len(entries)
     lattice = relation_lattice(k, list(entries), m_max)
-    fb, telescopes, factors = _cyclic_factors(k, entries, lattice)
-    ideal = SigmaIdeal.from_lattice(k, entries, lattice.rows, system.var_names())
+    ideal = SigmaIdeal.from_lattice(k, entries, lattice, system.var_names())
+    factors = _cyclic_factors(k, lattice)
     ell = 1
     m_inv = 1
     caveats = []
@@ -610,7 +596,8 @@ def _build_multiplicative(system: DiffSystem, m_max: int) -> PVPresentation:
     return PVPresentation(
         field=k, system=system, ideal=ideal, ell=ell, m_inv=m_inv,
         krull_dim=n - lattice.rank(),
-        idempotents=_orbit_idempotents(k, ideal, fb, telescopes, factors, ell),
+        idempotents=_orbit_idempotents(k, ideal, lattice.factor_basis,
+                                       lattice.telescopes, factors, ell),
         search_bound=m_max, lattice=lattice, factors=factors,
         caveats=tuple(caveats))
 
@@ -644,7 +631,7 @@ def build_pv_unipotent(k: DiffField, b, m_max: int = DEFAULT_SEARCH_BOUND) -> PV
         krull_dim=0 if solution is not None else 1,
         idempotents=[LaurentPoly.one(field, 3)],
         search_bound=m_max,
-        lattice=LatticeBasis(3, [], field),
+        lattice=LatticeBasis(3, []),
         factors=(), caveats=() if complete else (_WINDOW_CAVEAT,),
         unipotent_solution=solution)
 

@@ -66,7 +66,8 @@ class NoExplicitIdempotents(PvkitError):
 
 
 class NotSigmaStable(PvkitError):
-    """An ideal expected to be stable under the endomorphism is not."""
+    """An ideal expected to be stable under the endomorphism is not, or
+    nothing certified its stability (a relation lattice built by hand)."""
 
     code = "not-sigma-stable"
 

@@ -248,10 +248,3 @@ class BinomialNF:
 
     def equal(self, p: LaurentPoly, q: LaurentPoly) -> bool:
         return self.reduce(p - q).is_zero()
-
-    def assert_sigma_stable(self, k, characters, generators) -> None:
-        for g in generators:
-            image = g.sigma_image(k, characters)
-            if not self.reduce(image).is_zero():
-                raise InternalInvariantError(
-                    "ideal generator has a sigma-image outside the ideal")

@@ -69,7 +69,7 @@ from .arith.ops import (
 from .arith.poly import Poly, RatFunc
 from .base import DiffField, apply_sigma, apply_sigma_power
 from .errors import DimensionTooLarge, InternalInvariantError, ZeroInput
-from .snf import hermite_normal_form, hnf_reduce, in_lattice, integer_kernel, matmul
+from .snf import hermite_normal_form, in_lattice, integer_kernel, matmul
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,20 @@ class LatticeBasis:
     ``exact`` unless a bounded search decided a constant condition, and
     ``window`` if ``relation_lattice`` left a q-power question to a window.
     ``factor_basis`` is the ``FactorBasis`` the rows were certified over,
-    None for a lattice built by hand."""
+    and ``telescopes`` the row witnesses as the ``Factored`` telescopes
+    ``relation_lattice`` certified, sigma(g)/g = prod a_i^{v_i} compared
+    on exponent vectors; each row witness is the ``expand`` of its
+    telescope.  Both are None for a lattice built by hand, which
+    ``SigmaIdeal.from_lattice`` refuses."""
 
-    def __init__(self, dim: int, rows, field, exact: bool = False):
+    def __init__(self, dim: int, rows, exact: bool = False,
+                 factor_basis=None, telescopes=None):
         self.dim = dim
         self.rows = list(rows)  # [(tuple exponent vector, RatFunc witness)]
-        self._field = field
         self.exact = exact
         self.window = False
-        self.factor_basis = None
+        self.factor_basis = factor_basis
+        self.telescopes = telescopes
 
     def vectors(self) -> list[list[int]]:
         return [list(v) for v, _ in self.rows]
@@ -112,15 +117,6 @@ class LatticeBasis:
 
     def contains(self, vec: Sequence[int]) -> bool:
         return in_lattice(self.vectors(), list(vec))
-
-    def witness_for(self, vec: Sequence[int]) -> RatFunc | None:
-        """Witness g with prod a_i^{vec_i} = sigma(g)/g, or None when vec
-        is outside the lattice: the product of the row witnesses."""
-        coeffs, residue = hnf_reduce(self.vectors(), list(vec))
-        if any(residue):
-            return None
-        return _monic_num(prod((w ** c for c, (_, w) in zip(coeffs, self.rows)
-                                if c), start=self._field.one))
 
     def __repr__(self):
         return f"LatticeBasis(dim={self.dim}, rows={self.vectors()})"
@@ -213,7 +209,8 @@ class Factored:
             num = num * Poly.x(inner) ** self.xpow
         elif self.xpow < 0:
             den = den * Poly.x(inner) ** -self.xpow
-        return _monic_num(RatFunc._reduced(num, den))
+        f = RatFunc._reduced(num, den)
+        return f / f.num.lc()
 
 
 class FactorBasis:
@@ -320,10 +317,6 @@ def solve_mult(k: DiffField, r, step: int = 1) -> MultSolution | None:
     f = fb.telescope((1,), t, step)
     f.certify(fb.entries[0], step, "multiplicative witness failed re-check")
     return MultSolution(witness=f.expand(), step=step)
-
-
-def _monic_num(f: RatFunc) -> RatFunc:
-    return f / f.num.lc()
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +519,12 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
     |m_i| <= m_max (``_residue_rows``), inexact.  A q-power question left
     to the window of ``qpower_log`` or ``dispersion_set`` sets
     ``window``.  Witnesses are telescopes (``FactorBasis.telescope``),
-    checked on their orbit data and expanded once each, for the
-    presentation's generators; ``solve_mult`` never runs.  An entry that
-    the degree balance and the valuation alone pin to m_i = 0 gets no
-    factor basis.
+    each checked on its orbit data against its relation.  Each is
+    expanded here, once, into the row witness g of the generator Y^v - g;
+    the lattice keeps the telescopes and the factor basis, which the
+    engine's Smith pass and idempotent orbit read as they are.
+    ``solve_mult`` never runs.  An entry that the degree balance and the
+    valuation alone pin to m_i = 0 gets no factor basis.
     """
     a = [k.coerce(ai) for ai in a_list]
     if any(ai.is_zero() for ai in a):
@@ -549,16 +544,16 @@ def relation_lattice(k: DiffField, a_list, m_max: int) -> LatticeBasis:
     if not exact:
         rows, logged = _residue_rows(k, consts, l0, m_max)
         complete = complete and logged
-    out = []
+    out, telescopes = [], []
     for row in hermite_normal_form(rows)[0]:
         vec = tuple(row[:n])
         g = fb.telescope(vec, row[n], 1)
         g.certify(fb.power(vec), 1,
                   "telescoped witness does not witness its relation")
         out.append((vec, g.expand()))
-    lattice = LatticeBasis(n, out, k.k_field, exact)
+        telescopes.append(g)
+    lattice = LatticeBasis(n, out, exact, fb, telescopes)
     lattice.window = not complete
-    lattice.factor_basis = fb
     return lattice
 
 

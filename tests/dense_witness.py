@@ -10,6 +10,12 @@ coefficient by coefficient); and the stride asks ``solve_mult`` whether a
 power of the telescoped character sigma^{s-1}(a)...a is a
 sigma^s-quotient.  ``compute_ell`` and ``compute_m`` re-derive the
 invariants of a built presentation along both dense routes.
+
+``assert_sigma_stable`` re-proves densely what the build certifies where
+it makes a generator: every generator's sigma-image reduces to zero in
+the ideal, for both shapes.  ``certify_by_hand`` copies a lattice built
+by hand with the factor basis and row telescopes ``relation_lattice``
+attaches, which ``SigmaIdeal.from_lattice`` and the Smith pass read.
 """
 from __future__ import annotations
 
@@ -23,17 +29,50 @@ from pvkit.base import DiffField, apply_sigma, apply_sigma_power
 from pvkit.engine import (
     CyclicFactor,
     PVPresentation,
+    SigmaIdeal,
     _assert_primitive_root_of_unity,
 )
 from pvkit.errors import InternalInvariantError, ZeroInput
 from pvkit.snf import smith_normal_form, unimodular_inverse
-from pvkit.solve import LatticeBasis, solve_mult
+from pvkit.solve import FactorBasis, LatticeBasis, _normal_parts, solve_mult
 
 
 def entry_power(field, entries, vec) -> RatFunc:
     """prod entries_i^{vec_i}, skipping zero exponents: the character of
     the monomial Y^vec, expanded."""
     return prod((a ** m for m, a in zip(vec, entries) if m), start=field.one)
+
+
+def assert_sigma_stable(ideal: SigmaIdeal) -> None:
+    """Raise unless the normal form of every generator's sigma-image is
+    zero: sigma(Y^v - g) for a lattice row, and sigma(Y12 - f Y11),
+    sigma(Y11 - 1), sigma(Y22 - 1) for the unipotent corner."""
+    for g in ideal.generators:
+        if not ideal.normal_form(ideal.sigma_image(g)).is_zero():
+            raise InternalInvariantError(
+                "ideal generator has a sigma-image outside the ideal")
+
+
+def certify_by_hand(k: DiffField, entries, lattice: LatticeBasis) -> LatticeBasis:
+    """``lattice`` with a factor basis of the entries its rows involve and
+    each row's witness as the telescope of its relation.  The power of x
+    is read off the row witness: translates have no root at 0, and for
+    the shift it is 0."""
+    fb = FactorBasis(k, [_normal_parts(k, a) for a in entries],
+                     [any(col) for col in zip(*lattice.vectors())])
+    shift = k.sigma.kind == "shift"
+    telescopes = [fb.telescope(vec, 0 if shift else _x_valuation(g), 1)
+                  for vec, g in lattice.rows]
+    out = LatticeBasis(lattice.dim, lattice.rows, lattice.exact, fb,
+                       telescopes)
+    out.window = lattice.window
+    return out
+
+
+def _x_valuation(f: RatFunc) -> int:
+    def low(p):
+        return next(i for i, c in enumerate(p.coeffs) if c)
+    return low(f.num) - low(f.den)
 
 
 def integer_nth_root(n: int, d: int) -> int | None:

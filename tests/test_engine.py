@@ -39,7 +39,6 @@ from pvkit.engine import (
     SigmaIdeal,
     _cyclic_factors,
     _orbit_idempotents,
-    _row_telescopes,
     build_pv_diagonal,
     build_pv_scalar,
     build_pv_unipotent,
@@ -58,9 +57,20 @@ from pvkit.errors import (
 )
 from pvkit.laurent import BinomialNF, LaurentPoly
 from pvkit.snf import unimodular_inverse
-from pvkit.solve import Factored, LatticeBasis, solve_mult, torsion_order
+from pvkit.solve import (
+    Factored,
+    LatticeBasis,
+    relation_lattice,
+    solve_mult,
+    torsion_order,
+)
 
-from dense_witness import compute_ell, compute_m
+from dense_witness import (
+    assert_sigma_stable,
+    certify_by_hand,
+    compute_ell,
+    compute_m,
+)
 
 
 def shift_field(conductor=1):
@@ -169,13 +179,20 @@ class TestBinomialNF:
 
     def test_sigma_stability_audit(self):
         k = shift_field()
-        minus_one = -k.one()
-        good = BinomialNF(k.k_field, 1, [((2,), k.one())])
-        y = LaurentPoly.variable(k.k_field, 1, 0)
-        good.assert_sigma_stable(k, [minus_one], [y ** 2 - 1])
-        bad = BinomialNF(k.k_field, 1, [((2,), k.x())])
+        minus_one = (-k.one(),)
+        lattice = relation_lattice(k, minus_one, 12)
+        assert lattice.rows == [((2,), k.one())]
+        good = SigmaIdeal.from_lattice(k, minus_one, lattice, ("Y",))
+        assert_sigma_stable(good)
+        # the wrong witness x for (2): the oracle refuses the ideal
+        wrong = certify_by_hand(k, minus_one, LatticeBasis(1, [((2,), k.x())]))
+        bad = SigmaIdeal.from_lattice(k, minus_one, wrong, ("Y",))
         with pytest.raises(InternalInvariantError):
-            bad.assert_sigma_stable(k, [minus_one], [y ** 2 - k.x()])
+            assert_sigma_stable(bad)
+        # rows with no certificate are refused when the ideal is made
+        with pytest.raises(NotSigmaStable, match="no certificate"):
+            SigmaIdeal.from_lattice(k, minus_one,
+                                    LatticeBasis(1, [((2,), k.one())]), ("Y",))
 
 
 class TestLatticeHelpers:
@@ -742,8 +759,8 @@ class TestIdempotentAlgebra:
 
 def orbit_of(p, factors, ell):
     """``_orbit_idempotents`` of p's ideal and lattice for other factors."""
-    fb, telescopes = _row_telescopes(p.field, p.system.entries, p.lattice)
-    return _orbit_idempotents(p.field, p.ideal, fb, telescopes, factors, ell)
+    return _orbit_idempotents(p.field, p.ideal, p.lattice.factor_basis,
+                              p.lattice.telescopes, factors, ell)
 
 
 def _times_const(root, c):
@@ -767,8 +784,9 @@ class TestCheckSimple:
         # ideal (Y^2 - 1) for the trivial character: Y - 1 generates a
         # proper stable subideal, so the quotient is not simple.
         k = shift_field()
-        ideal = SigmaIdeal.from_lattice(k, (k.one(),), [((2,), k.one())], ("Y",))
-        lattice = LatticeBasis(1, [((2,), k.one())], k.k_field)
+        lattice = certify_by_hand(k, (k.one(),),
+                                  LatticeBasis(1, [((2,), k.one())]))
+        ideal = SigmaIdeal.from_lattice(k, (k.one(),), lattice, ("Y",))
         p = PVPresentation(
             field=k, system=DiffSystem.diagonal(k, (k.one(),)), ideal=ideal,
             ell=1, m_inv=1, krull_dim=0,
@@ -962,9 +980,10 @@ def test_cyclic_factors_refuses_a_lattice_that_is_not_saturated():
     # marker (-1)^1 of the 4th root 1 of the witness is no primitive 4th
     # root of unity, and the pass raises instead of repairing to (2)
     k = shift_field()
-    lattice = LatticeBasis(1, [((4,), k.one())], k.k_field)
+    entries = (k.coerce(-1),)
+    lattice = certify_by_hand(k, entries, LatticeBasis(1, [((4,), k.one())]))
     with pytest.raises(InternalInvariantError, match="not primitive"):
-        _cyclic_factors(k, (k.coerce(-1),), lattice)
+        _cyclic_factors(k, lattice)
 
 
 def test_builder_refuses_splits_that_share_a_prime(monkeypatch):
@@ -973,7 +992,8 @@ def test_builder_refuses_splits_that_share_a_prime(monkeypatch):
     # split in two with marker -1.  Fourier idempotents over C need
     # coprime splits, so the build raises instead of degrading
     k = shift_field()
-    fake = LatticeBasis(2, [((2, 0), k.one()), ((0, 2), k.one())], k.k_field)
+    fake = certify_by_hand(k, (k.coerce(-1), k.coerce(-1)), LatticeBasis(
+        2, [((2, 0), k.one()), ((0, 2), k.one())]))
     monkeypatch.setattr(engine, "relation_lattice", lambda *args: fake)
     with pytest.raises(InternalInvariantError, match="share a prime"):
         build_pv_diagonal(k, [-1, -1])

@@ -21,6 +21,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+import conftest
+
 from pvkit import engine, solve
 from pvkit.arith.cyclo import CycloField, CycloNum
 from pvkit.arith.poly import Poly, RatFunc, RatFuncField
@@ -28,11 +30,16 @@ from pvkit.base import DiffField, SigmaSpec, apply_sigma
 from pvkit.cli import report
 from pvkit.errors import InternalInvariantError
 from pvkit.groups import ConstantsExtensionDesc, base_change
-from pvkit.laurent import LaurentPoly
+from pvkit.laurent import BinomialNF, LaurentPoly
 from pvkit.solve import FactorBasis, LatticeBasis, relation_lattice
 
 from dense_orbit import dense_orbit, dense_orbit_idempotents
-from dense_witness import dense_cyclic_factors, entry_power
+from dense_witness import (
+    assert_sigma_stable,
+    certify_by_hand,
+    dense_cyclic_factors,
+    entry_power,
+)
 from peel_mult import peel_solve_mult
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -40,20 +47,24 @@ _ROOT = Path(__file__).resolve().parent.parent
 
 def _peeled_lattice(k, entries, m_max):
     """``relation_lattice`` with every row witness replaced by the one the
-    dispersion peel finds, and no factor basis."""
+    dispersion peel finds; the entries ride along for ``_dense_factors``.
+    The certified factor basis and telescopes stay attached for
+    ``SigmaIdeal.from_lattice``; the dense route reads only the rows."""
     lattice = relation_lattice(k, entries, m_max)
     rows = []
     for vec, _ in lattice.rows:
         g = peel_solve_mult(k, entry_power(k.k_field, entries, vec))
         assert g is not None
         rows.append((vec, g))
-    dense = LatticeBasis(lattice.dim, rows, k.k_field, lattice.exact)
+    dense = LatticeBasis(lattice.dim, rows, lattice.exact,
+                         lattice.factor_basis, lattice.telescopes)
     dense.window = lattice.window
+    dense.entries = entries
     return dense
 
 
-def _dense_factors(k, entries, lattice):
-    return None, [], dense_cyclic_factors(k, entries, lattice)
+def _dense_factors(k, lattice):
+    return dense_cyclic_factors(k, lattice.entries, lattice)
 
 
 def _dense_orbit(k, ideal, fb, telescopes, factors, ell):
@@ -93,7 +104,7 @@ def test_factored_chain_agrees_with_the_dense_oracle(req):
     assert p.lattice.rows == dense.rows
     want = dense_cyclic_factors(k, entries, dense)
     assert len(p.factors) == len(want)
-    fb, _ = engine._row_telescopes(k, entries, p.lattice)
+    fb = p.lattice.factor_basis
     for got, ref in zip(p.factors, want):
         assert (got.order, got.coord, got.split, got.m_factor) == (
             ref.order, ref.coord, ref.split, ref.m_factor)
@@ -106,6 +117,7 @@ def test_factored_chain_agrees_with_the_dense_oracle(req):
         # only a splitting factor carries a root, as orbit data
         assert (got.root is None) == (got.split == 1)
         assert (got.root or got.witness).expand() == ref.root
+    assert_sigma_stable(p.ideal)
     assert report.render_json(report.run(req)[0]) == _dense_report(req)
 
 
@@ -118,9 +130,17 @@ def test_no_build_takes_a_dense_route(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("pvkit") and hasattr(module, "solve_mult"):
             monkeypatch.setattr(module, "solve_mult", _raise)
-    # the dense d-th roots live only in the oracle (``dense_witness``)
+    # the dense d-th roots and the dense sigma-stability check live only in
+    # the oracle (``dense_witness``)
     assert not any(hasattr(c, "nth_root") for c in (Poly, RatFuncField,
                                                     CycloField))
+    assert not hasattr(BinomialNF, "assert_sigma_stable")
+    _run_workload_inputs(monkeypatch)
+
+
+def _run_workload_inputs(monkeypatch):
+    """Run every perfbench workload input and ``KNOWN_SLOW``, each
+    checked as the harness checks it."""
     monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     inputs = [inp for items in workloads.WORKLOADS.values() for inp in items]
@@ -129,6 +149,27 @@ def test_no_build_takes_a_dense_route(monkeypatch):
         rep, code = report.run(report.Request(command=inp.command,
                                               **inp.request))
         assert workloads.check(inp, rep, code) is None, inp.label
+
+
+@pytest.mark.parametrize("name", conftest.REGISTRY)
+def test_reference_ideals_pass_the_dense_stability_oracle(name):
+    assert_sigma_stable(conftest.presentation(name).ideal)
+    for ext_key in conftest.EXTENSIONS:
+        assert_sigma_stable(conftest.changed_presentation(name, ext_key).ideal)
+
+
+def test_workload_ideals_pass_the_dense_stability_oracle(monkeypatch):
+    # every ideal the workload inputs build, base changes included
+    ideals = []
+    for name in ("from_lattice", "from_unipotent"):
+        def recorded(*args, _real=getattr(engine.SigmaIdeal, name)):
+            ideals.append(_real(*args))
+            return ideals[-1]
+        monkeypatch.setattr(engine.SigmaIdeal, name, staticmethod(recorded))
+    _run_workload_inputs(monkeypatch)
+    assert {i.shape for i in ideals} == {"diagonal", "unipotent2"}
+    for ideal in ideals:
+        assert_sigma_stable(ideal)
 
 
 def _shift(conductor=1):
@@ -149,11 +190,17 @@ def _systems_by_hand():
 
 @pytest.mark.parametrize("k, entries", _systems_by_hand())
 def test_a_lattice_without_a_factor_basis_gets_one_from_the_entries(k, entries):
+    # the build reads what ``relation_lattice`` certified; a lattice built
+    # by hand gets the same factor basis and telescopes from the test
+    # helper ``certify_by_hand``, and the same factors
     built = relation_lattice(k, entries, 12)
-    by_hand = LatticeBasis(built.dim, built.rows, k.k_field, built.exact)
-    assert by_hand.factor_basis is None
-    _, _, got = engine._cyclic_factors(k, entries, by_hand)
-    _, _, want = engine._cyclic_factors(k, entries, built)
+    bare = LatticeBasis(built.dim, built.rows, built.exact)
+    assert bare.factor_basis is None and bare.telescopes is None
+    by_hand = certify_by_hand(k, entries, bare)
+    assert by_hand.factor_basis.basis == built.factor_basis.basis
+    assert by_hand.telescopes == built.telescopes
+    got = engine._cyclic_factors(k, by_hand)
+    want = engine._cyclic_factors(k, built)
     assert [(f.order, f.coord, f.split, f.m_factor, f.marker,
              f.root and f.root.expand()) for f in got] == [
         (f.order, f.coord, f.split, f.m_factor, f.marker,
@@ -183,14 +230,14 @@ def test_a_tampered_row_exponent_is_refused(monkeypatch):
         relation_lattice(k, [(x + 3) / x], 12)
 
 
-def test_a_tampered_smith_exponent_is_refused(monkeypatch):
+def test_a_tampered_smith_exponent_is_refused():
     k = _shift()
     x = k.x()
-    entries = ((x + 3) / x, k.coerce(-1))
-    lattice = relation_lattice(k, entries, 12)
-    _tampered_telescopes(monkeypatch)
+    lattice = relation_lattice(k, [(x + 3) / x, k.coerce(-1)], 12)
+    for t in lattice.telescopes:
+        _bump(t)
     with pytest.raises(InternalInvariantError, match="Smith-combined"):
-        engine._cyclic_factors(k, entries, lattice)
+        engine._cyclic_factors(k, lattice)
 
 
 def test_a_tampered_quotient_exponent_is_refused(monkeypatch):
@@ -225,7 +272,7 @@ def test_a_rep_that_meets_its_own_translate_splits_by_the_power_of_x():
     for c, split in ((k.coerce(-2), 2), (k.coerce(z + z ** 7), 1)):
         a = apply_sigma(k, g) / g * c
         lattice = relation_lattice(k, [a], 12)
-        _, _, (f,) = engine._cyclic_factors(k, (a,), lattice)
+        (f,) = engine._cyclic_factors(k, lattice)
         (ref,) = dense_cyclic_factors(k, (a,), lattice)
         assert (f.order, f.split, f.m_factor) == (2, split, split)
         assert (ref.split, ref.m_factor, ref.marker) == (split, split, f.marker)
@@ -292,8 +339,8 @@ def test_the_orbit_is_certified_without_rational_function_arithmetic(
                         ("diag(-(2*x+1)^2/(x+1)^2,zeta(3)*(4*x+1)/(x+1))",
                          dict(command="group", sigma="qshift", q="2")))]
     assert [p.ell for p in ps] == [6, 6]
-    args = [(p.field, p.ideal, *engine._cyclic_factors(
-        p.field, p.system.entries, p.lattice), p.ell) for p in ps]
+    args = [(p.field, p.ideal, p.lattice.factor_basis, p.lattice.telescopes,
+             engine._cyclic_factors(p.field, p.lattice), p.ell) for p in ps]
     _raise_on(monkeypatch, RatFunc, "__mul__", "__rmul__", "__truediv__",
               "__rtruediv__", "__pow__", "__add__", "__sub__")
     _raise_on(monkeypatch, Poly, "gcd")

@@ -61,6 +61,8 @@ from pvkit.laurent import LaurentPoly
 from pvkit.snf import smith_normal_form
 from pvkit.solve import LatticeBasis
 
+from dense_witness import certify_by_hand
+
 
 def shift_field(conductor=1):
     return DiffField(SigmaSpec.shift(), CycloField(conductor))
@@ -372,11 +374,11 @@ class TestWeakPVComparison:
         inner = new_k.k_field.inner
         t = new_k.coerce(inner.x())
         scaled = t ** 2 * p_ext.lattice.rows[0][1]
+        lattice2 = certify_by_hand(new_k, p_ext.system.entries,
+                                   LatticeBasis(1, [((2,), scaled)]))
         ideal2 = SigmaIdeal.from_lattice(
-            new_k, p_ext.ideal.characters, [((2,), scaled)], ("Y",))
-        p_weak = dataclasses.replace(
-            p_ext, ideal=ideal2,
-            lattice=LatticeBasis(1, [((2,), scaled)], new_k.k_field))
+            new_k, p_ext.ideal.characters, lattice2, ("Y",))
+        p_weak = dataclasses.replace(p_ext, ideal=ideal2, lattice=lattice2)
         assert weak_pv_compare(p, p_weak) is True
         assert functor_ideal(p_weak) == functor_ideal(p_ext)
 

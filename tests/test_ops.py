@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 from sympy.polys.subresultants_qq_zz import sylvester
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from pvkit.arith.cyclo import CycloField, CycloNum, QQ
 from pvkit.arith.poly import Poly, RatFuncField
@@ -167,6 +167,42 @@ _two_power_roots = st.lists(
     min_size=1, max_size=3)
 
 
+_TOWER = RatFuncField(QQ, "t1")
+# each field with a constant g, irrational except over Q (g = 1); the
+# factor x - i - g has root i + g
+_SHIFT_FIELDS = {"Q": (QQ, QQ.one),
+                 "Q(zeta3)": (CycloField(3), CycloNum.zeta(3)),
+                 "Q(t1)": (_TOWER, _TOWER.x())}
+# a factor (i, kind): x - i ("int"), x - i - g ("gen"), (x - i)^2 + 1 ("quad",
+# roots i + sqrt(-1) and i - sqrt(-1))
+_shift_factors = st.lists(st.tuples(st.integers(-4, 4),
+                                    st.sampled_from(["int", "gen", "quad"])),
+                          min_size=1, max_size=2)
+
+
+def _shift_factor_product(field, g, factors):
+    x, out = Poly(field, (0, 1)), Poly(field, (1,))
+    for i, kind in factors:
+        if kind == "quad":
+            out = out * ((x - i) * (x - i) + 1)
+        else:
+            out = out * (x - (field.coerce(i) + (g if kind == "gen" else 0)))
+    return out
+
+
+def _shift_roots(factors, g_is_rational):
+    """(integer part, kind) of each root; "gen" is "int" when g is 1."""
+    roots = set()
+    for i, kind in factors:
+        if kind == "quad":
+            roots |= {(i, "+i"), (i, "-i")}
+        elif kind == "gen" and g_is_rational:
+            roots.add((i + 1, "int"))
+        else:
+            roots.add((i, kind))
+    return roots
+
+
 @given(_int_roots, _int_roots)
 def test_shift_dispersion_matches_root_brute_force(p_roots, r_roots):
     # a root a of p meets r at j when a + j is a root of r
@@ -175,6 +211,27 @@ def test_shift_dispersion_matches_root_brute_force(p_roots, r_roots):
     got = dispersion(_roots_poly(p_roots), _roots_poly(r_roots),
                      SigmaSpec.shift())
     assert got == expected
+
+
+@seed(21)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_SHIFT_FIELDS)), _shift_factors, _shift_factors)
+def test_shift_dispersion_set_is_the_gcd_filtered_root_distances(
+        name, p_factors, r_factors):
+    # over Q, Q(zeta3) and Q(t1) and with quadratic factors: the integer
+    # roots of the composed resultant are returned with no gcd, so they
+    # must be exactly the j where p and r(x + j) share a factor, which are
+    # the integer root distances
+    field, g = _SHIFT_FIELDS[name]
+    p, r = (_shift_factor_product(field, g, fs) for fs in (p_factors, r_factors))
+    shift = SigmaSpec.shift()
+    by_gcd = [j for j in range(-10, 11)
+              if p.gcd(shift.translate(r, j)).degree() > 0]
+    by_roots = sorted({b - a for a, u in _shift_roots(p_factors, name == "Q")
+                       for b, v in _shift_roots(r_factors, name == "Q")
+                       if u == v})
+    assert dispersion_set(p, r, shift) == (by_gcd, True)
+    assert by_gcd == by_roots
 
 
 @given(_two_power_roots, _two_power_roots, st.booleans())
