@@ -9,13 +9,13 @@ the binomial ideals produced by the engine this recovers one relation
 X^v - 1 per lattice row; for the triangular shape it pins the diagonal and,
 when the telescoping corner sum is rational, the corner too.
 
-The group itself is read off the relation lattice: its Smith normal form
-gives the finite cyclic part, the corank gives the torus rank, and an
-unsolved triangular corner contributes one additive dimension.  Base change
-of the constants (a larger cyclotomic field, or adjoined transcendental
-constants) rebuilds the presentation once; the transport check takes that
-rebuilt presentation and confirms the coordinate equations only change by
-coefficient extension.  Connection matrices between two fundamental
+The group itself is read off the relation lattice: the Smith factors the
+build already computed give the finite cyclic part, the corank gives the
+torus rank, and an unsolved triangular corner contributes one additive
+dimension.  Base change of the constants (a larger cyclotomic field, or
+adjoined transcendental constants) rebuilds the presentation once; the
+transport check takes that rebuilt presentation and confirms the
+coordinate equations only change by coefficient extension.  Connection matrices between two fundamental
 solutions of the same one-entry diagonal system are computed in the residue
 ring, with the inverse read off the ``Poly.xgcd`` cofactor, and certified
 sigma-fixed.
@@ -42,7 +42,6 @@ from .errors import (
     UnsupportedSubstitutionShape,
 )
 from .laurent import LaurentPoly
-from .snf import invariant_factors
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +318,27 @@ def evaluate_coordinate_point(k: DiffField, gens, values) -> list:
 def identify_group(p: PVPresentation) -> GroupDesc:
     """Read the group structure off the presentation.
 
-    The relation lattice delivers the torus rank (corank) and the finite
-    cyclic part (Smith invariant factors above 1); an unsolved triangular
-    corner contributes one additive dimension.  The computed dimension is
-    asserted equal to the presentation's Krull dimension, and the
-    coordinate equations are attached; a presentation made by hand that
-    the substitution cannot read raises UnsupportedSubstitutionShape.
+    The torus rank is the corank of the relation lattice, and the finite
+    cyclic part is read off ``p.factors``, the Smith pass the build made
+    and certified (orders above 1); no Smith form is run again.  A
+    presentation whose factors do not match its lattice rank raises
+    InternalInvariantError rather than lose its finite part.  An unsolved
+    triangular corner contributes one additive dimension.  The computed
+    dimension is asserted equal to the presentation's Krull dimension, and
+    the coordinate equations are attached; a presentation made by hand
+    that the substitution cannot read raises UnsupportedSubstitutionShape.
     """
     if p.system.shape == "unipotent2":
         torus_rank = 0
         orders: tuple = ()
         unipotent_dim = p.krull_dim
     else:
-        rows = p.lattice.vectors()
-        n = p.ideal.nvars
-        torus_rank = n - len(rows)
-        orders = tuple(d for d in invariant_factors(rows) if d > 1)
+        if len(p.factors) != p.lattice.rank():
+            raise InternalInvariantError(
+                "cyclic factors do not match the relation lattice",
+                factors=len(p.factors), rank=p.lattice.rank())
+        torus_rank = p.ideal.nvars - p.lattice.rank()
+        orders = tuple(f.order for f in p.factors if f.order > 1)
         unipotent_dim = 0
     if torus_rank + unipotent_dim != p.krull_dim:
         raise InternalInvariantError(
@@ -412,15 +416,12 @@ def base_change(p: PVPresentation, ext: ConstantsExtensionDesc) -> PVPresentatio
         new_p = build_pv_unipotent(new_k, entries[0], m_max=p.search_bound)
     else:
         raise UnsupportedShape(f"no base-change rule for shape {shape!r}")
-    old_gens = sorted(
-        _lift_laurent(g, new_k).format(p.ideal.var_names)
-        for g in p.ideal.generators)
-    new_gens = sorted(g.format(new_p.ideal.var_names)
-                      for g in new_p.ideal.generators)
-    if old_gens != new_gens:
+    old, names = p.ideal.generators, p.ideal.var_names
+    if not _transported(old, new_p.ideal.generators, new_k, names):
         raise InternalInvariantError(
             "base change altered the generator set",
-            before=old_gens, after=new_gens)
+            before=sorted(_lift_laurent(g, new_k).format(names) for g in old),
+            after=sorted(g.format(names) for g in new_p.ideal.generators))
     return new_p
 
 

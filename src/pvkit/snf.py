@@ -1,10 +1,12 @@
 """Integer matrix normal forms with carried transforms.
 
 Row-style Hermite form canonicalizes relation lattices (pivots positive,
-entries below a pivot zero, entries above reduced into [0, pivot)); Smith
-form diagonalizes a lattice for the component-splitting step. Both return
-the unimodular transforms so exponent-vector bookkeeping (witness products,
-variable changes) stays exact.
+entries below a pivot zero, entries above reduced into [0, pivot)) and is
+the one integer-elimination kernel: Smith form, which diagonalizes a
+lattice for the component-splitting step, alternates row and column
+Hermite passes, and the inverse of a unimodular matrix is its Hermite
+transform. All return the unimodular transforms so exponent-vector
+bookkeeping (witness products, variable changes) stays exact.
 """
 from __future__ import annotations
 
@@ -166,142 +168,68 @@ def in_lattice(h: list[list[int]], v: list[int]) -> bool:
 
 
 def unimodular_inverse(m: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix, again integral."""
-    n = len(m)
-    a = [[Fraction(v) for v in row]
-         + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise InternalInvariantError("singular matrix has no inverse")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [vr - f * vc for vr, vc in zip(a[r], a[col])]
-    out = []
-    for row in a:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise InternalInvariantError("inverse is not integral; input was not unimodular")
-        out.append([int(v) for v in vals])
-    return out
+    """Exact inverse of a unimodular integer matrix, again integral: the
+    Hermite form of a unimodular matrix is I, so its transform W has
+    W @ m = I.  Any other Hermite form means m was not unimodular."""
+    h, w = hermite_normal_form(m)
+    if h != identity(len(m)):
+        raise InternalInvariantError("inverse is not integral; input was not unimodular")
+    return w
+
+
+def _transpose(a: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*a)]
+
+
+def _hermite_pass(d: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(H, W) with W @ d = H, the Hermite form padded with zero rows to the
+    height of d."""
+    h, w = hermite_normal_form(d)
+    return h + [[0] * len(d[0]) for _ in range(len(d) - len(h))], w
+
+
+def _off_diagonal(d: list[list[int]]) -> bool:
+    return any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
 
 
 def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(D, U, V) with U @ a @ V = D diagonal, d1 | d2 | ..., U, V unimodular."""
+    """(D, U, V) with U @ a @ V = D diagonal, d1 | d2 | ..., U, V unimodular.
+
+    Alternating Hermite forms (Kannan and Bachem 1979; Cohen, GTM 138,
+    section 2.4): a row pass U <- W U, and while an off-diagonal entry
+    remains a column pass, the Hermite form of the transpose, V <- V W^T.
+    Once D is diagonal, an entry d_i that does not divide a later d_j takes
+    column j in (d_i becomes gcd(d_i, d_j) on the next passes) and the
+    passes resume.
+
+    Termination: a row pass leaves the leading entry the gcd of its column
+    and a column pass the gcd of its row, so it divides its column or row
+    and never grows.  A row pass that keeps it finds (p, 0, ..., 0), the
+    row the column pass left, reduced in the row lattice, so by uniqueness
+    of the Hermite form that row and its column stay clear: the entry
+    splits off and the argument repeats on the trailing block.  A fold
+    shrinks the first diagonal entry that divides too little and keeps the
+    entries before it, which divide both d_i and d_j.
+    """
     if not a:
         return [], [], []
-    d = [list(r) for r in a]
-    n, m = len(d), len(d[0])
-    u = identity(n)
-    v = identity(m)
-
-    def row_op(i, k, s, t, bo, ao):
-        # (row_i, row_k) <- (s*row_i + t*row_k, -bo*row_i + ao*row_k)
-        for mat, width in ((d, m), (u, n)):
-            ri = [s * mat[i][j] + t * mat[k][j] for j in range(width)]
-            rk = [-bo * mat[i][j] + ao * mat[k][j] for j in range(width)]
-            mat[i], mat[k] = ri, rk
-
-    def col_op(i, k, s, t, bo, ao):
-        for mat, height in ((d, n), (v, m)):
-            for r in range(height):
-                ci = s * mat[r][i] + t * mat[r][k]
-                ck = -bo * mat[r][i] + ao * mat[r][k]
-                mat[r][i], mat[r][k] = ci, ck
-
-    def swap_rows(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(i, k):
-        for r in range(n):
-            d[r][i], d[r][k] = d[r][k], d[r][i]
-        for r in range(m):
-            v[r][i], v[r][k] = v[r][k], v[r][i]
-
-    def clear_at(i: int) -> None:
-        # Alternately clear column i below and row i to the right; each
-        # pass may dirty the other. When the pivot divides the entry we do
-        # a plain elimination (pivot row/column untouched); the exgcd op is
-        # reserved for entries the pivot does not divide, where it strictly
-        # shrinks |pivot| -- that is what makes the loop terminate instead
-        # of ping-ponging on Bezout pairs like exgcd(1, 1) = (1, 0, 1).
-        dirty = True
-        while dirty:
-            dirty = False
-            for r in range(i + 1, n):
-                if d[r][i] != 0:
-                    if d[r][i] % d[i][i] == 0:
-                        f = d[r][i] // d[i][i]
-                        d[r] = [d[r][j] - f * d[i][j] for j in range(m)]
-                        u[r] = [u[r][j] - f * u[i][j] for j in range(n)]
-                    else:
-                        g, s, t = exgcd(d[i][i], d[r][i])
-                        row_op(i, r, s, t, d[r][i] // g, d[i][i] // g)
-                        dirty = True
-            for c in range(i + 1, m):
-                if d[i][c] != 0:
-                    if d[i][c] % d[i][i] == 0:
-                        f = d[i][c] // d[i][i]
-                        for r in range(n):
-                            d[r][c] -= f * d[r][i]
-                        for r in range(m):
-                            v[r][c] -= f * v[r][i]
-                    else:
-                        g, s, t = exgcd(d[i][i], d[i][c])
-                        col_op(i, c, s, t, d[i][c] // g, d[i][i] // g)
-                        dirty = True
-
-    rank_bound = min(n, m)
-    for i in range(rank_bound):
-        # find a nonzero pivot in the trailing submatrix
-        found = None
-        for r in range(i, n):
-            for c in range(i, m):
-                if d[r][c] != 0:
-                    found = (r, c)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        r, c = found
-        if r != i:
-            swap_rows(i, r)
-        if c != i:
-            swap_cols(i, c)
-        clear_at(i)
-
-    # divisibility chain: fold any offending later diagonal into position i
-    # by adding column j into column i and re-clearing; the block ends as
-    # diag(gcd, lcm) and nothing outside rows/cols {i, j} moves
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank_bound - 1):
-            if d[i][i] == 0:
+    d, u, v = a, identity(len(a)), identity(len(a[0]))
+    while True:
+        d, w = _hermite_pass(d)
+        u = matmul(w, u)
+        if _off_diagonal(d):
+            d_t, w = _hermite_pass(_transpose(d))
+            d, v = _transpose(d_t), matmul(v, _transpose(w))
+            if _off_diagonal(d):
                 continue
-            for j in range(i + 1, rank_bound):
-                if d[j][j] % d[i][i] != 0:
-                    for r in range(n):
-                        d[r][i] += d[r][j]
-                    for r in range(m):
-                        v[r][i] += v[r][j]
-                    clear_at(i)
-                    changed = True
-
-    for i in range(rank_bound):
-        if d[i][i] < 0:
-            for j in range(m):
-                d[i][j] = -d[i][j]
-            for j in range(n):
-                u[i][j] = -u[i][j]
-    return d, u, v
+        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+        fold = next(((i, j) for i, di in enumerate(diag) if di
+                     for j in range(i + 1, len(diag)) if diag[j] % di), None)
+        if fold is None:
+            return d, u, v
+        i, j = fold
+        for row in d + v:
+            row[i] += row[j]
 
 
 def invariant_factors(a: list[list[int]]) -> list[int]:

@@ -216,7 +216,10 @@ def dense_cyclic_factors(k: DiffField, entries, lattice: LatticeBasis) -> tuple:
         witness = prod((w ** c for c, (_, w) in zip(u_mat[u], rows) if c),
                        start=field.one)
         witness = witness / witness.num.lc()
-        if apply_sigma(k, witness) / witness != char ** order:
+        # sigma(w)/w == char^order, cross-multiplied: no gcd of the quotient
+        moved, power = apply_sigma(k, witness), char ** order
+        if (moved.num * witness.den * power.den
+                != moved.den * witness.num * power.num):
             raise InternalInvariantError(
                 "Smith-combined witness does not witness its relation")
         split, root, marker = split_witness(k, char, order, witness)

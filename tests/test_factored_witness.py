@@ -23,7 +23,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 import conftest
 
-from pvkit import engine, solve
+from pvkit import engine, groups, snf, solve
 from pvkit.arith.cyclo import CycloField, CycloNum
 from pvkit.arith.poly import Poly, RatFunc, RatFuncField
 from pvkit.base import DiffField, SigmaSpec, apply_sigma
@@ -136,6 +136,43 @@ def test_no_build_takes_a_dense_route(monkeypatch):
                                                     CycloField))
     assert not hasattr(BinomialNF, "assert_sigma_stable")
     _run_workload_inputs(monkeypatch)
+
+
+def test_a_build_makes_one_smith_pass_and_the_group_reads_it(monkeypatch):
+    # the group's finite part is the build's Smith factors: a diagonal
+    # build runs one Smith form, identify_group runs none
+    smith_calls = []
+
+    def counted(a, _real=snf.smith_normal_form):
+        smith_calls.append(a)
+        return _real(a)
+
+    for module in (snf, engine):
+        monkeypatch.setattr(module, "smith_normal_form", counted)
+    passes = {"build": [], "group": []}
+
+    def spy(kind, real):
+        def wrapped(*args, **kwargs):
+            before = len(smith_calls)
+            out = real(*args, **kwargs)
+            passes[kind].append(len(smith_calls) - before)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(engine, "_build_multiplicative",
+                        spy("build", engine._build_multiplicative))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pvkit") and hasattr(module, "identify_group"):
+            monkeypatch.setattr(module, "identify_group",
+                                spy("group", module.identify_group))
+    _run_workload_inputs(monkeypatch)
+    for name in conftest.REGISTRY:
+        p = conftest._BUILDERS[name]()
+        for q in (p, *(base_change(p, ext)
+                       for ext in conftest.EXTENSIONS.values())):
+            groups.identify_group(q)
+    assert passes["build"] and set(passes["build"]) == {1}
+    assert passes["group"] and set(passes["group"]) == {0}
 
 
 def _run_workload_inputs(monkeypatch):

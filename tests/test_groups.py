@@ -37,6 +37,7 @@ from pvkit.engine import (
     build_pv_unipotent,
 )
 from pvkit.errors import (
+    InternalInvariantError,
     NotConstant,
     NotFundamental,
     ShapeMismatch,
@@ -46,6 +47,7 @@ from pvkit.errors import (
 from pvkit.groups import (
     ConstantsExtensionDesc,
     GroupDesc,
+    base_change,
     connection_matrix_check,
     coordinate_var_names,
     evaluate_coordinate_point,
@@ -194,6 +196,16 @@ class TestIdentifyGroup:
         with pytest.raises(UnsupportedSubstitutionShape):
             identify_group(p)
 
+    def test_a_presentation_without_its_smith_factors_is_an_error(self):
+        # the finite part is read off the build's Smith factors; a
+        # presentation made by hand without them must not lose it silently
+        p = diagonal_pair()
+        assert p.lattice.rank() == 2
+        with pytest.raises(InternalInvariantError, match="cyclic factors"):
+            identify_group(dataclasses.replace(p, factors=()))
+        with pytest.raises(InternalInvariantError, match="cyclic factors"):
+            identify_group(dataclasses.replace(p, factors=p.factors[:1]))
+
     def test_unipotent_free(self):
         g = identify_group(example_b())
         assert g.torus_rank == 0
@@ -296,6 +308,20 @@ class TestBaseChange:
             with pytest.raises(ValueError, match="not a base change"):
                 group_transport_check(p, conftest.EXTENSIONS["zeta3"],
                                       changed=wrong)
+
+    def test_a_rebuild_with_other_generators_is_refused(self, monkeypatch):
+        # the rebuilt generators must lift the old ones; here the rebuild
+        # presents scalar(1) in place of scalar(-1)
+        def rebuilt(k, entries, m_max):
+            return build_pv_diagonal(k, [-e for e in entries], m_max=m_max)
+
+        monkeypatch.setattr("pvkit.groups.build_pv_diagonal", rebuilt)
+        with pytest.raises(InternalInvariantError,
+                           match="altered the generator set") as err:
+            base_change(example_a(), conftest.EXTENSIONS["zeta3"])
+        details = err.value.details
+        assert len(details["before"]) == len(details["after"]) == 1
+        assert details["before"] != details["after"]
 
     def test_root_of_unity_merges_conductors(self):
         p = conftest.presentation("square-root-of-x")

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pvkit.snf import (
@@ -19,6 +20,7 @@ from pvkit.snf import (
     matmul,
     identity,
     smith_normal_form,
+    unimodular_inverse,
 )
 
 
@@ -84,6 +86,14 @@ def test_smith_form_frozen_cases():
     assert invariant_factors([[2, 4]]) == [2]
     assert invariant_factors([[6, 0], [0, 10]]) == [2, 30]
     assert invariant_factors([[0, 0]]) == []
+    # a diagonal that fails the divisibility chain is folded: gcd, lcm
+    assert invariant_factors([[3, 0], [0, 2]]) == [1, 6]
+    assert invariant_factors([[0, 2, 0]]) == [2]
+    assert invariant_factors([[4], [-6], [10]]) == [2]
+    # rank 2 in a 3x3: the third diagonal entry is 0
+    rank_two = [[2, 4, 6], [1, 2, 3], [0, 0, 5]]
+    d, _, _ = smith_normal_form(rank_two)
+    assert [d[i][i] for i in range(3)] == [1, 5, 0]
 
 
 def test_smith_transforms():
@@ -138,6 +148,40 @@ def test_smith_round_trip(a):
             assert diag[i + 1] == 0
         elif diag[i + 1] != 0:
             assert diag[i + 1] % diag[i] == 0
+    # d1...dk is the gcd of the k x k minors of a, by definition, with no
+    # Hermite form involved
+    for k in range(1, r + 1):
+        minors = [int_det([[a[i][j] for j in cols] for i in rows])
+                  for rows in combinations(range(len(a)), k)
+                  for cols in combinations(range(len(a[0])), k)]
+        assert prod(diag[:k]) == gcd(*minors)
+
+
+def _elementary_product(n, ops):
+    """The product of elementary matrices: row i += c * row j, a row swap
+    (c = 0) or a row negation (i = j)."""
+    m = identity(n)
+    for i, j, c in ops:
+        i, j = i % n, j % n
+        if i == j:
+            m[i] = [-v for v in m[i]]
+        elif c == 0:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@seed(22)
+@given(st.integers(min_value=1, max_value=4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(-5, 5)), max_size=12))
+@settings(max_examples=120, deadline=None)
+def test_unimodular_inverse_round_trip(n, ops):
+    m = _elementary_product(n, ops)
+    inv = unimodular_inverse(m)
+    assert matmul(inv, m) == identity(n)
+    assert matmul(m, inv) == identity(n)
 
 
 @given(small_mats)
