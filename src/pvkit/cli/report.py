@@ -9,7 +9,7 @@ stderr as a diagnostic, never into the report body.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
@@ -234,7 +234,8 @@ def _run_basechange(req: Request, report: dict) -> int:
     p = _build_presentation(req)
     before = identify_group(p)
     q = base_change(p, ext)
-    after = identify_group(q)
+    # an extension that adds no constants returns p itself
+    after = before if q is p else identify_group(q)
     report["presentation"] = _presentation_section(p)
     report["base_change"] = {
         "adjoin": ext.describe(),
@@ -242,8 +243,7 @@ def _run_basechange(req: Request, report: dict) -> int:
         "after": _invariants_section(q, after),
         "constants_conductor_after": q.field.constants_conductor,
         "transport_ok": _transported(before.coordinate_ideal,
-                                     after.coordinate_ideal, q.field,
-                                     before.coordinate_vars),
+                                     after.coordinate_ideal, q.field),
         "group_unchanged": before == after,
     }
     return EXIT_OK
@@ -409,7 +409,8 @@ _DISPATCH = {
 
 def run(req: Request) -> tuple:
     """Execute a request; returns (report dict, exit code)."""
-    report = {"schema_version": SCHEMA_VERSION, "request": asdict(req)}
+    # the request is flat, so a shallow copy of its fields is a full one
+    report = {"schema_version": SCHEMA_VERSION, "request": dict(vars(req))}
     try:
         code = _DISPATCH[req.command](req, report)
     except PvkitError as err:

@@ -13,12 +13,13 @@ The group itself is read off the relation lattice: the Smith factors the
 build already computed give the finite cyclic part, the corank gives the
 torus rank, and an unsolved triangular corner contributes one additive
 dimension.  Base change of the constants (a larger cyclotomic field, or
-adjoined transcendental constants) rebuilds the presentation once; the
-transport check takes that rebuilt presentation and confirms the
-coordinate equations only change by coefficient extension.  Connection matrices between two fundamental
-solutions of the same one-entry diagonal system are computed in the residue
-ring, with the inverse read off the ``Poly.xgcd`` cofactor, and certified
-sigma-fixed.
+adjoined transcendental constants) rebuilds the presentation once, or not
+at all when the extension adds no constants; the transport check takes
+that presentation and confirms, comparing values, that the coordinate
+equations only change by coefficient extension.  Connection matrices
+between two fundamental solutions of the same one-entry diagonal system
+are computed in the residue ring, with the inverse read off the
+``Poly.xgcd`` cofactor, and certified sigma-fixed.
 """
 from __future__ import annotations
 
@@ -176,15 +177,21 @@ def _ideal_conductor(gens) -> int:
 def _expand_slots(k: DiffField, x_terms: dict) -> list:
     """Expand a family {X-exponent: k-coefficient} over a constants basis of
     k: clear to a common denominator, then read one X-relation off each
-    power of the base variable.  Returns a list of term dicts with constant
-    coefficients embedded back into k."""
-    field = k.k_field
-    inner = field.inner
-    den = Poly.one(inner)
+    power of the base variable.  A denominator of 1 (monic of degree 0)
+    takes no gcd and no division.  Returns a list of {X-exponent:
+    constant} dicts; the constants stay in the constants field of k, where
+    ``_canonical_equation`` divides them."""
+    den = Poly.one(k.k_field.inner)
     for h in x_terms.values():
-        g = den.gcd(h.den)
-        den = den * h.den.exact_div(g)
-    nums = {w: h.num * den.exact_div(h.den) for w, h in x_terms.items()}
+        if h.den.degree() > 0:
+            den = (h.den if den.degree() == 0
+                   else den * h.den.exact_div(den.gcd(h.den)))
+    nums = {}
+    for w, h in x_terms.items():
+        if h.den.degree() > 0:
+            nums[w] = h.num * den.exact_div(h.den)
+        else:
+            nums[w] = h.num if den.degree() == 0 else h.num * den
     top = max(n.degree() for n in nums.values())
     out = []
     for d in range(top + 1):
@@ -192,16 +199,18 @@ def _expand_slots(k: DiffField, x_terms: dict) -> list:
         for w, n in nums.items():
             c = n.nth(d)
             if not c.is_zero():
-                slot[w] = field.coerce(c)
+                slot[w] = c
         if slot:
             out.append(slot)
     return out
 
 
 def _canonical_equation(field, nvars: int, slot: dict) -> LaurentPoly:
-    lead = max(slot)
-    c = slot[lead]
-    return LaurentPoly(field, nvars, {w: v / c for w, v in slot.items()})
+    """The X-relation of one slot scaled to leading coefficient 1: divided
+    in the constants field, each coefficient then embedded in k once."""
+    inv = 1 / slot[max(slot)]
+    return LaurentPoly._trusted(
+        field, nvars, {w: field.coerce(v * inv) for w, v in slot.items()})
 
 
 def _multiplicative_substitution(p: PVPresentation) -> list:
@@ -259,9 +268,11 @@ def functor_ideal(p: PVPresentation) -> tuple:
 
     Substitutes Y -> Y*X into each ideal generator, reduces the Y part to
     normal form, and expands the coefficients over a constants basis; the
-    X-polynomials that appear generate the returned ideal (deduplicated,
-    each normalized to leading coefficient 1, deterministically ordered).
-    An empty tuple means the zero ideal (the full group of the shape).
+    X-polynomials that appear generate the returned ideal, each normalized
+    to leading coefficient 1.  An equation equal to one already kept is
+    dropped; two or more distinct ones are ordered by their printed form,
+    the only use of printing here.  An empty tuple means the zero ideal
+    (the full group of the shape).
     """
     shape = p.system.shape
     if shape == "diagonal":
@@ -277,14 +288,17 @@ def functor_ideal(p: PVPresentation) -> tuple:
         raise UnsupportedSubstitutionShape(
             f"no substitution rule for shape {shape!r}")
     field = p.field.k_field
-    names = coordinate_var_names(p)
-    seen = {}
+    kept = []
     for by_res in per_gen:
         for x_terms in by_res.values():
             for slot in _expand_slots(p.field, x_terms):
                 eq = _canonical_equation(field, nvars, slot)
-                seen.setdefault(eq.format(names), eq)
-    return tuple(seen[key] for key in sorted(seen))
+                if not any(eq == g for g in kept):
+                    kept.append(eq)
+    if len(kept) > 1:
+        names = coordinate_var_names(p)
+        kept.sort(key=lambda g: g.format(names))
+    return tuple(kept)
 
 
 def evaluate_coordinate_point(k: DiffField, gens, values) -> list:
@@ -315,19 +329,9 @@ def evaluate_coordinate_point(k: DiffField, gens, values) -> list:
 # identification
 # ---------------------------------------------------------------------------
 
-def identify_group(p: PVPresentation) -> GroupDesc:
-    """Read the group structure off the presentation.
-
-    The torus rank is the corank of the relation lattice, and the finite
-    cyclic part is read off ``p.factors``, the Smith pass the build made
-    and certified (orders above 1); no Smith form is run again.  A
-    presentation whose factors do not match its lattice rank raises
-    InternalInvariantError rather than lose its finite part.  An unsolved
-    triangular corner contributes one additive dimension.  The computed
-    dimension is asserted equal to the presentation's Krull dimension, and
-    the coordinate equations are attached; a presentation made by hand
-    that the substitution cannot read raises UnsupportedSubstitutionShape.
-    """
+def _structure(p: PVPresentation) -> tuple:
+    """(torus_rank, finite_orders, unipotent_dim) of the group, checked
+    against the build; no coordinate equations are computed."""
     if p.system.shape == "unipotent2":
         torus_rank = 0
         orders: tuple = ()
@@ -345,6 +349,23 @@ def identify_group(p: PVPresentation) -> GroupDesc:
             "group dimension disagrees with the Krull dimension",
             torus_rank=torus_rank, unipotent_dim=unipotent_dim,
             krull_dim=p.krull_dim)
+    return torus_rank, orders, unipotent_dim
+
+
+def identify_group(p: PVPresentation) -> GroupDesc:
+    """Read the group structure off the presentation.
+
+    The torus rank is the corank of the relation lattice, and the finite
+    cyclic part is read off ``p.factors``, the Smith pass the build made
+    and certified (orders above 1); no Smith form is run again.  A
+    presentation whose factors do not match its lattice rank raises
+    InternalInvariantError rather than lose its finite part.  An unsolved
+    triangular corner contributes one additive dimension.  The computed
+    dimension is asserted equal to the presentation's Krull dimension, and
+    the coordinate equations are attached; a presentation made by hand
+    that the substitution cannot read raises UnsupportedSubstitutionShape.
+    """
+    torus_rank, orders, unipotent_dim = _structure(p)
     coords = functor_ideal(p)
     return GroupDesc(
         torus_rank=torus_rank,
@@ -404,9 +425,14 @@ def base_change(p: PVPresentation, ext: ConstantsExtensionDesc) -> PVPresentatio
     Solvability of every search the build runs is stable under constants
     extension (gcds, dispersions, and linear ranks do not change), so the
     rebuilt generator set must be the coefficientwise lift of the old one;
-    that is asserted, and it pins the rebuilt lattice.
+    that is asserted, and it pins the rebuilt lattice.  An extension that
+    adds no constants (a root of unity the constants already hold) returns
+    ``p`` itself: the build is deterministic, so a rebuild over the same
+    field would only repeat it.
     """
     new_k = extend_field(p.field, ext)
+    if new_k == p.field:
+        return p
     inner = new_k.k_field.inner
     entries = [lift_ratfunc(e, inner) for e in p.system.entries]
     shape = p.system.shape
@@ -417,7 +443,7 @@ def base_change(p: PVPresentation, ext: ConstantsExtensionDesc) -> PVPresentatio
     else:
         raise UnsupportedShape(f"no base-change rule for shape {shape!r}")
     old, names = p.ideal.generators, p.ideal.var_names
-    if not _transported(old, new_p.ideal.generators, new_k, names):
+    if not _transported(old, new_p.ideal.generators, new_k):
         raise InternalInvariantError(
             "base change altered the generator set",
             before=sorted(_lift_laurent(g, new_k).format(names) for g in old),
@@ -437,16 +463,25 @@ def group_transport_check(p: PVPresentation, ext: ConstantsExtensionDesc,
     if changed.field != extend_field(p.field, ext):
         raise ValueError("changed is not a base change of p by ext")
     return _transported(functor_ideal(p), functor_ideal(changed),
-                        changed.field, coordinate_var_names(p))
+                        changed.field)
 
 
-def _transported(old, new, new_k: DiffField, names) -> bool:
-    """True iff the equations ``new`` over ``new_k`` lift ``old`` one by one."""
-    lifted = sorted((_lift_laurent(g, new_k) for g in old),
-                    key=lambda g: g.format(names))
-    fresh = sorted(new, key=lambda g: g.format(names))
-    return len(lifted) == len(fresh) and all(
-        a == b for a, b in zip(lifted, fresh))
+def _transported(old, new, new_k: DiffField) -> bool:
+    """True iff the equations ``new`` over ``new_k`` are the lifts of
+    ``old`` as a multiset, in any order: each lift is paired with an equal
+    fresh equation, which is then used up."""
+    fresh = list(new)
+    if len(fresh) != len(old):
+        return False
+    for g in old:
+        lifted = _lift_laurent(g, new_k)
+        for i, h in enumerate(fresh):
+            if h == lifted:
+                del fresh[i]
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +545,12 @@ def connection_matrix_check(p: PVPresentation, u_exp: LaurentPoly,
 
 def weak_pv_compare(p: PVPresentation, other: PVPresentation) -> bool:
     """Whether two presentations of the same shape have the same group
-    structure, comparing across constant-field enlargements."""
+    structure, comparing across constant-field enlargements.  Only the
+    torus rank, the finite orders and the unipotent dimension are read;
+    no coordinate equations are computed."""
     if p.system.shape != other.system.shape:
         raise ShapeMismatch(
             f"cannot compare shapes {p.system.shape!r} and {other.system.shape!r}")
     if p.ideal.nvars != other.ideal.nvars:
         raise ShapeMismatch("presentations have different variable counts")
-    ga = identify_group(p)
-    gb = identify_group(other)
-    return (ga.torus_rank == gb.torus_rank
-            and ga.finite_orders == gb.finite_orders
-            and ga.unipotent_dim == gb.unipotent_dim)
+    return _structure(p) == _structure(other)

@@ -8,6 +8,8 @@ stderr only).
 """
 
 import dataclasses
+import hashlib
+import importlib
 import json
 import re
 import subprocess
@@ -15,6 +17,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -24,7 +27,13 @@ from pvkit.arith.cyclo import CycloField, CycloNum
 from pvkit.arith.poly import Poly, RatFunc, RatFuncField, format_ratfunc
 from pvkit.cli.exprparse import expression_conductor, parse_expression
 from pvkit.cli.main import main
-from pvkit.cli.report import Request, parse_adjoin, parse_system, run
+from pvkit.cli.report import (
+    Request,
+    parse_adjoin,
+    parse_system,
+    render_json,
+    run,
+)
 from pvkit.errors import DivisionByZeroExpression, ParseError
 from pvkit.groups import base_change, functor_ideal, identify_group
 from pvkit.laurent import LaurentPoly
@@ -269,6 +278,26 @@ class TestCommands:
         assert code == 0
         assert calls == [1, 3]
         assert "transport_ok: true" in out
+
+    def test_a_basechange_that_adds_no_constants_reads_one_ideal(
+            self, capsys, monkeypatch):
+        # zeta(3) is already a constant: nothing is rebuilt, and the group
+        # read before the base change is the one read after it
+        calls = []
+
+        def counted(p):
+            calls.append(p.field.constants_conductor)
+            return functor_ideal(p)
+
+        monkeypatch.setattr("pvkit.groups.functor_ideal", counted)
+        code, out, _ = run_cli(
+            ["basechange", "--sigma", "shift", "--system",
+             "scalar(zeta(3)*(x+1)/x)", "--adjoin", "zeta(3)"], capsys)
+        assert code == 0
+        assert calls == [3]
+        assert "transport_ok: true" in out
+        assert "group_unchanged: true" in out
+        assert "constants_conductor_after: 3" in out
 
     def test_basechange_transport_reads_the_after_ideal(self, capsys,
                                                         monkeypatch):
@@ -697,6 +726,34 @@ class TestExitCodes:
         jsonschema.validate(report, load_schema())
         assert "error[output-too-large]" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+_TESTS = Path(__file__).resolve().parent
+
+
+class TestGoldenReports:
+    """The JSON report of every benchmark workload input and of
+    ``KNOWN_SLOW``, pinned by sha256 with its exit code.  A change that
+    is meant to alter a report (a schema change) updates
+    ``golden_reports.json`` and records the edit."""
+
+    def test_workload_reports_are_unchanged(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(_TESTS.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        inputs = [(name, inp) for name, items in workloads.WORKLOADS.items()
+                  for inp in items]
+        inputs.append(("known-slow", workloads.KNOWN_SLOW))
+        seen = {}
+        for name, inp in inputs:
+            rep, code = run(Request(command=inp.command, **inp.request))
+            seen[f"{name}: {inp.label}"] = {
+                "exit_code": code,
+                "sha256": hashlib.sha256(
+                    render_json(rep).encode()).hexdigest(),
+            }
+        golden = json.loads((_TESTS / "golden_reports.json").read_text())
+        assert len(seen) == len(inputs)
+        assert seen == golden
 
 
 class TestProcessBehavior:

@@ -58,6 +58,7 @@ from pvkit.groups import (
     weak_pv_compare,
     _coordinate_ideals_equal,
     _lift_laurent,
+    _transported,
 )
 from pvkit.laurent import LaurentPoly
 from pvkit.snf import smith_normal_form
@@ -174,6 +175,33 @@ class TestFunctorIdeal:
         formatted = {g.format(coordinate_var_names(p))
                      for g in functor_ideal(p)}
         assert formatted == {"-1 + X11", "-1 + X22", "X12"}
+
+    def test_distinct_equations_keep_their_printed_order(self):
+        # b = 1/(x+5) - 1/x: one slot per power of x in the telescoping
+        # solution, deduplicated by value and ordered by printed form;
+        # the strings are those of the release that deduplicated and
+        # ordered through the printed form itself
+        k = shift_field()
+        x = k.x()
+        p = build_pv_unipotent(k, 1 / (x + 5) - 1 / x)
+        names = coordinate_var_names(p)
+        assert [g.format(names) for g in functor_ideal(p)] == [
+            "-1 + X11",
+            "-1 + X22",
+            "-X22 + (-10/21)*X12 + X11",
+            "-X22 + (-6/25)*X12 + X11",
+            "-X22 + (-7/8)*X12 + X11",
+            "-X22 + X11",
+            "-X22 - 2*X12 + X11",
+            "X12",
+        ]
+
+    def test_equal_equations_are_kept_once(self):
+        # every power of x in sigma(g)/g = (x+1000)/x reads -1 + X
+        k = shift_field()
+        x = k.x()
+        p = build_pv_scalar(k, (x + 1000) / x)
+        assert functor_ideal(p) == (binomial(p.field, 1, (1,)),)
 
 
 class TestIdentifyGroup:
@@ -334,6 +362,23 @@ class TestBaseChange:
         q = conftest.changed_presentation("zeta3-twisted-shift", "zeta3")
         assert q.field.constants_conductor == 3
 
+    def test_an_extension_that_adds_nothing_returns_the_presentation(
+            self, monkeypatch):
+        # the constants already hold the root of unity, so nothing is
+        # rebuilt; the checks still accept p as its own base change
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("rebuilt over the same field")
+
+        monkeypatch.setattr("pvkit.groups.build_pv_diagonal", no_rebuild)
+        monkeypatch.setattr("pvkit.groups.build_pv_unipotent", no_rebuild)
+        p = zeta3_shift()
+        assert base_change(p, ROOT3) is p
+        assert group_transport_check(p, ROOT3, changed=p) is True
+        for name in conftest.REGISTRY:
+            q = conftest.presentation(name)
+            assert base_change(
+                q, ConstantsExtensionDesc.adjoin_root_of_unity(1)) is q
+
     def test_transcendental_names_avoid_collisions(self):
         k = extend_field(shift_field(), ONE_T)
         k2 = extend_field(k, ONE_T)
@@ -390,6 +435,66 @@ class TestTransportNegativeControls:
         assert weak_pv_compare(pair, pair) is True
 
 
+def _format_sorted_oracle(old, new, new_k, names):
+    """The comparison ``_transported`` made through the printed form."""
+    key = lambda g: g.format(names)
+    lifted = sorted((_lift_laurent(g, new_k) for g in old), key=key)
+    return len(lifted) == len(new) and lifted == sorted(new, key=key)
+
+
+class TestTransported:
+    def equations(self):
+        k = shift_field()
+        a, b = binomial(k, 1, (2,)), binomial(k, 1, (1,))
+        return k, a, b
+
+    def test_order_is_ignored_and_multiplicity_counts(self):
+        k, a, b = self.equations()
+        assert _transported([a, b], [b, a], k) is True
+        assert _transported([a, a], [a, b], k) is False
+        assert _transported([a, b], [a, a], k) is False
+        assert _transported([], [], k) is True
+
+    def test_a_length_mismatch_fails(self):
+        k, a, b = self.equations()
+        assert _transported([a], [a, b], k) is False
+        assert _transported([a, b], [a], k) is False
+        assert _transported([a], [], k) is False
+
+    def test_one_tampered_coefficient_fails(self):
+        k, a, b = self.equations()
+        bad = LaurentPoly(a.field, 1, {(2,): 2, (0,): -1})
+        assert _transported([a, b], [b, bad], k) is False
+
+    def test_lifts_are_compared_in_the_extended_field(self):
+        p = example_a()
+        q = conftest.changed_presentation("scalar-order-two", "zeta3")
+        assert _transported(functor_ideal(p), functor_ideal(q),
+                            q.field) is True
+
+    @pytest.mark.parametrize("ext", [
+        ConstantsExtensionDesc.adjoin_root_of_unity(3),
+        ConstantsExtensionDesc.adjoin_root_of_unity(4),
+        ConstantsExtensionDesc.adjoin_transcendental(1),
+    ], ids=["zeta3", "zeta4", "t1"])
+    @pytest.mark.parametrize("name", conftest.REGISTRY)
+    def test_agrees_with_the_printed_form_comparison(self, name, ext):
+        p = conftest.presentation(name)
+        q = base_change(p, ext)
+        names = coordinate_var_names(p)
+        pairs = [(functor_ideal(p), functor_ideal(q)),
+                 (p.ideal.generators, q.ideal.generators)]
+        for old, new in pairs:
+            new = list(new)
+            tampered = [new[:-1], new + new[:1], new[::-1],
+                        [g * 2 for g in new[:1]] + new[1:]]
+            assert _transported(old, new, q.field) is True
+            assert _format_sorted_oracle(old, new, q.field, names) is True
+            for other in tampered:
+                assert (_transported(old, other, q.field)
+                        is _format_sorted_oracle(old, other, q.field, names))
+
+
 class TestWeakPVComparison:
     def test_rescaled_witness_over_new_constants(self):
         # a different fundamental solution t*Y over the enlarged constants
@@ -419,6 +524,16 @@ class TestWeakPVComparison:
         assert weak_pv_compare(p, q) is True
         ga, gb = identify_group(p), identify_group(q)
         assert ga.dimension == gb.dimension == 1
+
+    def test_no_coordinate_equations_are_computed(self, monkeypatch):
+        # the comparison reads the structure only
+        def unread(p):
+            raise AssertionError("functor_ideal was computed")
+
+        monkeypatch.setattr("pvkit.groups.functor_ideal", unread)
+        assert weak_pv_compare(example_a(), example_c()) is True
+        assert weak_pv_compare(example_a(), order_three()) is False
+        assert weak_pv_compare(example_b(), example_b()) is True
 
 
 class TestConnectionMatrix:
