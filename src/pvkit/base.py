@@ -123,7 +123,7 @@ def lift_ratfunc(f: RatFunc, target_inner) -> RatFunc:
     """Rebuild a rational function coefficient-wise over a larger constants
     field (conductor growth or a transcendental tower).  A field embedding
     keeps num and den coprime and den monic, so the pair is not reduced
-    again."""
-    num = Poly(target_inner, [target_inner.coerce(c) for c in f.num.coeffs])
-    den = Poly(target_inner, [target_inner.coerce(c) for c in f.den.coeffs])
+    again, and ``Poly`` embeds each coefficient once."""
+    num = Poly(target_inner, f.num.coeffs)
+    den = Poly(target_inner, f.den.coeffs)
     return RatFunc._trusted(num, den)

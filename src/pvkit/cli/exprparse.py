@@ -16,7 +16,6 @@ values parse back to themselves.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from ..arith.cyclo import CycloField, CycloNum
@@ -149,37 +148,41 @@ class _Parser:
             position=tok[2])
 
 
-def _conductor(node) -> int:
+def tree_conductor(node) -> int:
+    """Smallest cyclotomic conductor containing every zeta in a parsed
+    expression."""
     kind = node[0]
     if kind == "zeta":
         return node[1]
     if kind in ("int", "x"):
         return 1
     if kind in ("neg",):
-        return _conductor(node[1])
+        return tree_conductor(node[1])
     if kind == "pow":
-        return _conductor(node[1])
-    return lcm(_conductor(node[1]), _conductor(node[2]))
+        return tree_conductor(node[1])
+    return lcm(tree_conductor(node[1]), tree_conductor(node[2]))
 
 
-def _evaluate(node, field: RatFuncField) -> RatFunc:
+def evaluate_tree(node, field: RatFuncField) -> RatFunc:
+    """The exact value of a parsed expression in ``field``."""
     kind = node[0]
     if kind == "int":
-        return field.coerce(Fraction(node[1]))
+        # an int takes the integer path of CycloNum.from_rational
+        return field.coerce(node[1])
     if kind == "x":
         return field.x()
     if kind == "zeta":
         return field.coerce(CycloNum.zeta(node[1]))
     if kind == "neg":
-        return -_evaluate(node[1], field)
+        return -evaluate_tree(node[1], field)
     if kind == "pow":
-        base = _evaluate(node[1], field)
+        base = evaluate_tree(node[1], field)
         if node[2] < 0 and base.is_zero():
             raise DivisionByZeroExpression(
                 "zero raised to a negative exponent")
         return base ** node[2]
-    lhs = _evaluate(node[1], field)
-    rhs = _evaluate(node[2], field)
+    lhs = evaluate_tree(node[1], field)
+    rhs = evaluate_tree(node[2], field)
     if kind == "+":
         return lhs + rhs
     if kind == "-":
@@ -191,9 +194,16 @@ def _evaluate(node, field: RatFuncField) -> RatFunc:
     return lhs / rhs
 
 
+def parse_tree(text: str):
+    """The syntax tree of ``text``; ``tree_conductor`` and
+    ``evaluate_tree`` read it, so a text is tokenized once however often
+    its value is needed."""
+    return _Parser(text).parse()
+
+
 def expression_conductor(text: str) -> int:
     """Smallest cyclotomic conductor containing every zeta in ``text``."""
-    return _conductor(_Parser(text).parse())
+    return tree_conductor(parse_tree(text))
 
 
 def parse_expression(text: str, field: RatFuncField | None = None) -> RatFunc:
@@ -202,7 +212,7 @@ def parse_expression(text: str, field: RatFuncField | None = None) -> RatFunc:
     Without an explicit field the coefficients live in the smallest
     cyclotomic field mentioned by the expression itself.
     """
-    ast = _Parser(text).parse()
+    ast = parse_tree(text)
     if field is None:
-        field = RatFuncField(CycloField(_conductor(ast)), "x")
-    return _evaluate(ast, field)
+        field = RatFuncField(CycloField(tree_conductor(ast)), "x")
+    return evaluate_tree(ast, field)

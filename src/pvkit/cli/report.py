@@ -39,7 +39,7 @@ from ..groups import (
     _transported,
 )
 from ..laurent import LaurentPoly
-from .exprparse import expression_conductor, parse_expression
+from .exprparse import evaluate_tree, parse_tree, tree_conductor
 
 SCHEMA_VERSION = 2
 
@@ -128,16 +128,19 @@ def parse_adjoin(text: str) -> ConstantsExtensionDesc:
         "transcendental constants", position=0)
 
 
-def _request_conductor(req: Request, system_args) -> int:
-    conductor = 1
+def _request_trees(req: Request, system_args) -> dict:
+    """Each distinct expression of the request parsed once, keyed by its
+    text: q, u, v, then the system entries, so a malformed one is
+    reported in that order."""
+    trees = {}
     for text in [req.q, req.u, req.v] + list(system_args):
-        if text is not None:
-            conductor = lcm(conductor, expression_conductor(text))
-    return conductor
+        if text is not None and text not in trees:
+            trees[text] = parse_tree(text)
+    return trees
 
 
-def _build_field(req: Request, system_args, var: str = "x") -> DiffField:
-    constants = CycloField(_request_conductor(req, system_args))
+def _build_field(req: Request, trees: dict, var: str = "x") -> DiffField:
+    constants = CycloField(lcm(*map(tree_conductor, trees.values())))
     if req.sigma == "shift":
         if req.q is not None:
             raise ZeroInput("--q only applies to --sigma qshift")
@@ -145,22 +148,30 @@ def _build_field(req: Request, system_args, var: str = "x") -> DiffField:
     else:
         if req.q is None:
             raise ZeroInput("--sigma qshift requires --q")
-        q_value = parse_expression(req.q, RatFuncField(constants, var))
+        q_value = evaluate_tree(trees[req.q], RatFuncField(constants, var))
         if not q_value.is_const():
             raise ZeroInput("q must be a constant expression")
         sigma = SigmaSpec.qshift(q_value.const_value())
     return DiffField(sigma, constants, var)
 
 
-def _build_presentation(req: Request, var: str = "x") -> PVPresentation:
+def _presented(req: Request, var: str = "x") -> tuple:
+    """The request's presentation and the parsed trees of its texts."""
     if req.system is None:
         raise ZeroInput(f"{req.command} requires --system")
     shape, args = parse_system(req.system)
-    k = _build_field(req, args, var)
-    entries = [parse_expression(a, k.k_field) for a in args]
+    trees = _request_trees(req, args)
+    k = _build_field(req, trees, var)
+    entries = [evaluate_tree(trees[a], k.k_field) for a in args]
     if shape == "unipotent":
-        return build_pv_unipotent(k, entries[0], m_max=req.m_max)
-    return build_pv_diagonal(k, entries, m_max=req.m_max)
+        p = build_pv_unipotent(k, entries[0], m_max=req.m_max)
+    else:
+        p = build_pv_diagonal(k, entries, m_max=req.m_max)
+    return p, trees
+
+
+def _build_presentation(req: Request, var: str = "x") -> PVPresentation:
+    return _presented(req, var)[0]
 
 
 def _format_value(p: PVPresentation, f) -> str:
@@ -253,13 +264,13 @@ def _run_check_connection(req: Request, report: dict) -> int:
     if req.u is None or req.v is None:
         raise ZeroInput("check-connection requires --u and --v "
                         "(constant multiples of the residue Y)")
-    p = _build_presentation(req)
+    p, trees = _presented(req)
     report["presentation"] = _presentation_section(p)
     field = p.field.k_field
     u = LaurentPoly.monomial(field, 1, (1,),
-                             parse_expression(req.u, field))
+                             evaluate_tree(trees[req.u], field))
     v = LaurentPoly.monomial(field, 1, (1,),
-                             parse_expression(req.v, field))
+                             evaluate_tree(trees[req.v], field))
     try:
         ratio = connection_matrix_check(p, u, v)
     except (NotFundamental, NotConstant) as err:

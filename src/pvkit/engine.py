@@ -203,12 +203,13 @@ class SigmaIdeal:
         nvars = len(var_names)
         field = k.k_field
         nf = BinomialNF(field, nvars, list(lattice.rows))
-        gens = []
-        for vec, witness in lattice.rows:
-            gens.append(LaurentPoly.monomial(field, nvars, vec)
-                        - LaurentPoly.const(field, nvars, witness))
-        return cls(k, "diagonal", tuple(var_names), tuple(gens), characters,
-                   nf, None)
+        # Y^v - w per row; the row witnesses are elements of k already
+        one, zero = field.one, (0,) * nvars
+        gens = tuple(LaurentPoly._trusted(field, nvars,
+                                          {tuple(vec): one, zero: -witness})
+                     for vec, witness in lattice.rows)
+        return cls(k, "diagonal", tuple(var_names), gens, characters, nf,
+                   None)
 
     @classmethod
     def from_unipotent(cls, k: DiffField, b: RatFunc, solution) -> "SigmaIdeal":

@@ -3,11 +3,14 @@
 The automorphisms of a solution ring that commute with sigma and fix the base
 field act on a fundamental solution by right multiplication, Y -> Y*X.  The
 entries of X that actually occur are cut out by explicit equations over the
-constants: substitute Y*X into every ideal generator, reduce to normal form,
-and collect the coefficient polynomials of a constants-basis expansion.  For
-the binomial ideals produced by the engine this recovers one relation
-X^v - 1 per lattice row; for the triangular shape it pins the diagonal and,
-when the telescoping corner sum is rational, the corner too.
+constants.  For the binomial ideals produced by the engine the substitution
+sends each generator Y^v - w, v a Hermite row, to w (X^v - 1), so the
+equations are X^v - 1 over the rows, read on exponent vectors with a coset
+certificate per row and no normal form.  For the triangular shape Y*X is
+substituted into every generator, reduced to normal form, and the
+coefficient polynomials of a constants-basis expansion collected; that pins
+the diagonal and, when the telescoping corner sum is rational, the corner
+too.
 
 The group itself is read off the relation lattice: the Smith factors the
 build already computed give the finite cyclic part, the corank gives the
@@ -207,28 +210,51 @@ def _expand_slots(k: DiffField, x_terms: dict) -> list:
 
 def _canonical_equation(field, nvars: int, slot: dict) -> LaurentPoly:
     """The X-relation of one slot scaled to leading coefficient 1: divided
-    in the constants field, each coefficient then embedded in k once."""
+    in the constants field, each coefficient then embedded in k once, as
+    a constant over 1 (already reduced, so nothing is coerced again)."""
+    inner = field.inner
+    den = Poly.one(inner)
     inv = 1 / slot[max(slot)]
     return LaurentPoly._trusted(
-        field, nvars, {w: field.coerce(v * inv) for w, v in slot.items()})
+        field, nvars,
+        {w: RatFunc._trusted(Poly._trusted(inner, [v * inv]), den)
+         for w, v in slot.items()})
 
 
-def _multiplicative_substitution(p: PVPresentation) -> list:
-    """Per generator of a binomial ideal: substitute Y_i -> Y_i X_i, reduce
-    the Y part, and return {Y-residue: {X-exponent: coefficient}} maps."""
+def _diagonal_equations(p: PVPresentation) -> list:
+    """X^v - 1 per Hermite row v of the binomial ideal, read on exponent
+    vectors.  Substituting Y -> Y*X into Y^v - w gives w X^v Y^v - w, and
+    Y^v reduces to w exactly when v is its own coset, (e_r, 0) for row r,
+    so the equation is w (X^v - 1): w is never read.  Each row is certified
+    to be its own coset and to lead with a positive entry (so X^v is the
+    leading term), and its generator to have support {v, 0}."""
     ideal = p.ideal
+    nf = ideal._nf
     field = p.field.k_field
-    n = ideal.nvars
-    per_gen = []
-    for gen in ideal.generators:
-        # each (Y-residue, X-exponent) key occurs once; normal forms hold no 0
-        by_res: dict = {}
-        for w, c in gen.terms.items():
-            reduced = ideal.normal_form(LaurentPoly.monomial(field, n, w, c))
-            for yr, cr in reduced.terms.items():
-                by_res.setdefault(yr, {})[w] = cr
-        per_gen.append(by_res)
-    return per_gen
+    nvars = ideal.nvars
+    zero = (0,) * nvars
+    if len(ideal.generators) != len(nf.rows):
+        raise InternalInvariantError(
+            "generators do not match the lattice rows",
+            generators=len(ideal.generators), rows=len(nf.rows))
+    one, minus_one = field.one, -field.one
+    out = []
+    for r, (gen, (v, _)) in enumerate(zip(ideal.generators, nf.rows)):
+        coeffs, res = nf.coset(v)
+        if any(res) or any(c != (i == r) for i, c in enumerate(coeffs)):
+            raise InternalInvariantError(
+                "lattice row is not its own coset", row=v, coset=coeffs,
+                residue=res)
+        if not v > zero:
+            raise InternalInvariantError(
+                "lattice row does not lead with a positive entry", row=v)
+        if gen.terms.keys() != {v, zero}:
+            raise InternalInvariantError(
+                "generator is not the binomial of its row", row=v,
+                support=sorted(gen.terms))
+        out.append(LaurentPoly._trusted(field, nvars,
+                                        {v: one, zero: minus_one}))
+    return out
 
 
 def _unipotent_substitution(p: PVPresentation) -> list:
@@ -266,35 +292,39 @@ def coordinate_var_names(p: PVPresentation) -> tuple:
 def functor_ideal(p: PVPresentation) -> tuple:
     """Equations over the constants cutting out the stabilizer coordinates.
 
-    Substitutes Y -> Y*X into each ideal generator, reduces the Y part to
-    normal form, and expands the coefficients over a constants basis; the
-    X-polynomials that appear generate the returned ideal, each normalized
-    to leading coefficient 1.  An equation equal to one already kept is
-    dropped; two or more distinct ones are ordered by their printed form,
-    the only use of printing here.  An empty tuple means the zero ideal
-    (the full group of the shape).
+    For the diagonal shape every generator Y^v - w, v a Hermite row,
+    substitutes to w (X^v - 1), so the ideal is read on exponent vectors:
+    X^v - 1 per row, each row certified to be its own coset
+    (InternalInvariantError otherwise); no normal form is taken and no
+    witness expanded.  An ideal with no characters is a hand-built one
+    the substitution does not read (UnsupportedSubstitutionShape).
+
+    For the triangular shape Y -> Y*X is substituted into each generator,
+    the Y part reduced to normal form and the coefficients expanded over
+    a constants basis; each X-polynomial is normalized to leading
+    coefficient 1 and kept once.  Two or more equations are ordered by
+    their printed form, the only use of printing here.  An empty tuple
+    means the zero ideal (the full group of the shape).  The dense
+    substitution for the diagonal shape is a test oracle
+    (``tests/dense_functor.py``).
     """
     shape = p.system.shape
     if shape == "diagonal":
         if p.ideal.characters is None:
             raise UnsupportedSubstitutionShape(
                 "presentation carries no reduction data for the substitution")
-        per_gen = _multiplicative_substitution(p)
-        nvars = p.ideal.nvars
+        kept = _diagonal_equations(p)
     elif shape == "unipotent2":
-        per_gen = _unipotent_substitution(p)
-        nvars = 3
+        kept = []
+        for by_res in _unipotent_substitution(p):
+            for x_terms in by_res.values():
+                for slot in _expand_slots(p.field, x_terms):
+                    eq = _canonical_equation(p.field.k_field, 3, slot)
+                    if not any(eq == g for g in kept):
+                        kept.append(eq)
     else:
         raise UnsupportedSubstitutionShape(
             f"no substitution rule for shape {shape!r}")
-    field = p.field.k_field
-    kept = []
-    for by_res in per_gen:
-        for x_terms in by_res.values():
-            for slot in _expand_slots(p.field, x_terms):
-                eq = _canonical_equation(field, nvars, slot)
-                if not any(eq == g for g in kept):
-                    kept.append(eq)
     if len(kept) > 1:
         names = coordinate_var_names(p)
         kept.sort(key=lambda g: g.format(names))

@@ -21,10 +21,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from pvkit.arith.cyclo import CycloField, CycloNum
 from pvkit.arith.poly import Poly, RatFunc, RatFuncField, format_ratfunc
+from pvkit.cli import exprparse
 from pvkit.cli.exprparse import expression_conductor, parse_expression
 from pvkit.cli.main import main
 from pvkit.cli.report import (
@@ -146,6 +147,83 @@ class TestRoundTrip:
         ]
         for f in samples:
             assert parse_expression(format_ratfunc(f, "x"), kf) == f
+
+
+@st.composite
+def _integer_expressions(draw, depth=3):
+    """(text, value) of an expression over integer literals, the value by
+    Fraction arithmetic, None where the expression divides by zero."""
+    if depth == 0 or draw(st.booleans()):
+        n = draw(st.integers(0, 30))
+        return str(n), Fraction(n)
+    op = draw(st.sampled_from(["+", "-", "*", "/", "neg", "^"]))
+    a, va = draw(_integer_expressions(depth - 1))
+    if op == "neg":
+        return f"-({a})", None if va is None else -va
+    if op == "^":
+        e = draw(st.integers(-3, 3))
+        bad = va is None or (va == 0 and e < 0)
+        return f"({a})^{e}", None if bad else va ** e
+    b, vb = draw(_integer_expressions(depth - 1))
+    text = f"({a}){op}({b})"
+    if va is None or vb is None or (op == "/" and vb == 0):
+        return text, None
+    return text, {"+": va + vb, "-": va - vb, "*": va * vb,
+                  "/": va / vb if vb else None}[op]
+
+
+class TestIntegerLiterals:
+    @seed(8)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(_integer_expressions(), st.sampled_from([1, 3, 8]))
+    def test_integer_path_equals_the_fraction_route(self, case, conductor):
+        text, value = case
+        kf = field(conductor)
+        if value is None:
+            with pytest.raises(DivisionByZeroExpression):
+                parse_expression(text, kf)
+        else:
+            assert parse_expression(text, kf) == kf.coerce(value)
+
+    @pytest.mark.parametrize("conductor", [1, 3, 8])
+    def test_a_literal_is_the_canonical_integer(self, conductor):
+        kf = field(conductor)
+        for n in (0, 1, 7, 10 ** 30):
+            assert parse_expression(str(n), kf) == kf.coerce(Fraction(n))
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize("command, fields", [
+        ("group", {"system": "diag(x,x,-1)"}),
+        ("group", {"sigma": "qshift", "q": "2", "system": "diag(2,-1,2)"}),
+        ("basechange", {"sigma": "qshift", "q": "2", "system": "scalar(-2)",
+                        "adjoin": "zeta(3)"}),
+        ("check-connection", {"sigma": "qshift", "q": "2",
+                              "system": "scalar(-2)", "u": "1", "v": "-1"}),
+        ("check-connection", {"system": "scalar(2)", "u": "2", "v": "2"}),
+        ("invariants", {"system": "unipotent(1/x)"}),
+    ])
+    def test_each_distinct_text_is_tokenized_once(self, monkeypatch,
+                                                   command, fields):
+        calls = []
+
+        def counted(text, _real=exprparse._tokenize):
+            calls.append(text)
+            return _real(text)
+
+        monkeypatch.setattr(exprparse, "_tokenize", counted)
+        _, code = run(Request(command=command, **fields))
+        assert code == 0
+        texts = [fields.get(key) for key in ("q", "u", "v")]
+        texts += parse_system(fields["system"])[1]
+        assert sorted(calls) == sorted({t for t in texts if t is not None})
+
+    def test_the_first_malformed_text_is_reported(self):
+        # q, u, v, then the entries: the order the conductor scan used
+        rep, _ = run(Request(command="check-connection", system="scalar(x$)",
+                             u="1", v="#"))
+        assert rep["error"]["code"] == "parse-error"
+        assert "'#'" in rep["error"]["message"]
 
 
 class TestRequestGrammar:
