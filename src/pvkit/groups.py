@@ -6,11 +6,10 @@ entries of X that actually occur are cut out by explicit equations over the
 constants.  For the binomial ideals produced by the engine the substitution
 sends each generator Y^v - w, v a Hermite row, to w (X^v - 1), so the
 equations are X^v - 1 over the rows, read on exponent vectors with a coset
-certificate per row and no normal form.  For the triangular shape Y*X is
-substituted into every generator, reduced to normal form, and the
-coefficient polynomials of a constants-basis expansion collected; that pins
-the diagonal and, when the telescoping corner sum is rational, the corner
-too.
+certificate per row and no normal form.  For the triangular shape the
+generators Y11 - 1, Y22 - 1 and, with a rational corner solution f,
+Y12 - f Y11 give X11 - 1, X22 - 1 and X12, read off the certified
+generators; the dense substitution is a test oracle.
 
 The group itself is read off the relation lattice: the Smith factors the
 build already computed give the finite cyclic part, the corank gives the
@@ -27,7 +26,7 @@ are computed in the residue ring, with the inverse read off the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import lcm
 
 from .arith.cyclo import CycloField, CycloNum
 from .arith.poly import Poly, RatFunc, RatFuncField
@@ -84,9 +83,10 @@ class ConstantsExtensionDesc:
 class GroupDesc:
     """Structure of the stabilizer group of a presented solution ring.
 
-    ``coordinate_ideal`` carries the explicit equations in the X variables;
-    equality of two descriptions compares coefficient values across
-    constant fields, so a description is unchanged by pure base change.
+    ``coordinate_ideal`` carries the explicit equations in the X variables,
+    canonical for both shapes, so equal groups have equal ideals; equality
+    of two descriptions compares coefficient values across constant
+    fields, so a description is unchanged by pure base change.
     """
 
     torus_rank: int
@@ -177,50 +177,6 @@ def _ideal_conductor(gens) -> int:
 # coordinate equations of the stabilizer
 # ---------------------------------------------------------------------------
 
-def _expand_slots(k: DiffField, x_terms: dict) -> list:
-    """Expand a family {X-exponent: k-coefficient} over a constants basis of
-    k: clear to a common denominator, then read one X-relation off each
-    power of the base variable.  A denominator of 1 (monic of degree 0)
-    takes no gcd and no division.  Returns a list of {X-exponent:
-    constant} dicts; the constants stay in the constants field of k, where
-    ``_canonical_equation`` divides them."""
-    den = Poly.one(k.k_field.inner)
-    for h in x_terms.values():
-        if h.den.degree() > 0:
-            den = (h.den if den.degree() == 0
-                   else den * h.den.exact_div(den.gcd(h.den)))
-    nums = {}
-    for w, h in x_terms.items():
-        if h.den.degree() > 0:
-            nums[w] = h.num * den.exact_div(h.den)
-        else:
-            nums[w] = h.num if den.degree() == 0 else h.num * den
-    top = max(n.degree() for n in nums.values())
-    out = []
-    for d in range(top + 1):
-        slot = {}
-        for w, n in nums.items():
-            c = n.nth(d)
-            if not c.is_zero():
-                slot[w] = c
-        if slot:
-            out.append(slot)
-    return out
-
-
-def _canonical_equation(field, nvars: int, slot: dict) -> LaurentPoly:
-    """The X-relation of one slot scaled to leading coefficient 1: divided
-    in the constants field, each coefficient then embedded in k once, as
-    a constant over 1 (already reduced, so nothing is coerced again)."""
-    inner = field.inner
-    den = Poly.one(inner)
-    inv = 1 / slot[max(slot)]
-    return LaurentPoly._trusted(
-        field, nvars,
-        {w: RatFunc._trusted(Poly._trusted(inner, [v * inv]), den)
-         for w, v in slot.items()})
-
-
 def _diagonal_equations(p: PVPresentation) -> list:
     """X^v - 1 per Hermite row v of the binomial ideal, read on exponent
     vectors.  Substituting Y -> Y*X into Y^v - w gives w X^v Y^v - w, and
@@ -257,31 +213,39 @@ def _diagonal_equations(p: PVPresentation) -> list:
     return out
 
 
-def _unipotent_substitution(p: PVPresentation) -> list:
-    """The triangular substitution sends the matrix M = [[Y11, Y12], [0, Y22]]
-    to M*X with X = [[X11, X12], [0, X22]]; entrywise that is
-    Y11 -> Y11*X11, Y12 -> Y11*X12 + Y12*X22, Y22 -> Y22*X22."""
+def _unipotent_equations(p: PVPresentation) -> list:
+    """X11 - 1, X22 - 1 and, when the corner is solved, X12.  Substituting
+    Y -> Y*X sends Y11 - 1 and Y22 - 1 to X11 - 1 and X22 - 1, and
+    Y12 - f Y11 to X12 + f (X22 - X11) after reduction.  f is 0 or not
+    constant, so the slots of that equation over a constants basis span
+    X12 and X22 - X11.  Certified: the generators are, by value, those
+    ``SigmaIdeal.from_unipotent`` makes for the presentation's solution,
+    the ideal's corner holds that solution, and it is 0 or not constant;
+    the generators and the solution are only compared, never reduced."""
     ideal = p.ideal
     field = p.field.k_field
-    per_gen = []
-    for gen in ideal.generators:
-        per_x: dict = {}
-        for (i, j, l), c in gen.terms.items():
-            if min(i, j, l) < 0:
-                raise UnsupportedSubstitutionShape(
-                    "triangular substitution needs polynomial exponents")
-            for t in range(j + 1):
-                coeff = c * field.coerce(comb(j, t))
-                y = (i + t, j - t, l)
-                xv = (i, t, (j - t) + l)
-                mono = LaurentPoly.monomial(field, 3, y, coeff)
-                per_x[xv] = per_x.get(xv, LaurentPoly.zero(field, 3)) + mono
-        by_res: dict = {}
-        for xv, poly in per_x.items():
-            for yr, cr in ideal.normal_form(poly).terms.items():
-                by_res.setdefault(yr, {})[xv] = cr
-        per_gen.append(by_res)
-    return per_gen
+    f = p.unipotent_solution
+    one, minus_one = field.one, -field.one
+    x11 = {(1, 0, 0): one, (0, 0, 0): minus_one}
+    x22 = {(0, 0, 1): one, (0, 0, 0): minus_one}
+    x12 = {(0, 1, 0): one}
+    made = [x11, x22]
+    if f is not None:
+        # Y12 - f Y11, whose Y11 term drops for f = 0
+        made.insert(0, {**x12, (1, 0, 0): -f} if f else x12)
+    if [g.terms for g in ideal.generators] != made:
+        raise InternalInvariantError(
+            "generators are not those of the corner solution",
+            generators=[g.format(ideal.var_names) for g in ideal.generators])
+    stored = None if ideal._corner is None else ideal._corner[1]
+    if (stored is None) != (f is None) or (f is not None and stored != f):
+        raise InternalInvariantError(
+            "the ideal's corner solution is not the presentation's")
+    if f and f.is_const():
+        raise InternalInvariantError(
+            "corner solution is a nonzero constant", solution=f)
+    eqs = [x11, x22] if f is None else [x11, x22, x12]
+    return [LaurentPoly._trusted(field, 3, t) for t in eqs]
 
 
 def coordinate_var_names(p: PVPresentation) -> tuple:
@@ -299,14 +263,16 @@ def functor_ideal(p: PVPresentation) -> tuple:
     witness expanded.  An ideal with no characters is a hand-built one
     the substitution does not read (UnsupportedSubstitutionShape).
 
-    For the triangular shape Y -> Y*X is substituted into each generator,
-    the Y part reduced to normal form and the coefficients expanded over
-    a constants basis; each X-polynomial is normalized to leading
-    coefficient 1 and kept once.  Two or more equations are ordered by
-    their printed form, the only use of printing here.  An empty tuple
-    means the zero ideal (the full group of the shape).  The dense
-    substitution for the diagonal shape is a test oracle
-    (``tests/dense_functor.py``).
+    For the triangular shape the generators are those of the corner
+    solution f, and the ideal is read off them: X11 - 1, X22 - 1 and, when
+    the corner is solved, X12, after certifying the generators and f
+    (InternalInvariantError otherwise); no normal form is taken and no
+    rational function computed.  Equal groups thus get equal ideals.
+
+    Two or more equations are ordered by their printed form, the only use
+    of printing here.  An empty tuple means the zero ideal (the full group
+    of the shape).  The dense substitution for both shapes is a test
+    oracle (``tests/dense_functor.py``).
     """
     shape = p.system.shape
     if shape == "diagonal":
@@ -315,13 +281,7 @@ def functor_ideal(p: PVPresentation) -> tuple:
                 "presentation carries no reduction data for the substitution")
         kept = _diagonal_equations(p)
     elif shape == "unipotent2":
-        kept = []
-        for by_res in _unipotent_substitution(p):
-            for x_terms in by_res.values():
-                for slot in _expand_slots(p.field, x_terms):
-                    eq = _canonical_equation(p.field.k_field, 3, slot)
-                    if not any(eq == g for g in kept):
-                        kept.append(eq)
+        kept = _unipotent_equations(p)
     else:
         raise UnsupportedSubstitutionShape(
             f"no substitution rule for shape {shape!r}")

@@ -22,6 +22,8 @@ Y -> Y*X before the module existed:
 """
 
 import dataclasses
+import itertools
+from math import lcm, prod
 
 import pytest
 
@@ -29,7 +31,8 @@ import conftest
 
 from pvkit.arith.cyclo import CycloField, CycloNum
 from pvkit.arith.poly import RatFuncField
-from pvkit.base import DiffField, SigmaSpec
+from pvkit.base import DiffField, SigmaSpec, apply_sigma
+from pvkit.cli.report import Request, run
 from pvkit.engine import (
     SigmaIdeal,
     build_pv_diagonal,
@@ -64,6 +67,7 @@ from pvkit.laurent import LaurentPoly
 from pvkit.snf import smith_normal_form
 from pvkit.solve import LatticeBasis
 
+from dense_functor import dense_functor_ideal
 from dense_witness import certify_by_hand
 
 
@@ -163,10 +167,11 @@ class TestFunctorIdeal:
         assert formatted == {"-1 + X11", "-1 + X22"}
 
     def test_unipotent_solved_pins_the_corner(self):
+        # the dense substitution keeps both slots of X12 + x(X22 - X11)
         k = shift_field()
         p = build_pv_unipotent(k, k.one())
         formatted = {g.format(coordinate_var_names(p))
-                     for g in functor_ideal(p)}
+                     for g in dense_functor_ideal(p)}
         assert formatted == {"-1 + X11", "-1 + X22", "X12", "-X22 + X11"}
 
     def test_unipotent_zero_corner(self):
@@ -185,7 +190,7 @@ class TestFunctorIdeal:
         x = k.x()
         p = build_pv_unipotent(k, 1 / (x + 5) - 1 / x)
         names = coordinate_var_names(p)
-        assert [g.format(names) for g in functor_ideal(p)] == [
+        assert [g.format(names) for g in dense_functor_ideal(p)] == [
             "-1 + X11",
             "-1 + X22",
             "-X22 + (-10/21)*X12 + X11",
@@ -195,6 +200,17 @@ class TestFunctorIdeal:
             "-X22 - 2*X12 + X11",
             "X12",
         ]
+
+    def test_a_solved_corner_reads_the_canonical_ideal(self):
+        # the dense substitution's slots generate (X11 - 1, X22 - 1, X12),
+        # which functor_ideal reads off the generators
+        k = shift_field()
+        x = k.x()
+        for b in (k.one(), k.zero(), 1 / (x + 5) - 1 / x):
+            p = build_pv_unipotent(k, b)
+            names = coordinate_var_names(p)
+            assert [g.format(names) for g in functor_ideal(p)] == [
+                "-1 + X11", "-1 + X22", "X12"]
 
     def test_equal_equations_are_kept_once(self):
         # every power of x in sigma(g)/g = (x+1000)/x reads -1 + X
@@ -630,6 +646,58 @@ class TestGroupDescEquality:
         assert g == identify_group(p)
         q = conftest.changed_presentation("scalar-order-two", "zeta3")
         assert g == identify_group(q)
+
+    def test_equal_trivial_corners_compare_equal(self):
+        # 1/(x+1) - 1/x, 1/(x+5) - 1/x and 0 all telescope: each group is
+        # trivial, and its canonical ideal does not see the solution
+        k = shift_field()
+        x = k.x()
+        groups = [identify_group(build_pv_unipotent(k, b))
+                  for b in (1 / (x + 1) - 1 / x, 1 / (x + 5) - 1 / x,
+                            k.zero())]
+        for g in groups:
+            for h in groups:
+                assert g == h
+
+    def test_a_solved_corner_is_defined_over_the_rationals(self):
+        # b = sigma(f) - f over Q(zeta_3) with zeta_3 in f: the trivial
+        # group's ideal (X11 - 1, X22 - 1, X12) has rational coefficients
+        k = shift_field(3)
+        x = k.x()
+        z = k.coerce(CycloNum.zeta(3))
+        f = (x ** 2 + z * x + 1) / (x ** 3 + 2 * x + 5)
+        g = identify_group(build_pv_unipotent(k, apply_sigma(k, f) - f))
+        assert g.describe() == "trivial group"
+        assert g.defined_over_conductor == 1
+
+    @pytest.mark.parametrize("adjoin", ["zeta(3)", "t(1)"])
+    def test_a_solved_corner_survives_base_change(self, adjoin):
+        rep, code = run(Request(command="basechange",
+                                system="unipotent(1/(x+1)-1/x)",
+                                adjoin=adjoin))
+        assert code == 0
+        assert rep["presentation"]["unipotent_solution"] == "1/x"
+        assert rep["base_change"]["group_unchanged"] is True
+        assert rep["base_change"]["transport_ok"] is True
+
+    def test_finite_groups_have_their_order_of_points(self):
+        # a finite diagonal group of order prod d_f lies in (mu_M)^n, M the
+        # lcm of the orders; its points there are exactly its elements
+        finite = 0
+        for name in conftest.REGISTRY:
+            p = conftest.presentation(name)
+            g = identify_group(p)
+            if g.dimension:
+                continue
+            finite += 1
+            m = lcm(*g.finite_orders)
+            roots = [CycloNum.zeta(m) ** i for i in range(m)]
+            members = sum(
+                all(r.is_zero() for r in evaluate_coordinate_point(
+                    p.field, g.coordinate_ideal, point))
+                for point in itertools.product(roots, repeat=p.ideal.nvars))
+            assert members == prod(g.finite_orders), name
+        assert finite == 6
 
     def test_not_equal_to_other_types(self):
         g = identify_group(example_a())
